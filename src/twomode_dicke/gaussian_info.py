@@ -114,55 +114,54 @@ def eof_pure_bipartition(C: CovarianceMatrix, side) -> float:
     return renyi2_entropy(C.reduce(side))
 
 
-#: Ties within this distance of a branch boundary take the middle branch.
-BRANCH_TIE_TOL = 1e-10
+def _t_diff(s_a: float, s_b: float) -> float:
+    """t_a - t_b for t = expm1(2 S), accurate when S_a and S_b are close."""
+    return math.exp(2.0 * s_b) * math.expm1(2.0 * (s_a - s_b))
 
 
-def _g_value(ai: float, aj: float, ak: float) -> float:
-    """Closed-form g for the two-of-three-mode Renyi-2 EoF: E = 0.5 ln g."""
-    upper = math.sqrt(max(ai * ai + aj * aj - 1.0, 0.0))
-    s = ai * ai + aj * aj
-    d = ai * ai - aj * aj
-    alpha = math.sqrt((2.0 * s + d * d + abs(d) * math.sqrt(d * d + 8.0 * s)) / (2.0 * s))
-
-    on_tie = abs(ak - upper) <= BRANCH_TIE_TOL or abs(ak - alpha) <= BRANCH_TIE_TOL
-    if not on_tie and ak >= upper:
-        return 1.0
-    if not on_tie and ak <= alpha:
-        return max((d * d) / ((ak * ak - 1.0) ** 2), 1.0)
-
-    delta = 1.0
-    for mu in (1.0, -1.0):
-        for nu in (1.0, -1.0):
-            delta *= (ai + mu * aj + nu * ak) ** 2 - 1.0
-    if delta < 0.0:
-        if delta < -1e-12:
-            raise NumericalFailureError(f"delta = {delta:.3e} strongly negative")
-        delta = 0.0
-    a1s, a2s, a3s = ai * ai, aj * aj, ak * ak
-    beta = (
-        2.0 * (a1s + a2s + a3s)
-        + 2.0 * (a1s * a2s + a1s * a3s + a2s * a3s)
-        - (a1s * a1s + a2s * a2s + a3s * a3s)
-        - math.sqrt(delta)
-        - 1.0
-    )
-    return max(beta / (8.0 * a3s), 1.0)
+def _t_excess(s_a: float, s_b: float, s_c: float) -> float:
+    """t_a + t_b - t_c, cancelling t_c against the larger of t_a, t_b."""
+    if s_a < s_b:
+        s_a, s_b = s_b, s_a
+    return _t_diff(s_a, s_c) + math.expm1(2.0 * s_b)
 
 
-def _pair_eof_from_a(a: np.ndarray, i: int, j: int) -> float:
-    k = 3 - i - j
-    return 0.5 * math.log(_g_value(a[i], a[j], a[k]))
+def eof_from_entropies(s_i: float, s_j: float, s_k: float) -> float:
+    """Renyi-2 Gaussian EoF E(i:j) of a pure three-mode state from S_i, S_j, S_k.
+
+    Closed form of Adesso, Girolami & Serafini, PRL 109, 190502 (2012) in
+    t = exp(2 S) - 1, with differences of t formed from differences of S so
+    that nothing cancels near product states; clamped to [0, min(S_i, S_j)].
+    """
+    u = _t_excess(s_i, s_j, s_k)
+    if u <= 0.0:  # t_k >= t_i + t_j: i and j are separable
+        return 0.0
+    cap = min(s_i, s_j)
+    t_i, t_j, t_k = (math.expm1(2.0 * s) for s in (s_i, s_j, s_k))
+    if t_k == 0.0:  # k decoupled: (i, j) is a pure two-mode state
+        return cap
+    d = _t_diff(max(s_i, s_j), min(s_i, s_j))
+    s = t_i + t_j + 2.0
+    if 2.0 * s * t_k <= d * d + d * math.sqrt(d * d + 8.0 * s):  # t_k <= alpha**2 - 1
+        e = math.log(d / t_k)
+    else:
+        w = _t_excess(s_k, s_j, s_i) * _t_excess(s_k, s_i, s_j)  # t_k**2 - d**2
+        q = max(w + 2.0 * u * t_k, 0.0)  # 4 t_i t_j - u**2, nonnegative on this branch
+        root = math.sqrt(max(q * q + 8.0 * u * w, 0.0))
+        # g - 1 = (P - sqrt(delta)) / (8 (1 + t_k)) rationalized with
+        # P = q + 4 u and P**2 - delta = 16 (1 + t_k) u**2.
+        e = 0.5 * math.log1p(2.0 * u * u / (q + 4.0 * u + root))
+    return min(max(e, 0.0), cap)
 
 
 def eof_two_of_three(C: CovarianceMatrix, pair) -> float:
     """Renyi-2 Gaussian EoF between two of the three modes of a pure 3-mode state."""
-    mi, mj = pair
-    if mi == mj:
-        raise UnknownModeError("pair must name two distinct modes")
-    sf = symplectic.standard_form(C.mat)
-    i, j = C.modes.index(mi), C.modes.index(mj)
-    return _pair_eof_from_a(sf.a, i, j)
+    rest = [m for m in C.modes if m not in pair]
+    if C.n_modes != 3 or len(rest) != 1:
+        raise UnknownModeError(f"pair {pair} must name two of three modes, got {C.modes}")
+    if not C.is_pure():
+        raise NotPureError(f"det(2C) = {C.det2():.6e} is not 1 within {PURITY_TOL:.0e}")
+    return eof_from_entropies(*(renyi2_entropy(C.reduce((m,))) for m in (*pair, rest[0])))
 
 
 def tripartite_residual(C: CovarianceMatrix, anchor, pair) -> float:
@@ -214,31 +213,25 @@ def correlation_report(C: CovarianceMatrix | None, diverged: bool = False) -> Co
     if not C.is_pure():
         raise NotPureError(f"det(2C) = {C.det2():.6e} is not 1 within {PURITY_TOL:.0e}")
 
+    # Purity makes each two-mode entropy equal to that of the third mode.
     s = {m: renyi2_entropy(C.reduce((m,))) for m in ("x", "y", "j")}
-    s2 = {
-        pair: renyi2_entropy(C.reduce(pair))
-        for pair in (("x", "y"), ("x", "j"), ("y", "j"))
-    }
-
-    sf = symplectic.standard_form(C.mat, pure=True)
-    idx = {m: C.modes.index(m) for m in C.modes}
-    e_xj = _pair_eof_from_a(sf.a, idx["x"], idx["j"])
-    e_yj = _pair_eof_from_a(sf.a, idx["y"], idx["j"])
-    e_xy = _pair_eof_from_a(sf.a, idx["x"], idx["y"])
+    e_xj = eof_from_entropies(s["x"], s["j"], s["y"])
+    e_yj = eof_from_entropies(s["y"], s["j"], s["x"])
+    e_xy = eof_from_entropies(s["x"], s["y"], s["j"])
 
     return CorrelationReport(
         s_x=s["x"],
         s_y=s["y"],
         s_j=s["j"],
-        s_xy=s2[("x", "y")],
-        s_xj=s2[("x", "j")],
-        s_yj=s2[("y", "j")],
-        mi_xy_j=s2[("x", "y")] + s["j"],
-        mi_xj_y=s2[("x", "j")] + s["y"],
-        mi_yj_x=s2[("y", "j")] + s["x"],
-        mi_x_y=s["x"] + s["y"] - s2[("x", "y")],
-        mi_x_j=s["x"] + s["j"] - s2[("x", "j")],
-        mi_y_j=s["y"] + s["j"] - s2[("y", "j")],
+        s_xy=s["j"],
+        s_xj=s["y"],
+        s_yj=s["x"],
+        mi_xy_j=2.0 * s["j"],
+        mi_xj_y=2.0 * s["y"],
+        mi_yj_x=2.0 * s["x"],
+        mi_x_y=s["x"] + s["y"] - s["j"],
+        mi_x_j=s["x"] + s["j"] - s["y"],
+        mi_y_j=s["y"] + s["j"] - s["x"],
         eof_x_j=e_xj,
         eof_y_j=e_yj,
         eof_x_y=e_xy,

@@ -255,12 +255,15 @@ def _off_pattern_residual(Y: np.ndarray) -> float:
     return res
 
 
-def standard_form(C, pure: bool = False, tol: float = 1e-7) -> StandardFormCM:
+def standard_form(C, pure: bool = False) -> StandardFormCM:
     """Reduce a three-mode covariance matrix to its local standard form.
 
     The reduction is a local symplectic transform: a symmetric single-mode
     squeezer per block followed by per-mode phase rotations (which subsume the
     single-mode form swaps).  Correlation measures are untouched by either.
+    This is the reference reduction; the correlation measures of
+    ``gaussian_info`` do not call it, because for a pure state they follow
+    from the local invariants ``a`` alone.
     """
     C = _require_symmetric(C)
     if C.shape[0] != 6:

@@ -157,6 +157,12 @@ class TestEofTwoOfThree:
         with pytest.raises(UnknownModeError):
             eof_two_of_three(VACUUM, ("x", "x"))
 
+    def test_rejects_mixed_global_state(self):
+        # The closed form holds for pure three-mode states only.
+        with pytest.raises(NotPureError):
+            eof_two_of_three(
+                CovarianceMatrix(("x", "y", "j"), 0.6 * np.eye(6)), ("x", "j"))
+
 
 class TestTripartiteResidual:
     def test_vacuum(self):

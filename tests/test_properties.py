@@ -1,0 +1,74 @@
+"""Property tests: every point of the physical domain gives a physical row.
+
+Inputs are log-uniform omega, omega0 in [1e-2, 1e2] and couplings in
+[0, 100] lambda_c, evaluated through ``cli.evaluate_point`` with all
+quantity groups and warnings turned into errors.
+"""
+
+import warnings
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from twomode_dicke import cli
+
+GOLDSTONE_EPSILON = 1e-6
+ADDITIVITY_TOL = 1e-8
+MONOGAMY_TOL = 1e-9
+MIRROR_TOL = 1e-8
+
+frequencies = st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)
+couplings = st.floats(0.0, 100.0)
+
+#: Columns that trade places under x <-> y; every other column maps to itself
+#: except tri_j_yx = S_x - E(x:j) - E(x:y), which has no mirror column.
+SWAPPED = {"s_x": "s_y", "s_xj": "s_yj", "mi_xj_y": "mi_yj_x", "mi_x_j": "mi_y_j",
+           "eof_x_j": "eof_y_j"}
+SWAPPED.update({b: a for a, b in SWAPPED.items()})
+MIRRORED = [c for g in cli.GROUP_ORDER for c in cli.GROUP_COLUMNS[g] if c != "tri_j_yx"]
+
+
+def row_at(omega, omega0, lx, ly):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = cli.evaluate_point(omega, omega0, lx, ly, GOLDSTONE_EPSILON,
+                                 tuple(cli.GROUP_ORDER))
+    assert row["error"] is None, row["error"]
+    if row["diverged"]:
+        assert max(lx, ly) == 1.0, (lx, ly)
+    return row
+
+
+def assert_physical(r):
+    assert abs(r["mi_xy_j"] - r["mi_x_j"] - r["mi_y_j"]) <= ADDITIVITY_TOL
+    assert abs(r["mi_xj_y"] - r["mi_x_y"] - r["mi_y_j"]) <= ADDITIVITY_TOL
+    assert abs(r["mi_yj_x"] - r["mi_x_y"] - r["mi_x_j"]) <= ADDITIVITY_TOL
+    assert r["tri_x_yj"] >= -MONOGAMY_TOL
+    assert r["tri_j_yx"] >= -MONOGAMY_TOL
+    for a, b in (("x", "j"), ("y", "j"), ("x", "y")):
+        e = r[f"eof_{a}_{b}"]
+        assert 0.0 <= e <= min(r[f"s_{a}"], r[f"s_{b}"]) + MONOGAMY_TOL, (a, b, e)
+
+
+@given(frequencies, frequencies, couplings, couplings)
+def test_rows_physical_and_mirror_symmetric(omega, omega0, lx, ly):
+    row = row_at(omega, omega0, lx, ly)
+    if row["diverged"]:
+        return
+    assert_physical(row)
+    if row["goldstone_offset"]:
+        return  # the offset moves lambda_y only, so the mirror point differs
+    twin = row_at(omega, omega0, ly, lx)
+    for col in MIRRORED:
+        a, b = row[col], twin[SWAPPED.get(col, col)]
+        assert abs(a - b) <= MIRROR_TOL * max(1.0, abs(a), abs(b)), (col, a, b)
+
+
+@given(frequencies, frequencies, couplings)
+def test_decoupled_mode_leaves_pure_pair(omega, omega0, ly):
+    # At lambda_x = 0 mode x is in its vacuum and (y, j) is a pure two-mode state.
+    row = row_at(omega, omega0, 0.0, ly)
+    if row["diverged"]:
+        return
+    assert_physical(row)
+    assert abs(row["eof_y_j"] - row["s_y"]) <= 1e-10
