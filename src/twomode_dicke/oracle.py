@@ -3,11 +3,12 @@
 Serves as an independent numerical check of the thermodynamic-limit results.
 The Hamiltonian is built directly in the frame of the classical ground state:
 each boson is displaced by its condensate amplitude (an exact operator
-substitution a -> a + sqrt(j) alpha) and the spin operators are conjugated by
-the classical rotation.  The truncated Fock cutoff therefore only has to hold
-O(1) quantum fluctuations, not the extensive condensate, and the measured
-quadrature covariance matrix converges to the analytic ground-state
-covariance matrix at rate O(1/j).
+substitution a -> a + sqrt(j) alpha) and the spin operators are rotated by the
+exact 3x3 rotation R of the vector operator J, which keeps H sparse.  The
+truncated Fock cutoff therefore only has to hold O(1) quantum fluctuations,
+not the extensive condensate, and the measured quadrature covariance matrix
+converges to the analytic ground-state covariance matrix at rate O(1/j).
+Each truncation is solved by one Lanczos call.
 
 Hilbert space ordering is boson-x (x) boson-y (x) spin; quadratures are
 reported in the usual (q_x, p_x, q_y, p_y, Q, P) order with Q, P the
@@ -20,18 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm
 from scipy.sparse.linalg import eigsh
 
 from .errors import BudgetExceededError, NumericalFailureError
 from .gaussian_info import CovarianceMatrix
-from .model import ModelParams, Phase, classical_ground_state
+from .model import ClassicalGroundState, ModelParams, Phase, classical_ground_state
 
 #: Largest Hilbert-space dimension the oracle will diagonalize.
 DIMENSION_BUDGET = 200_000
-
-#: Below this dimension a dense solver is faster and more robust than Lanczos.
-DENSE_CUTOFF = 2000
 
 #: Strength of the symmetry-breaking field that pins the finite-size ground
 #: state onto the classical branch when the condensate is small.
@@ -69,6 +66,8 @@ class FiniteSizeResult:
     cm: CovarianceMatrix
     means: np.ndarray
     converged: bool
+    #: |E(n_max + 2) - E(n_max)| per spin; None if that re-solve did not run.
+    resolve_de: float | None
 
 
 def _boson_ops(n_max: int):
@@ -86,26 +85,31 @@ def _spin_ops(j: float):
     return jx, jy, jz
 
 
-def _rotated_spin_ops(p: ModelParams, j: float):
-    """Spin operators conjugated by the classical rotation U = e^{-i phi Jz} e^{-i theta Jy}."""
-    gs = classical_ground_state(p)
-    jx, jy, jz = (op.toarray() for op in _spin_ops(j))
-    u = expm(-1j * gs.phi * jz) @ expm(-1j * gs.theta * jy)
-    return tuple(sp.csr_matrix(u.conj().T @ op @ u) for op in (jx, jy, jz))
+def _rotated_spin_ops(gs: ClassicalGroundState, j: float):
+    """U^dag J_a U = sum_b R_ab J_b, U = e^{-i phi Jz} e^{-i theta Jy}, R = R_z(phi) R_y(theta)."""
+    ct, st = np.cos(gs.theta), np.sin(gs.theta)
+    cf, sf = np.cos(gs.phi), np.sin(gs.phi)
+    rot = np.array([[cf * ct, -sf, cf * st],
+                    [sf * ct, cf, sf * st],
+                    [-st, 0.0, ct]])
+    jx, jy, jz = _spin_ops(j)
+    return tuple(r[0] * jx + r[1] * jy + r[2] * jz for r in rot)
 
 
 def _hamiltonian(p: ModelParams, spec: TruncationSpec,
-                 h_x: float = 0.0, h_y: float = 0.0) -> sp.csr_matrix:
+                 gs: ClassicalGroundState) -> sp.csr_matrix:
     """Two-mode Dicke Hamiltonian conjugated into the classical frame.
 
     The boson displacement is applied as the exact substitution
-    a -> a + sqrt(j) alpha, the spin rotation by explicit conjugation; an
-    irrelevant constant offset from the displacement is kept so the spectrum
-    equals that of the lab-frame Hamiltonian.
+    a -> a + sqrt(j) alpha, the spin rotation as the exact 3x3 rotation of J;
+    an irrelevant constant offset from the displacement is kept so the
+    spectrum equals that of the lab-frame Hamiltonian.
     """
     nb = spec.n_max + 1
     ns = int(round(2.0 * spec.j)) + 1
-    gs = classical_ground_state(p)
+    # pin the Z2-degenerate branch by a weak field on the condensed mode
+    h_x = SYMMETRY_BREAKING_FIELD if gs.alpha_x != 0.0 else 0.0
+    h_y = SYMMETRY_BREAKING_FIELD if gs.alpha_y != 0.0 else 0.0
     # Condensate amplitude: <a> = sqrt(j/2) * alpha in this normalization.
     dx = np.sqrt(spec.j / 2.0) * gs.alpha_x
     dy = np.sqrt(spec.j / 2.0) * gs.alpha_y
@@ -117,7 +121,7 @@ def _hamiltonian(p: ModelParams, spec: TruncationSpec,
     num_y = ad @ a + dy * x + dy * dy * ib
     x_x = x + 2.0 * dx * ib
     x_y = x + 2.0 * dy * ib
-    jx, jy, jz = _rotated_spin_ops(p, spec.j)
+    jx, jy, jz = _rotated_spin_ops(gs, spec.j)
     ispin = sp.identity(ns, format="csr")
 
     def kron3(A, B, C):
@@ -137,9 +141,6 @@ def _hamiltonian(p: ModelParams, spec: TruncationSpec,
 
 def _ground_vector(H: sp.csr_matrix) -> tuple[float, np.ndarray]:
     dim = H.shape[0]
-    if dim < DENSE_CUTOFF:
-        evals, evecs = np.linalg.eigh(H.toarray())
-        return float(evals[0]), evecs[:, 0]
     v0 = np.ones(dim) / np.sqrt(dim)
     try:
         evals, evecs = eigsh(H, k=1, which="SA", v0=v0, maxiter=5000)
@@ -148,7 +149,7 @@ def _ground_vector(H: sp.csr_matrix) -> tuple[float, np.ndarray]:
     return float(evals[0]), evecs[:, 0]
 
 
-def _measure_cm(psi: np.ndarray, p: ModelParams, spec: TruncationSpec):
+def _measure_cm(psi: np.ndarray, spec: TruncationSpec, phase: Phase):
     nb = spec.n_max + 1
     ns = int(round(2.0 * spec.j)) + 1
     tensor = psi.reshape(nb, nb, ns).astype(complex)
@@ -167,7 +168,7 @@ def _measure_cm(psi: np.ndarray, p: ModelParams, spec: TruncationSpec):
         Phase.NORMAL: (1.0, -1.0),
         Phase.SUPERRADIANT_X: (-1.0, -1.0),
         Phase.SUPERRADIANT_Y: (1.0, 1.0),
-    }[classical_ground_state(p).phase]
+    }[phase]
     quad_ops = [
         (sx * q, 0), (sx * pq, 0),
         (sy * q, 1), (sy * pq, 1),
@@ -208,19 +209,16 @@ def exact_ground_state(p: ModelParams, spec: TruncationSpec,
             f"dimension {spec.dimension} exceeds budget {DIMENSION_BUDGET}"
         )
     gs = classical_ground_state(p)
-    # pin the Z2-degenerate branch by a weak field on the condensed mode
-    h_x = SYMMETRY_BREAKING_FIELD if gs.alpha_x != 0.0 else 0.0
-    h_y = SYMMETRY_BREAKING_FIELD if gs.alpha_y != 0.0 else 0.0
+    energy, psi = _ground_vector(_hamiltonian(p, spec, gs))
+    means, cm = _measure_cm(psi, spec, gs.phase)
 
-    energy, psi = _ground_vector(_hamiltonian(p, spec, h_x, h_y))
-    means, cm = _measure_cm(psi, p, spec)
-
-    converged = True
+    converged, resolve_de = True, None
     if check_convergence:
         bigger = TruncationSpec(j=spec.j, n_max=spec.n_max + 2)
         if bigger.dimension <= DIMENSION_BUDGET:
-            energy2, _ = _ground_vector(_hamiltonian(p, bigger, h_x, h_y))
+            energy2, _ = _ground_vector(_hamiltonian(p, bigger, gs))
             converged = bool(abs(energy2 - energy) < CONVERGENCE_TOL)
+            resolve_de = abs(energy2 - energy) / spec.j
         else:
             converged = False
 
@@ -230,4 +228,5 @@ def exact_ground_state(p: ModelParams, spec: TruncationSpec,
         cm=CovarianceMatrix(("x", "y", "j"), cm),
         means=means,
         converged=converged,
+        resolve_de=resolve_de,
     )

@@ -4,6 +4,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -233,6 +237,20 @@ class TestOracleCompare:
         assert [r["j"] for r in doc["rows"]] == [2.0, 4.0]
         devs = [r["abs_de"] for r in doc["rows"]]
         assert devs[1] < devs[0]
+
+    def test_python_dash_m_runs(self, tmp_path):
+        out = tmp_path / "oracle.csv"
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "twomode_dicke", "oracle-compare",
+             "--lambda-x", "0", "--lambda-y", "0", "--j", "2", "--n-max", "2",
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = out.read_text().splitlines()
+        assert lines[0] == ",".join(cli._ORACLE_COLUMNS)
+        assert len(lines) == 2
 
     def test_zero_coupling_exact(self, capsys):
         code = main(["oracle-compare", "--lambda-x", "0", "--lambda-y", "0",

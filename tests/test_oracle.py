@@ -1,7 +1,10 @@
 """Finite-size exact diagonalization oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from twomode_dicke import model, oracle
 from twomode_dicke.errors import BudgetExceededError
@@ -29,6 +32,48 @@ class TestTruncationSpec:
         with pytest.raises(BudgetExceededError):
             exact_ground_state(ModelParams(1.0, 1.0, 0.1, 0.1),
                                TruncationSpec(j=500, n_max=20))
+
+
+#: One point of each phase, and the decoupled point.
+PHASE_POINTS = {
+    "normal": ModelParams(1.0, 1.0, 0.5, 0.3),
+    "superradiant-x": ModelParams(1.0, 1.0, 1.5, 0.5),
+    "superradiant-y": ModelParams(1.0, 1.0, 0.5, 1.5),
+    "decoupled": ModelParams(1.0, 1.0, 0.0, 0.0),
+}
+
+
+class TestSparseBuild:
+    @pytest.mark.parametrize("j", [0.5, 1, 5, 20])
+    @pytest.mark.parametrize("phase", ["normal", "superradiant-x", "superradiant-y"])
+    def test_rotation_matches_dense_conjugation(self, phase, j):
+        gs = model.classical_ground_state(PHASE_POINTS[phase])
+        jx, jy, jz = (op.toarray() for op in oracle._spin_ops(j))
+        u = expm(-1j * gs.phi * jz) @ expm(-1j * gs.theta * jy)
+        for rotated, op in zip(oracle._rotated_spin_ops(gs, j), (jx, jy, jz)):
+            np.testing.assert_allclose(rotated.toarray(), u.conj().T @ op @ u,
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("j", [5, 20])
+    @pytest.mark.parametrize("phase", ["normal", "superradiant-x"])
+    def test_hamiltonian_stays_sparse(self, phase, j):
+        p = PHASE_POINTS[phase]
+        H = oracle._hamiltonian(p, TruncationSpec(j=j, n_max=10),
+                                model.classical_ground_state(p))
+        assert H.nnz / H.shape[0] <= 13
+
+    @pytest.mark.parametrize("n_max", [1, 3, 10])
+    @pytest.mark.parametrize("j", [0.5, 2.5, 5])
+    @pytest.mark.parametrize("phase", sorted(PHASE_POINTS))
+    def test_lanczos_matches_dense_spectrum(self, phase, j, n_max):
+        p = PHASE_POINTS[phase]
+        H = oracle._hamiltonian(p, TruncationSpec(j=j, n_max=n_max),
+                                model.classical_ground_state(p))
+        reference = np.linalg.eigvalsh(H.toarray())[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            energy, _ = oracle._ground_vector(H)
+        assert abs(energy - reference) <= 1e-12 * abs(reference)
 
 
 class TestDecoupledPoint:
@@ -93,6 +138,23 @@ class TestNormalPhaseConvergence:
         p = ModelParams(1.0, 1.0, 0.5, 0.3)
         res = exact_ground_state(p, TruncationSpec(j=5, n_max=12))
         assert res.converged
+
+    def test_resolve_de_reports_the_cutoff_change(self):
+        p = ModelParams(1.0, 1.0, 0.5, 0.3)
+        res = exact_ground_state(p, TruncationSpec(j=5, n_max=4))
+        bigger = exact_ground_state(p, TruncationSpec(j=5, n_max=6),
+                                    check_convergence=False)
+        assert bigger.resolve_de is None
+        assert res.resolve_de == pytest.approx(
+            abs(bigger.energy_per_spin - res.energy_per_spin), rel=1e-12, abs=1e-15)
+        assert res.converged == (res.resolve_de * 5 < oracle.CONVERGENCE_TOL)
+
+    def test_resolve_de_none_over_budget(self, monkeypatch):
+        spec = TruncationSpec(j=2, n_max=2)
+        monkeypatch.setattr(oracle, "DIMENSION_BUDGET", spec.dimension)
+        res = exact_ground_state(ModelParams(1.0, 1.0, 0.5, 0.3), spec)
+        assert res.resolve_de is None
+        assert not res.converged
 
 
 class TestSuperradiantPhase:
