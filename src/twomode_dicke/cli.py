@@ -3,7 +3,8 @@
 Couplings on the command line and in all output are expressed in units of the
 critical coupling lambda_c = sqrt(omega * omega0); energies are in units of
 omega.  Output is deterministic: grid rows are row-major in lambda_x, then
-lambda_y, regardless of how many workers computed them.
+lambda_y.  A sweep computes its grid as stacked arrays, block by block;
+``evaluate_point`` is the per-point reference it agrees with.
 """
 
 from __future__ import annotations
@@ -12,9 +13,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 
 import numpy as np
@@ -29,6 +28,15 @@ from .errors import (
     NotPureError,
     NumericalFailureError,
 )
+
+#: Grid points a sweep computes together; bounds the memory of the stacked
+#: arrays whatever the grid size.
+BLOCK_POINTS = 2048
+
+#: Failures of the covariance-matrix pipeline that mean the point has no
+#: normalizable Gaussian ground state: such rows are diverged, not errors.
+DIVERGED_ERRORS = (NearSingularError, NonPositiveDefiniteError, NotPureError,
+                   NonPhysicalError, NumericalFailureError, GoldstoneLineError)
 
 #: Values with magnitude above this are emitted as the literal token "inf".
 INF_THRESHOLD = 1e6
@@ -137,8 +145,7 @@ def evaluate_point(omega: float, omega0: float, lx_rel: float, ly_rel: float,
         if any(g in groups for g in ("mi", "eof", "tripartite")):
             try:
                 report = gaussian_info.correlation_report(model.ground_state_cm(p))
-            except (NearSingularError, NonPositiveDefiniteError, NotPureError,
-                    NonPhysicalError, NumericalFailureError, GoldstoneLineError):
+            except DIVERGED_ERRORS:
                 row["diverged"] = True
             else:
                 values = report.to_dict()
@@ -151,48 +158,95 @@ def evaluate_point(omega: float, omega0: float, lx_rel: float, ly_rel: float,
     return row
 
 
-def _evaluate_point_star(args) -> dict:
-    return evaluate_point(*args)
+def _sweep_block(omega: float, omega0: float, lx_rel: np.ndarray, ly_rel: np.ndarray,
+                 goldstone_epsilon: float, groups: list[str]) -> dict:
+    """Output columns of evaluate_point for arrays of grid points.
+
+    The conditions under which the scalar pipeline raises one of
+    DIVERGED_ERRORS are masks here: an unstable point (fluctuation matrix
+    not positive definite or nu_3 below the gap floor), det(2C) off 1 by more
+    than PURITY_TOL, and a single-mode det(2C_i) below 1 - PURITY_TOL.
+    """
+    lc = math.sqrt(omega * omega0)
+    lx, ly = lx_rel * lc, ly_rel * lc
+    offset = (np.abs(lx - ly) <= goldstone_epsilon * lc) & (np.maximum(lx, ly) > lc)
+    cols = {"lambda_x": lx_rel, "lambda_y": ly_rel, "goldstone_offset": offset,
+            "diverged": np.zeros(lx.size, dtype=bool)}
+    y = np.where(offset, ly_rel * (1.0 - goldstone_epsilon), ly_rel)
+    if "energy" in groups:
+        cols["e_gs"] = model.ground_state_energies(omega, omega0, lx, y * lc) / omega
+    report_groups = [g for g in ("mi", "eof", "tripartite") if g in groups]
+    if "gaps" not in groups and not report_groups:
+        return cols
+    gs = model.stacked_ground_states(omega, omega0, lx_rel, y)
+    if "gaps" in groups:
+        cols["nu_1"], cols["nu_2"], cols["nu_3"] = gs.nu.T
+    if not report_groups:
+        return cols
+    tol = gaussian_info.PURITY_TOL
+    ok = gs.stable & (np.abs(gs.det2 - 1.0) <= tol) & np.all(gs.det2_modes >= 1.0 - tol, axis=1)
+    s = np.maximum(0.5 * np.log(np.where(ok[:, None], gs.det2_modes, 1.0)), 0.0)
+    report = gaussian_info.report_columns(*s.T)
+    for g in report_groups:
+        for col in GROUP_COLUMNS[g]:
+            cols[col] = np.where(ok, report[col], math.nan)
+    cols["diverged"] = ~ok
+    return cols
 
 
 def run_sweep(omega: float, omega0: float, x_range, y_range, groups: list[str],
-              goldstone_epsilon: float, threads: int) -> list[dict]:
-    tasks = [
-        (omega, omega0, float(lx), float(ly), goldstone_epsilon, tuple(groups))
-        for lx in _grid(x_range)
-        for ly in _grid(y_range)
-    ]
-    if threads <= 1 or len(tasks) < 4:
-        return [_evaluate_point_star(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        chunk = max(1, len(tasks) // (4 * threads))
-        # executor.map preserves task order, which is already row-major.
-        return list(pool.map(_evaluate_point_star, tasks, chunksize=chunk))
+              goldstone_epsilon: float) -> list[dict]:
+    """The rows of evaluate_point over the grid, computed BLOCK_POINTS at a time."""
+    if omega <= 0.0 or omega0 <= 0.0 or min(x_range[0], y_range[0]) < 0.0:
+        raise ValueError("omega and omega0 must be positive and couplings nonnegative")
+    lx, ly = (a.ravel() for a in np.meshgrid(_grid(x_range), _grid(y_range), indexing="ij"))
+    rows = []
+    for start in range(0, lx.size, BLOCK_POINTS):
+        block = slice(start, start + BLOCK_POINTS)
+        cols = _sweep_block(omega, omega0, lx[block], ly[block], goldstone_epsilon, groups)
+        names = list(cols)
+        for values in zip(*(cols[c].tolist() for c in names)):
+            row = dict(zip(names, values))
+            row["error"] = None
+            rows.append(row)
+    return rows
 
 
 def run_oracle_compare(omega: float, omega0: float, lx_rel: float, ly_rel: float,
                        sizes: list[float], n_max: int) -> list[dict]:
+    """Finite-size oracle rows; diverged where the analytic CM does not exist.
+
+    On the degenerate line lambda_x = lambda_y > lambda_c the classical frame
+    of the finite-size solve is undefined, so no solve runs there.
+    """
     base = model.ModelParams(omega=omega, omega0=omega0)
     p = base.with_couplings(lx_rel * base.lambda_c, ly_rel * base.lambda_c)
     e_analytic = model.ground_state_energy(p) / omega
+    try:
+        analytic_cm = model.ground_state_cm(p).mat
+    except DIVERGED_ERRORS:
+        analytic_cm = None
     rows = []
     for j in sizes:
         row = {
             "lambda_x": lx_rel, "lambda_y": ly_rel, "j": j,
             "e0_per_spin": math.nan, "e_gs_analytic": e_analytic,
             "abs_de": math.nan, "cm_max_dev": math.nan,
-            "converged": None, "diverged": False, "error": None,
+            "converged": None, "diverged": analytic_cm is None, "error": None,
         }
+        rows.append(row)
+        if p.on_goldstone_line():
+            continue
         try:
             res = oracle.exact_ground_state(p, oracle.TruncationSpec(j=j, n_max=n_max))
-            analytic_cm = model.ground_state_cm(p)
-            row["e0_per_spin"] = res.energy_per_spin / omega
-            row["abs_de"] = abs(res.energy_per_spin / omega - e_analytic)
-            row["cm_max_dev"] = float(np.max(np.abs(res.cm.mat - analytic_cm.mat)))
-            row["converged"] = res.converged
         except Exception as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
-        rows.append(row)
+            continue
+        row["e0_per_spin"] = res.energy_per_spin / omega
+        row["abs_de"] = abs(res.energy_per_spin / omega - e_analytic)
+        row["converged"] = res.converged
+        if analytic_cm is not None:
+            row["cm_max_dev"] = float(np.max(np.abs(res.cm.mat - analytic_cm)))
     return rows
 
 
@@ -261,7 +315,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--quantities", default="all",
                        help="comma-separated subset of gaps,energy,mi,eof,tripartite,all")
     sweep.add_argument("--goldstone-epsilon", type=float, default=1e-6)
-    sweep.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    sweep.add_argument("--threads", type=int, default=1,
+                       help="accepted and ignored: a sweep computes its grid as stacked arrays")
 
     sl = sub.add_parser("slice", help="1D slice at fixed lambda_y")
     add_common(sl)
@@ -269,7 +324,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sl.add_argument("--y", type=float, required=True, help="fixed lambda_y (units of lambda_c)")
     sl.add_argument("--quantities", default="all")
     sl.add_argument("--goldstone-epsilon", type=float, default=1e-6)
-    sl.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    sl.add_argument("--threads", type=int, default=1,
+                    help="accepted and ignored: a slice computes its grid as stacked arrays")
 
     oc = sub.add_parser("oracle-compare", help="finite-size oracle vs analytic pipeline")
     add_common(oc)
@@ -324,7 +380,7 @@ def main(argv=None) -> int:
             if args.omega <= 0.0 or args.omega0 <= 0.0:
                 raise ConfigError("--omega and --omega0 must be positive")
             rows = run_sweep(args.omega, args.omega0, x_range, y_range, groups,
-                             args.goldstone_epsilon, max(1, args.threads))
+                             args.goldstone_epsilon)
             columns = sweep_columns(groups)
             config_echo = {
                 "command": args.command, "omega": args.omega, "omega0": args.omega0,

@@ -114,44 +114,47 @@ def eof_pure_bipartition(C: CovarianceMatrix, side) -> float:
     return renyi2_entropy(C.reduce(side))
 
 
-def _t_diff(s_a: float, s_b: float) -> float:
+def _t_diff(s_a, s_b):
     """t_a - t_b for t = expm1(2 S), accurate when S_a and S_b are close."""
-    return math.exp(2.0 * s_b) * math.expm1(2.0 * (s_a - s_b))
+    return np.exp(2.0 * s_b) * np.expm1(2.0 * (s_a - s_b))
 
 
-def _t_excess(s_a: float, s_b: float, s_c: float) -> float:
+def _t_excess(s_a, s_b, s_c):
     """t_a + t_b - t_c, cancelling t_c against the larger of t_a, t_b."""
-    if s_a < s_b:
-        s_a, s_b = s_b, s_a
-    return _t_diff(s_a, s_c) + math.expm1(2.0 * s_b)
+    return _t_diff(np.maximum(s_a, s_b), s_c) + np.expm1(2.0 * np.minimum(s_a, s_b))
 
 
-def eof_from_entropies(s_i: float, s_j: float, s_k: float) -> float:
+def eof_from_entropies(s_i, s_j, s_k):
     """Renyi-2 Gaussian EoF E(i:j) of a pure three-mode state from S_i, S_j, S_k.
 
     Closed form of Adesso, Girolami & Serafini, PRL 109, 190502 (2012) in
     t = exp(2 S) - 1, with differences of t formed from differences of S so
     that nothing cancels near product states; clamped to [0, min(S_i, S_j)].
+    Takes floats or equal-shape arrays; returns a float for float input.
     """
+    s_i, s_j, s_k = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (s_i, s_j, s_k)))
     u = _t_excess(s_i, s_j, s_k)
-    if u <= 0.0:  # t_k >= t_i + t_j: i and j are separable
-        return 0.0
-    cap = min(s_i, s_j)
-    t_i, t_j, t_k = (math.expm1(2.0 * s) for s in (s_i, s_j, s_k))
-    if t_k == 0.0:  # k decoupled: (i, j) is a pure two-mode state
-        return cap
-    d = _t_diff(max(s_i, s_j), min(s_i, s_j))
+    separable = u <= 0.0  # t_k >= t_i + t_j
+    cap = np.minimum(s_i, s_j)
+    t_i, t_j, t_k = (np.expm1(2.0 * x) for x in (s_i, s_j, s_k))
+    decoupled = t_k == 0.0  # k decoupled: (i, j) is a pure two-mode state
+    d = _t_diff(np.maximum(s_i, s_j), cap)
     s = t_i + t_j + 2.0
-    if 2.0 * s * t_k <= d * d + d * math.sqrt(d * d + 8.0 * s):  # t_k <= alpha**2 - 1
-        e = math.log(d / t_k)
-    else:
-        w = _t_excess(s_k, s_j, s_i) * _t_excess(s_k, s_i, s_j)  # t_k**2 - d**2
-        q = max(w + 2.0 * u * t_k, 0.0)  # 4 t_i t_j - u**2, nonnegative on this branch
-        root = math.sqrt(max(q * q + 8.0 * u * w, 0.0))
-        # g - 1 = (P - sqrt(delta)) / (8 (1 + t_k)) rationalized with
-        # P = q + 4 u and P**2 - delta = 16 (1 + t_k) u**2.
-        e = 0.5 * math.log1p(2.0 * u * u / (q + 4.0 * u + root))
-    return min(max(e, 0.0), cap)
+    near = 2.0 * s * t_k <= d * d + d * np.sqrt(d * d + 8.0 * s)  # t_k <= alpha**2 - 1
+    # Every branch is evaluated at every point, on arguments made harmless
+    # where the branch is not taken; there d > 0, t_k > 0 and u > 0 hold.
+    near_ok = near & ~decoupled & ~separable
+    e_near = np.log(np.where(near_ok, d, 1.0) / np.where(near_ok, t_k, 1.0))
+    u = np.where(separable, 1.0, u)
+    w = _t_excess(s_k, s_j, s_i) * _t_excess(s_k, s_i, s_j)  # t_k**2 - d**2
+    q = np.maximum(w + 2.0 * u * t_k, 0.0)  # 4 t_i t_j - u**2, nonnegative on this branch
+    root = np.sqrt(np.maximum(q * q + 8.0 * u * w, 0.0))
+    # g - 1 = (P - sqrt(delta)) / (8 (1 + t_k)) rationalized with
+    # P = q + 4 u and P**2 - delta = 16 (1 + t_k) u**2.
+    e_mid = 0.5 * np.log1p(2.0 * u * u / (q + 4.0 * u + root))
+    e = np.minimum(np.maximum(np.where(near, e_near, e_mid), 0.0), cap)
+    e = np.where(separable, 0.0, np.where(decoupled, cap, e))
+    return e if e.ndim else float(e)
 
 
 def eof_two_of_three(C: CovarianceMatrix, pair) -> float:
@@ -213,31 +216,27 @@ def correlation_report(C: CovarianceMatrix | None, diverged: bool = False) -> Co
     if not C.is_pure():
         raise NotPureError(f"det(2C) = {C.det2():.6e} is not 1 within {PURITY_TOL:.0e}")
 
-    # Purity makes each two-mode entropy equal to that of the third mode.
-    s = {m: renyi2_entropy(C.reduce((m,))) for m in ("x", "y", "j")}
-    e_xj = eof_from_entropies(s["x"], s["j"], s["y"])
-    e_yj = eof_from_entropies(s["y"], s["j"], s["x"])
-    e_xy = eof_from_entropies(s["x"], s["y"], s["j"])
+    s_x, s_y, s_j = (renyi2_entropy(C.reduce((m,))) for m in ("x", "y", "j"))
+    return CorrelationReport(**report_columns(s_x, s_y, s_j))
 
-    return CorrelationReport(
-        s_x=s["x"],
-        s_y=s["y"],
-        s_j=s["j"],
-        s_xy=s["j"],
-        s_xj=s["y"],
-        s_yj=s["x"],
-        mi_xy_j=2.0 * s["j"],
-        mi_xj_y=2.0 * s["y"],
-        mi_yj_x=2.0 * s["x"],
-        mi_x_y=s["x"] + s["y"] - s["j"],
-        mi_x_j=s["x"] + s["j"] - s["y"],
-        mi_y_j=s["y"] + s["j"] - s["x"],
-        eof_x_j=e_xj,
-        eof_y_j=e_yj,
-        eof_x_y=e_xy,
+
+def report_columns(s_x, s_y, s_j) -> dict:
+    """The numeric fields of CorrelationReport from the single-mode entropies.
+
+    Takes floats or equal-shape arrays.  Purity makes each two-mode entropy
+    equal to that of the third mode.
+    """
+    e_xj = eof_from_entropies(s_x, s_j, s_y)
+    e_yj = eof_from_entropies(s_y, s_j, s_x)
+    e_xy = eof_from_entropies(s_x, s_y, s_j)
+    return {
+        "s_x": s_x, "s_y": s_y, "s_j": s_j,
+        "s_xy": s_j, "s_xj": s_y, "s_yj": s_x,
+        "mi_xy_j": 2.0 * s_j, "mi_xj_y": 2.0 * s_y, "mi_yj_x": 2.0 * s_x,
+        "mi_x_y": s_x + s_y - s_j, "mi_x_j": s_x + s_j - s_y, "mi_y_j": s_y + s_j - s_x,
+        "eof_x_j": e_xj, "eof_y_j": e_yj, "eof_x_y": e_xy,
         # Residual anchored at the party written last: E(x;y:j) is anchored
         # at j against the pair (x, y), E(j;y:x) at x against (j, y).
-        tri_x_yj=s["j"] - e_xj - e_yj,
-        tri_j_yx=s["x"] - e_xj - e_xy,
-        diverged=False,
-    )
+        "tri_x_yj": s_j - e_xj - e_yj,
+        "tri_j_yx": s_x - e_xj - e_xy,
+    }

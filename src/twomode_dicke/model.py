@@ -56,12 +56,15 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class ClassicalGroundState:
+    """Classical minimum; cos_theta = -(lambda_c / lambda)**2 is exact, theta its arccos."""
+
     phase: Phase
     alpha_x: float
     alpha_y: float
     theta: float
     phi: float
     energy: float
+    cos_theta: float = -1.0
 
 
 @dataclass(frozen=True)
@@ -91,24 +94,28 @@ def classical_ground_state(p: ModelParams) -> ClassicalGroundState:
         return ClassicalGroundState(
             phase=Phase.SUPERRADIANT_X, alpha_x=alpha, alpha_y=0.0,
             theta=math.acos(ct), phi=0.0,
-            energy=-(lx**4 + lc**4) / (2.0 * lx**2 * p.omega),
+            energy=-(lx**4 + lc**4) / (2.0 * lx**2 * p.omega), cos_theta=ct,
         )
     ct = -(lc / ly) ** 2
     alpha = -(ly / p.omega) * math.sqrt(1.0 - (lc / ly) ** 4)
     return ClassicalGroundState(
         phase=Phase.SUPERRADIANT_Y, alpha_x=0.0, alpha_y=alpha,
         theta=math.acos(ct), phi=math.pi / 2.0,
-        energy=-(ly**4 + lc**4) / (2.0 * ly**2 * p.omega),
+        energy=-(ly**4 + lc**4) / (2.0 * ly**2 * p.omega), cos_theta=ct,
     )
 
 
 def ground_state_energy(p: ModelParams) -> float:
     """Ground-state energy per spin; well defined by continuity on the degenerate line."""
-    lc = p.lambda_c
-    lm = max(p.lambda_x, p.lambda_y)
-    if lm <= lc:
-        return -p.omega0
-    return -(lm**4 + lc**4) / (2.0 * lm**2 * p.omega)
+    return float(ground_state_energies(p.omega, p.omega0, p.lambda_x, p.lambda_y))
+
+
+def ground_state_energies(omega: float, omega0: float, lambda_x, lambda_y) -> np.ndarray:
+    """ground_state_energy for arrays of couplings."""
+    lc = math.sqrt(omega * omega0)
+    lm = np.maximum(lambda_x, lambda_y)
+    sr = np.maximum(lm, lc)  # equals lm wherever the superradiant branch is taken
+    return np.where(lm <= lc, -omega0, -(sr**4 + lc**4) / (2.0 * sr**2 * omega))
 
 
 def fluctuation_matrix(p: ModelParams) -> np.ndarray:
@@ -162,6 +169,88 @@ def ground_state_cm(p: ModelParams) -> CovarianceMatrix:
     mm = dec.M @ dec.M.T
     C = 0.5 * np.linalg.inv(mm)
     return CovarianceMatrix(("x", "y", "j"), 0.5 * (C + C.T))
+
+
+@dataclass(frozen=True)
+class StackedGroundStates:
+    """Ground-state data of n grid points, as arrays.
+
+    nu is (n, 3), descending; det2 is det(2C) and det2_modes the (n, 3)
+    single-mode det(2C_i) of modes x, y, j.  stable is False where the
+    fluctuation matrix is not positive definite or nu_3 < GAP_FLOOR (the
+    points where williamson raises); det2 and det2_modes are meaningless there.
+    """
+
+    nu: np.ndarray
+    det2: np.ndarray
+    det2_modes: np.ndarray
+    stable: np.ndarray
+
+
+def stacked_ground_states(omega: float, omega0: float, x, y) -> StackedGroundStates:
+    """Gaps and covariance determinants at 1-D arrays of couplings in units of lambda_c.
+
+    The phase of each point is chosen by mask, with the rules of
+    classical_ground_state; a point on the degenerate line x = y > 1 is
+    unstable.  Rotating one boson mode by 90 degrees in phase space, a local
+    symplectic map that changes no single-mode quantity, makes
+    fluctuation_matrix / lambda_c block diagonal over positions and momenta:
+    V (+) T, each diag(rho, rho, kappa) plus one boson-spin coupling, with
+    rho = sqrt(omega / omega0); the signs of the couplings drop out, since
+    (q, p) -> (-q, -p) on one mode flips them.  With Cholesky factors
+    V = L_V L_V^T, T = L_T L_T^T and the SVD L_V^T L_T = U diag(sigma) W^T:
+
+        nu = lambda_c sigma,  2C_qq = L_T W sigma^-1 W^T L_T^T,
+        2C_pp = L_V U sigma^-1 U^T L_V^T,  2C_qp = 0,
+
+    so det(2C_i) = (2C_qq)_ii (2C_pp)_ii is a product of sums of squares.
+    The Cholesky pivots are written in factored form, e.g. (1 - x)(1 + x) / rho,
+    and sigma_3 is taken from det(L_V^T L_T) = rho^2 sqrt(pivot_V pivot_T),
+    so both stay accurate next to the critical and degenerate lines.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    rho = math.sqrt(omega / omega0)
+    normal = np.maximum(x, y) <= 1.0
+    sr_x = ~normal & (x >= y)
+    sr_y = ~normal & ~sr_x
+    # Boson-spin couplings in V (to Q) and T (to P), columns (x, y), and pivots.
+    g_v, g_t = np.zeros((x.size, 2)), np.zeros((x.size, 2))
+    piv_v, piv_t = np.empty(x.size), np.empty(x.size)
+    a, b = x[normal], y[normal]
+    g_v[normal, 0], g_t[normal, 1] = a, b
+    piv_v[normal] = (1.0 - a) * (1.0 + a) / rho
+    piv_t[normal] = (1.0 - b) * (1.0 + b) / rho
+    for mask, lam, other, col in ((sr_x, x, y, 0), (sr_y, y, x, 1)):
+        a, b = lam[mask], other[mask]
+        g_v[mask, col] = 1.0 / a
+        g_t[mask, 1 - col] = b
+        piv_v[mask] = (a - 1.0) * (a + 1.0) * (a * a + 1.0) / (a * a * rho)
+        piv_t[mask] = (a - b) * (a + b) / rho
+
+    def cholesky(g, piv):
+        L = np.zeros((x.size, 3, 3))
+        L[:, 0, 0] = L[:, 1, 1] = math.sqrt(rho)
+        L[:, 2, :2] = g / math.sqrt(rho)
+        L[:, 2, 2] = np.sqrt(piv)
+        return L
+
+    l_v, l_t = cholesky(g_v, piv_v), cholesky(g_t, piv_t)
+    u, sigma, wt = np.linalg.svd(l_v.transpose(0, 2, 1) @ l_t)
+    sigma[:, 2] = rho * rho * np.sqrt(piv_v * piv_t) / (sigma[:, 0] * sigma[:, 1])
+    nu = math.sqrt(omega * omega0) * sigma
+    stable = (piv_v > 0.0) & (piv_t > 0.0) & (nu[:, 2] >= symplectic.GAP_FLOOR)
+    scale = 1.0 / np.sqrt(np.where(stable[:, None], sigma, 1.0))[:, None, :]
+    f_q = l_t @ wt.transpose(0, 2, 1) * scale
+    f_p = l_v @ u * scale
+    c_qq = f_q @ f_q.transpose(0, 2, 1)
+    c_pp = f_p @ f_p.transpose(0, 2, 1)
+    return StackedGroundStates(
+        nu=nu,
+        det2=np.linalg.det(c_qq) * np.linalg.det(c_pp),
+        det2_modes=c_qq.diagonal(0, 1, 2) * c_pp.diagonal(0, 1, 2),
+        stable=stable,
+    )
 
 
 @dataclass(frozen=True)

@@ -86,9 +86,14 @@ def _spin_ops(j: float):
 
 
 def _rotated_spin_ops(gs: ClassicalGroundState, j: float):
-    """U^dag J_a U = sum_b R_ab J_b, U = e^{-i phi Jz} e^{-i theta Jy}, R = R_z(phi) R_y(theta)."""
-    ct, st = np.cos(gs.theta), np.sin(gs.theta)
-    cf, sf = np.cos(gs.phi), np.sin(gs.phi)
+    """U^dag J_a U = sum_b R_ab J_b, U = e^{-i phi Jz} e^{-i theta Jy}, R = R_z(phi) R_y(theta).
+
+    The entries of R are exact: cos(theta) as the classical ground state
+    computed it, sin(theta) >= 0 for theta in [pi/2, pi], and phi in {0, pi/2}.
+    """
+    ct = gs.cos_theta
+    st = np.sqrt((1.0 - ct) * (1.0 + ct))
+    cf, sf = (0.0, 1.0) if gs.phase is Phase.SUPERRADIANT_Y else (1.0, 0.0)
     rot = np.array([[cf * ct, -sf, cf * st],
                     [sf * ct, cf, sf * st],
                     [-st, 0.0, ct]])

@@ -7,9 +7,12 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -25,6 +28,38 @@ from twomode_dicke.cli import (
     sweep_columns,
 )
 from twomode_dicke.errors import ConfigError
+
+#: run_sweep (stacked arrays) against evaluate_point (per point): gaps agree
+#: to GAP_RTOL relative to nu_1, e_gs to ENERGY_RTOL and every report column
+#: to REPORT_ATOL nats.  On an exactly critical point the stacked nu_3 is
+#: exactly 0, where the per-point path reports rounding noise.
+GAP_RTOL = 1e-10
+ENERGY_RTOL = 1e-14
+REPORT_ATOL = 1e-9
+REPORT_COLUMNS = [c for g in ("mi", "eof", "tripartite") for c in cli.GROUP_COLUMNS[g]]
+#: Over omega / omega0 in [1e-4, 1e4] the per-point path itself errs by up to
+#: ~1e-8 nats (tests/test_sweep_mpmath.py), so the property below compares
+#: report columns to WIDE_REPORT_ATOL, and only points farther than
+#: NEAR_CRITICAL from a critical line, where that error grows without bound
+#: and the mpmath test decides instead.
+WIDE_REPORT_ATOL = 5e-8
+NEAR_CRITICAL = 1e-6
+
+
+def assert_rows_close(batched, scalar, report_atol=REPORT_ATOL):
+    if "nu_1" in scalar:
+        critical = max(scalar["lambda_x"], scalar["lambda_y"]) == 1.0
+        scale = GAP_RTOL * scalar["nu_1"]
+        for col in ("nu_1", "nu_2") if critical else ("nu_1", "nu_2", "nu_3"):
+            assert abs(batched[col] - scalar[col]) <= scale, (col, batched, scalar)
+        if critical:
+            assert batched["nu_3"] == 0.0
+    if "e_gs" in scalar:
+        assert abs(batched["e_gs"] - scalar["e_gs"]) <= ENERGY_RTOL * abs(scalar["e_gs"])
+    for col in REPORT_COLUMNS:
+        if col in scalar:
+            a, b = batched[col], scalar[col]
+            assert (math.isnan(a) and math.isnan(b)) or abs(a - b) <= report_atol, (col, a, b)
 
 
 class TestParsing:
@@ -83,32 +118,75 @@ class TestEvaluatePoint:
 class TestRunSweep:
     def test_small_grid_row_order(self):
         rows = run_sweep(1.0, 1.0, (0.0, 0.5, 2), (0.0, 0.5, 2),
-                         ["gaps", "energy", "mi", "eof", "tripartite"], 1e-6, 1)
+                         ["gaps", "energy", "mi", "eof", "tripartite"], 1e-6)
         assert len(rows) == 4
         assert [(r["lambda_x"], r["lambda_y"]) for r in rows] == [
             (0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5)]
         origin = rows[0]
         assert abs(origin["mi_x_y"]) < 1e-12 and origin["eof_x_j"] == 0.0
 
-    def test_parallel_matches_serial(self):
-        args = (1.0, 1.0, (0.0, 1.8, 4), (0.3, 1.7, 3),
-                ["gaps", "energy", "mi"], 1e-6)
-        serial = run_sweep(*args, 1)
-        parallel = run_sweep(*args, 2)
-        assert len(serial) == len(parallel)
-        for a, b in zip(serial, parallel):
+    @pytest.mark.parametrize("omega, omega0", [(1.0, 1.0), (2.0, 0.5), (0.25, 4.0)])
+    @pytest.mark.parametrize("groups", [list(cli.GROUP_ORDER), ["gaps", "energy"], ["eof"]],
+                             ids=["all", "gaps-energy", "eof"])
+    def test_batched_matches_scalar(self, omega, omega0, groups):
+        # lambda_c is exact for these frequencies, so the grid holds exactly
+        # critical rows and columns (1.0) and Goldstone-offset points (x = y > 1).
+        rows = run_sweep(omega, omega0, (0.0, 2.0, 9), (0.0, 2.0, 9), groups, 1e-6)
+        ref = [evaluate_point(omega, omega0, float(lx), float(ly), 1e-6, tuple(groups))
+               for lx in cli._grid((0.0, 2.0, 9)) for ly in cli._grid((0.0, 2.0, 9))]
+        assert len(rows) == len(ref) == 81
+        assert any(r["goldstone_offset"] for r in rows)
+        assert any(r["diverged"] for r in rows) == bool(set(groups) - {"gaps", "energy"})
+        for a, b in zip(rows, ref):
             assert a.keys() == b.keys()
-            for key in a:
-                va, vb = a[key], b[key]
-                if isinstance(va, float) and math.isnan(va):
-                    assert isinstance(vb, float) and math.isnan(vb)
-                else:
-                    assert va == vb, key
+            for key in ("lambda_x", "lambda_y", "goldstone_offset", "diverged", "error"):
+                assert a[key] == b[key], (key, a, b)
+            assert_rows_close(a, b)
+
+    @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+           st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 100.0), st.integers(1, 3)),
+           st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 100.0), st.integers(1, 3)))
+    def test_batched_matches_scalar_over_frequencies(self, log_w, log_w0, x_spec, y_spec):
+        omega, omega0 = 10.0 ** log_w, 10.0 ** log_w0
+        x_range, y_range = ((min(a, b), max(a, b), n) for a, b, n in (x_spec, y_spec))
+        groups = list(cli.GROUP_ORDER)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = run_sweep(omega, omega0, x_range, y_range, groups, 1e-6)
+            ref = [evaluate_point(omega, omega0, float(lx), float(ly), 1e-6, tuple(groups))
+                   for lx in cli._grid(x_range) for ly in cli._grid(y_range)]
+        for a, b in zip(rows, ref):
+            assert a["error"] is None and b["error"] is None
+            assert a["goldstone_offset"] == b["goldstone_offset"]
+            critical = max(a["lambda_x"], a["lambda_y"]) == 1.0
+            # Exactly critical: no Gaussian ground state.  The per-point path
+            # may miss that when lambda_c is inexact (rounding noise in K).
+            assert a["diverged"] == (b["diverged"] or critical)
+            if a["diverged"] or min(abs(a["lambda_x"] - 1.0),
+                                    abs(a["lambda_y"] - 1.0)) <= NEAR_CRITICAL:
+                continue
+            assert_rows_close(a, b, WIDE_REPORT_ATOL)
+
+    def test_rejects_bad_params(self):
+        with pytest.raises(ValueError):
+            run_sweep(-1.0, 1.0, (0.0, 1.0, 2), (0.0, 1.0, 2), ["gaps"], 1e-6)
+        with pytest.raises(ValueError):
+            run_sweep(1.0, 1.0, (-0.5, 1.0, 2), (0.0, 1.0, 2), ["gaps"], 1e-6)
+
+    def test_blocks_do_not_change_rows(self, monkeypatch):
+        args = (0.5, 2.0, (0.0, 3.0, 7), (0.0, 3.0, 5), list(cli.GROUP_ORDER), 1e-6)
+        whole = run_sweep(*args)
+        monkeypatch.setattr(cli, "BLOCK_POINTS", 4)
+        blocked = run_sweep(*args)
+        assert len(blocked) == len(whole) == 35
+        for a, b in zip(blocked, whole):
+            assert a.keys() == b.keys()
+            assert all(a[k] == b[k] or (a[k] != a[k] and b[k] != b[k]) for k in a)
 
     def test_mirror_symmetry(self):
         groups = ["gaps", "energy", "mi", "eof", "tripartite"]
-        a = run_sweep(1.0, 1.0, (0.2, 1.8, 3), (0.4, 1.6, 3), groups, 1e-6, 1)
-        b = run_sweep(1.0, 1.0, (0.4, 1.6, 3), (0.2, 1.8, 3), groups, 1e-6, 1)
+        a = run_sweep(1.0, 1.0, (0.2, 1.8, 3), (0.4, 1.6, 3), groups, 1e-6)
+        b = run_sweep(1.0, 1.0, (0.4, 1.6, 3), (0.2, 1.8, 3), groups, 1e-6)
         swapped = {
             "s_x": "s_y", "s_y": "s_x", "s_xj": "s_yj", "s_yj": "s_xj",
             "mi_x_j": "mi_y_j", "mi_y_j": "mi_x_j",
@@ -166,6 +244,13 @@ class TestOutput:
         assert row["diverged"] is True
         assert row["mi_x_j"] is None
         jsonschema.validate(doc, schema())
+
+    def test_threads_accepted_and_ignored(self, capsys):
+        argv = ["sweep", "--x", "0:1.9:3", "--y", "0:1.9:3", "--format", "csv"]
+        assert main(argv + ["--threads", "1"]) == 0
+        first = capsys.readouterr().out
+        assert main(argv + ["--threads", "4"]) == 0
+        assert capsys.readouterr().out == first
 
     def test_reproducible(self, capsys):
         argv = ["sweep", "--x", "0:1.9:3", "--y", "0:1.9:3", "--threads", "1",
@@ -251,6 +336,30 @@ class TestOracleCompare:
         lines = out.read_text().splitlines()
         assert lines[0] == ",".join(cli._ORACLE_COLUMNS)
         assert len(lines) == 2
+
+    def test_critical_point_is_diverged_with_finite_size_energy(self, capsys):
+        code = main(["oracle-compare", "--lambda-x", "1", "--lambda-y", "0",
+                     "--j", "2", "--n-max", "2", "--format", "json"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        jsonschema.validate(doc, schema())
+        row = doc["rows"][0]
+        assert row["diverged"] is True and row["error"] is None
+        assert row["cm_max_dev"] is None
+        assert math.isfinite(row["e0_per_spin"]) and math.isfinite(row["abs_de"])
+        assert isinstance(row["converged"], bool)
+
+    def test_goldstone_line_is_diverged(self, capsys):
+        code = main(["oracle-compare", "--lambda-x", "1.5", "--lambda-y", "1.5",
+                     "--j", "2", "--n-max", "2", "--format", "json"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        jsonschema.validate(doc, schema())
+        row = doc["rows"][0]
+        assert row["diverged"] is True and row["error"] is None
+        # no classical frame to solve in; the analytic energy is continuous there
+        assert row["e0_per_spin"] is None and row["abs_de"] is None
+        assert row["e_gs_analytic"] < -1.0
 
     def test_zero_coupling_exact(self, capsys):
         code = main(["oracle-compare", "--lambda-x", "0", "--lambda-y", "0",

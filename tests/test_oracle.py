@@ -55,7 +55,7 @@ class TestSparseBuild:
                                        rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("j", [5, 20])
-    @pytest.mark.parametrize("phase", ["normal", "superradiant-x"])
+    @pytest.mark.parametrize("phase", ["normal", "superradiant-x", "superradiant-y"])
     def test_hamiltonian_stays_sparse(self, phase, j):
         p = PHASE_POINTS[phase]
         H = oracle._hamiltonian(p, TruncationSpec(j=j, n_max=10),
