@@ -3,14 +3,18 @@
 Couplings on the command line and in all output are expressed in units of the
 critical coupling lambda_c = sqrt(omega * omega0); energies are in units of
 omega.  Output is deterministic: grid rows are row-major in lambda_x, then
-lambda_y.  A sweep computes its grid as stacked arrays, block by block;
-``evaluate_point`` is the per-point reference it agrees with.
+lambda_y.  A sweep computes its grid as stacked arrays, block by block, into a
+table of columns (column name -> values over the grid) that ``write_output``
+formats column by column; ``evaluate_point`` is the per-point reference the
+sweep agrees with, and ``_csv_cell`` / ``_json_cell`` the per-cell reference of
+the writer.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -29,8 +33,9 @@ from .errors import (
     NumericalFailureError,
 )
 
-#: Grid points a sweep computes together; bounds the memory of the stacked
-#: arrays whatever the grid size.
+#: Grid points a sweep computes together, and rows the writer formats
+#: together; bounds the memory of the stacked arrays and of the formatted
+#: cells whatever the grid size.
 BLOCK_POINTS = 2048
 
 #: Failures of the covariance-matrix pipeline that mean the point has no
@@ -77,6 +82,8 @@ def _parse_range(text: str) -> tuple[float, float, int]:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"bad range {text!r}: {exc}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"range {text!r} must have finite bounds")
     if count < 1 or lo < 0.0 or hi < lo:
         raise ConfigError(f"range {text!r} must satisfy 0 <= min <= max, count >= 1")
     return lo, hi, count
@@ -113,6 +120,18 @@ def sweep_columns(groups: list[str]) -> list[str]:
     return cols
 
 
+def _ground_state_cm(p: model.ModelParams, lx_rel: float, ly_rel: float):
+    """model.ground_state_cm(p), raising NearSingularError at exactly critical couplings.
+
+    Criticality is decided on the couplings in units of lambda_c: rounding in
+    lambda_c = sqrt(omega * omega0) and in the fluctuation matrix can leave a
+    critical point's matrix numerically positive definite.
+    """
+    if max(lx_rel, ly_rel) == 1.0:
+        raise NearSingularError("exactly critical coupling: no Gaussian ground state")
+    return model.ground_state_cm(p)
+
+
 def evaluate_point(omega: float, omega0: float, lx_rel: float, ly_rel: float,
                    goldstone_epsilon: float, groups: tuple[str, ...]) -> dict:
     """One output row for a single (lambda_x, lambda_y) grid point.
@@ -144,7 +163,7 @@ def evaluate_point(omega: float, omega0: float, lx_rel: float, ly_rel: float,
             row["e_gs"] = model.ground_state_energy(p) / omega
         if any(g in groups for g in ("mi", "eof", "tripartite")):
             try:
-                report = gaussian_info.correlation_report(model.ground_state_cm(p))
+                report = gaussian_info.correlation_report(_ground_state_cm(p, lx_rel, ly_rel))
             except DIVERGED_ERRORS:
                 row["diverged"] = True
             else:
@@ -195,26 +214,24 @@ def _sweep_block(omega: float, omega0: float, lx_rel: np.ndarray, ly_rel: np.nda
 
 
 def run_sweep(omega: float, omega0: float, x_range, y_range, groups: list[str],
-              goldstone_epsilon: float) -> list[dict]:
-    """The rows of evaluate_point over the grid, computed BLOCK_POINTS at a time."""
+              goldstone_epsilon: float) -> dict[str, np.ndarray]:
+    """The columns of evaluate_point over the grid, computed BLOCK_POINTS at a time.
+
+    A sweep records no errors, so the table has no ``error`` column.
+    """
     if omega <= 0.0 or omega0 <= 0.0 or min(x_range[0], y_range[0]) < 0.0:
         raise ValueError("omega and omega0 must be positive and couplings nonnegative")
     lx, ly = (a.ravel() for a in np.meshgrid(_grid(x_range), _grid(y_range), indexing="ij"))
-    rows = []
-    for start in range(0, lx.size, BLOCK_POINTS):
-        block = slice(start, start + BLOCK_POINTS)
-        cols = _sweep_block(omega, omega0, lx[block], ly[block], goldstone_epsilon, groups)
-        names = list(cols)
-        for values in zip(*(cols[c].tolist() for c in names)):
-            row = dict(zip(names, values))
-            row["error"] = None
-            rows.append(row)
-    return rows
+    blocks = [_sweep_block(omega, omega0, lx[start:start + BLOCK_POINTS],
+                           ly[start:start + BLOCK_POINTS], goldstone_epsilon, groups)
+              for start in range(0, lx.size, BLOCK_POINTS)]
+    return {c: np.concatenate([b[c] for b in blocks]) for c in blocks[0]}
 
 
 def run_oracle_compare(omega: float, omega0: float, lx_rel: float, ly_rel: float,
-                       sizes: list[float], n_max: int) -> list[dict]:
-    """Finite-size oracle rows; diverged where the analytic CM does not exist.
+                       sizes: list[float], n_max: int) -> dict[str, np.ndarray]:
+    """Finite-size oracle columns, one row per spin length; diverged where the
+    analytic CM does not exist.
 
     On the degenerate line lambda_x = lambda_y > lambda_c the classical frame
     of the finite-size solve is undefined, so no solve runs there.
@@ -223,7 +240,7 @@ def run_oracle_compare(omega: float, omega0: float, lx_rel: float, ly_rel: float
     p = base.with_couplings(lx_rel * base.lambda_c, ly_rel * base.lambda_c)
     e_analytic = model.ground_state_energy(p) / omega
     try:
-        analytic_cm = model.ground_state_cm(p).mat
+        analytic_cm = _ground_state_cm(p, lx_rel, ly_rel).mat
     except DIVERGED_ERRORS:
         analytic_cm = None
     rows = []
@@ -247,7 +264,7 @@ def run_oracle_compare(omega: float, omega0: float, lx_rel: float, ly_rel: float
         row["converged"] = res.converged
         if analytic_cm is not None:
             row["cm_max_dev"] = float(np.max(np.abs(res.cm.mat - analytic_cm)))
-    return rows
+    return {c: np.array([row[c] for row in rows], dtype=object) for c in _ORACLE_COLUMNS}
 
 
 def _csv_cell(value) -> str:
@@ -277,17 +294,53 @@ def _json_cell(value):
     return value
 
 
-def write_output(rows: list[dict], columns: list[str], fmt: str, out,
+def _csv_field(text: str) -> str:
+    """text as csv.writer writes it in a row of several fields (quoted if need be)."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
+def _csv_cells(column) -> list[str]:
+    """The CSV fields of _csv_cell(v) for v in a 1-D array, formatted a column at a time.
+
+    A float array is formatted to 17 significant digits in one pass, and only
+    the cells that are NaN or beyond INF_THRESHOLD go through _csv_cell.  Float
+    and bool cells never need CSV quoting; any other column (the oracle's
+    None, bool and error cells) goes through _csv_cell and _csv_field per cell.
+    """
+    if column.dtype.kind == "f":
+        cells = list(map("%.17g".__mod__, column.tolist()))
+        for i in np.flatnonzero(~(np.abs(column) <= INF_THRESHOLD)).tolist():
+            cells[i] = _csv_cell(float(column[i]))
+        return cells
+    if column.dtype.kind == "b":
+        return list(map(("false", "true").__getitem__, column.tolist()))
+    return [_csv_field(_csv_cell(v)) for v in column.tolist()]
+
+
+def write_output(table: dict, columns: list[str], fmt: str, out,
                  config_echo: dict) -> None:
+    """Write a table of columns (name -> 1-D array, one value per row) as CSV or JSON.
+
+    A column the table lacks is empty in every row.  CSV is formatted and
+    written BLOCK_POINTS rows at a time, with the bytes csv.writer gives for
+    the rows of _csv_cell.
+    """
+    n_rows = len(next(iter(table.values())))
     if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_csv_cell(row.get(c)) for c in columns])
+        out.write(",".join(columns) + "\n")
+        for start in range(0, n_rows, BLOCK_POINTS):
+            block = slice(start, min(start + BLOCK_POINTS, n_rows))
+            empty = [""] * (block.stop - block.start)
+            cells = [_csv_cells(table[c][block]) if c in table else empty for c in columns]
+            out.write("\n".join(map(",".join, zip(*cells))) + "\n")
     else:
+        cells = [list(map(_json_cell, table[c].tolist())) if c in table else [None] * n_rows
+                 for c in columns]
         doc = {
             "config": config_echo,
-            "rows": [{c: _json_cell(row.get(c)) for c in columns} for row in rows],
+            "rows": [dict(zip(columns, row)) for row in zip(*cells)],
         }
         json.dump(doc, out, indent=2)
         out.write("\n")
@@ -365,22 +418,25 @@ def main(argv=None) -> int:
     try:
         args = _apply_config_file(parser, list(sys.argv[1:] if argv is None else argv))
 
+        for name in ("omega", "omega0"):
+            value = getattr(args, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"--{name} must be finite and positive, got {value!r}")
+
         if args.command in ("sweep", "slice"):
             groups = _parse_quantities(args.quantities)
             x_range = _parse_range(str(args.x))
             if args.command == "slice":
                 y_val = float(args.y)
-                if y_val < 0.0:
-                    raise ConfigError("--y must be nonnegative")
+                if not (math.isfinite(y_val) and y_val >= 0.0):
+                    raise ConfigError("--y must be finite and nonnegative")
                 y_range = (y_val, y_val, 1)
             else:
                 y_range = _parse_range(str(args.y))
-            if args.goldstone_epsilon <= 0.0 or args.goldstone_epsilon >= 1.0:
+            if not 0.0 < args.goldstone_epsilon < 1.0:
                 raise ConfigError("--goldstone-epsilon must be in (0, 1)")
-            if args.omega <= 0.0 or args.omega0 <= 0.0:
-                raise ConfigError("--omega and --omega0 must be positive")
-            rows = run_sweep(args.omega, args.omega0, x_range, y_range, groups,
-                             args.goldstone_epsilon)
+            table = run_sweep(args.omega, args.omega0, x_range, y_range, groups,
+                              args.goldstone_epsilon)
             columns = sweep_columns(groups)
             config_echo = {
                 "command": args.command, "omega": args.omega, "omega0": args.omega0,
@@ -394,8 +450,15 @@ def main(argv=None) -> int:
                 raise ConfigError(f"bad --j list: {exc}") from exc
             if not sizes:
                 raise ConfigError("--j must list at least one spin length")
-            rows = run_oracle_compare(args.omega, args.omega0, args.lambda_x,
-                                      args.lambda_y, sizes, args.n_max)
+            if not all(math.isfinite(v) for v in sizes):
+                raise ConfigError("--j must list finite spin lengths")
+            for name in ("lambda_x", "lambda_y"):
+                value = getattr(args, name)
+                if not (math.isfinite(value) and value >= 0.0):
+                    raise ConfigError(f"--{name.replace('_', '-')} must be finite and "
+                                      f"nonnegative, got {value!r}")
+            table = run_oracle_compare(args.omega, args.omega0, args.lambda_x,
+                                       args.lambda_y, sizes, args.n_max)
             columns = list(_ORACLE_COLUMNS)
             config_echo = {
                 "command": args.command, "omega": args.omega, "omega0": args.omega0,
@@ -408,11 +471,11 @@ def main(argv=None) -> int:
 
     if args.out:
         with open(args.out, "w", newline="") as fh:
-            write_output(rows, columns, args.format, fh, config_echo)
+            write_output(table, columns, args.format, fh, config_echo)
     else:
-        write_output(rows, columns, args.format, sys.stdout, config_echo)
+        write_output(table, columns, args.format, sys.stdout, config_echo)
 
-    if any(row.get("error") for row in rows):
+    if any(table.get("error", ())):
         return 3
     return 0
 

@@ -10,6 +10,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,6 +20,8 @@ jsonschema = pytest.importorskip("jsonschema")
 from twomode_dicke import cli
 from twomode_dicke.cli import (
     _csv_cell,
+    _csv_cells,
+    _json_cell,
     _parse_quantities,
     _parse_range,
     evaluate_point,
@@ -44,6 +47,39 @@ REPORT_COLUMNS = [c for g in ("mi", "eof", "tripartite") for c in cli.GROUP_COLU
 #: and the mpmath test decides instead.
 WIDE_REPORT_ATOL = 5e-8
 NEAR_CRITICAL = 1e-6
+
+
+def table_rows(table):
+    """The rows of a sweep table, as evaluate_point gives them (a sweep records no error)."""
+    return [dict(zip(table, values), error=None)
+            for values in zip(*(column.tolist() for column in table.values()))]
+
+
+def reference_output(table, columns, fmt, config_echo) -> str:
+    """What write_output must write: csv.writer or json over rows of _csv_cell / _json_cell."""
+    values = {c: column.tolist() for c, column in table.items()}
+    rows = [dict(zip(values, cells)) for cells in zip(*values.values())]
+    buf = io.StringIO()
+    if fmt == "csv":
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_csv_cell(row.get(c)) for c in columns])
+    else:
+        doc = {"config": config_echo,
+               "rows": [{c: _json_cell(row.get(c)) for c in columns} for row in rows]}
+        json.dump(doc, buf, indent=2)
+        buf.write("\n")
+    return buf.getvalue()
+
+
+def assert_same_text(text, expected):
+    """text == expected, reporting the first line that differs (no full diff)."""
+    if text != expected:
+        got, want = text.splitlines(), expected.splitlines()
+        line = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                    min(len(got), len(want)))
+        pytest.fail(f"line {line + 1}: got {got[line:line + 1]}, expected {want[line:line + 1]}")
 
 
 def assert_rows_close(batched, scalar, report_atol=REPORT_ATOL):
@@ -110,6 +146,18 @@ class TestEvaluatePoint:
         # gaps and energy still finite
         assert row["nu_1"] > 0.0 and row["e_gs"] == -1.0
 
+    @pytest.mark.parametrize("omega, omega0, lx, ly", [(0.3, 4.0, 1.0, 0.0),
+                                                       (0.05, 20.0, 1.0, 0.25)])
+    def test_exactly_critical_despite_rounding(self, omega, omega0, lx, ly):
+        # Rounding left the fluctuation matrix of these critical points
+        # positive definite, and S_x came out 7.74 and 6.13 nats from noise.
+        row = evaluate_point(omega, omega0, lx, ly, 1e-6, self.GROUPS)
+        assert row["diverged"] and row["error"] is None
+        assert math.isnan(row["s_x"])
+        batched = table_rows(run_sweep(omega, omega0, (lx, lx, 1), (ly, ly, 1),
+                                       list(self.GROUPS), 1e-6))[0]
+        assert batched["diverged"]
+
     def test_bad_params_recorded_as_error(self):
         row = evaluate_point(-1.0, 1.0, 0.5, 0.5, 1e-6, self.GROUPS)
         assert row["error"] is not None
@@ -117,8 +165,8 @@ class TestEvaluatePoint:
 
 class TestRunSweep:
     def test_small_grid_row_order(self):
-        rows = run_sweep(1.0, 1.0, (0.0, 0.5, 2), (0.0, 0.5, 2),
-                         ["gaps", "energy", "mi", "eof", "tripartite"], 1e-6)
+        rows = table_rows(run_sweep(1.0, 1.0, (0.0, 0.5, 2), (0.0, 0.5, 2),
+                                    ["gaps", "energy", "mi", "eof", "tripartite"], 1e-6))
         assert len(rows) == 4
         assert [(r["lambda_x"], r["lambda_y"]) for r in rows] == [
             (0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5)]
@@ -131,7 +179,7 @@ class TestRunSweep:
     def test_batched_matches_scalar(self, omega, omega0, groups):
         # lambda_c is exact for these frequencies, so the grid holds exactly
         # critical rows and columns (1.0) and Goldstone-offset points (x = y > 1).
-        rows = run_sweep(omega, omega0, (0.0, 2.0, 9), (0.0, 2.0, 9), groups, 1e-6)
+        rows = table_rows(run_sweep(omega, omega0, (0.0, 2.0, 9), (0.0, 2.0, 9), groups, 1e-6))
         ref = [evaluate_point(omega, omega0, float(lx), float(ly), 1e-6, tuple(groups))
                for lx in cli._grid((0.0, 2.0, 9)) for ly in cli._grid((0.0, 2.0, 9))]
         assert len(rows) == len(ref) == 81
@@ -152,16 +200,15 @@ class TestRunSweep:
         groups = list(cli.GROUP_ORDER)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = run_sweep(omega, omega0, x_range, y_range, groups, 1e-6)
+            rows = table_rows(run_sweep(omega, omega0, x_range, y_range, groups, 1e-6))
             ref = [evaluate_point(omega, omega0, float(lx), float(ly), 1e-6, tuple(groups))
                    for lx in cli._grid(x_range) for ly in cli._grid(y_range)]
         for a, b in zip(rows, ref):
             assert a["error"] is None and b["error"] is None
             assert a["goldstone_offset"] == b["goldstone_offset"]
-            critical = max(a["lambda_x"], a["lambda_y"]) == 1.0
-            # Exactly critical: no Gaussian ground state.  The per-point path
-            # may miss that when lambda_c is inexact (rounding noise in K).
-            assert a["diverged"] == (b["diverged"] or critical)
+            assert a["diverged"] == b["diverged"]
+            if max(a["lambda_x"], a["lambda_y"]) == 1.0:  # no Gaussian ground state
+                assert a["diverged"]
             if a["diverged"] or min(abs(a["lambda_x"] - 1.0),
                                     abs(a["lambda_y"] - 1.0)) <= NEAR_CRITICAL:
                 continue
@@ -175,9 +222,9 @@ class TestRunSweep:
 
     def test_blocks_do_not_change_rows(self, monkeypatch):
         args = (0.5, 2.0, (0.0, 3.0, 7), (0.0, 3.0, 5), list(cli.GROUP_ORDER), 1e-6)
-        whole = run_sweep(*args)
+        whole = table_rows(run_sweep(*args))
         monkeypatch.setattr(cli, "BLOCK_POINTS", 4)
-        blocked = run_sweep(*args)
+        blocked = table_rows(run_sweep(*args))
         assert len(blocked) == len(whole) == 35
         for a, b in zip(blocked, whole):
             assert a.keys() == b.keys()
@@ -185,8 +232,8 @@ class TestRunSweep:
 
     def test_mirror_symmetry(self):
         groups = ["gaps", "energy", "mi", "eof", "tripartite"]
-        a = run_sweep(1.0, 1.0, (0.2, 1.8, 3), (0.4, 1.6, 3), groups, 1e-6)
-        b = run_sweep(1.0, 1.0, (0.4, 1.6, 3), (0.2, 1.8, 3), groups, 1e-6)
+        a = table_rows(run_sweep(1.0, 1.0, (0.2, 1.8, 3), (0.4, 1.6, 3), groups, 1e-6))
+        b = table_rows(run_sweep(1.0, 1.0, (0.4, 1.6, 3), (0.2, 1.8, 3), groups, 1e-6))
         swapped = {
             "s_x": "s_y", "s_y": "s_x", "s_xj": "s_yj", "s_yj": "s_xj",
             "mi_x_j": "mi_y_j", "mi_y_j": "mi_x_j",
@@ -261,6 +308,49 @@ class TestOutput:
         assert capsys.readouterr().out == first
 
 
+#: Cells where a formatter could part from the per-cell reference.
+EDGE_FLOATS = [math.nan, 1e6, -1e6, math.nextafter(1e6, math.inf),
+               -math.nextafter(1e6, math.inf), math.inf, -math.inf, -0.0, 0.0,
+               1.0 / 3.0, 5e-324, 1.0, 1e22]
+EDGE_OTHER = [None, True, False, 0.5, math.nan, 2e6, "ValueError: bad j, got 'x'",
+              'quoted "word"', "two\nlines"]
+
+
+class TestColumnWriter:
+    """write_output formats by column; _csv_cell / _json_cell are the reference."""
+
+    def test_float_column(self):
+        cells = _csv_cells(np.array(EDGE_FLOATS))
+        assert cells == [_csv_cell(v) for v in EDGE_FLOATS]
+        assert cells[:8] == ["", "1000000", "-1000000", "inf", "-inf", "inf", "-inf", "-0"]
+
+    def test_bool_column(self):
+        assert _csv_cells(np.array([True, False, True])) == ["true", "false", "true"]
+
+    def test_other_column_is_quoted_as_csv_writer_does(self):
+        cells = _csv_cells(np.array(EDGE_OTHER, dtype=object))
+        assert cells[:6] == ["", "true", "false", "0.5", "", "inf"]
+        assert cells[6] == '"ValueError: bad j, got \'x\'"'
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([_csv_cell(v) for v in EDGE_OTHER])
+        assert ",".join(cells) + "\n" == buf.getvalue()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("block_points", [2048, 4])
+    def test_table_matches_reference(self, fmt, block_points, monkeypatch):
+        monkeypatch.setattr(cli, "BLOCK_POINTS", block_points)
+        n = len(EDGE_FLOATS)
+        table = {
+            "f": np.array(EDGE_FLOATS),
+            "b": np.arange(n) % 3 == 0,
+            "o": np.array((EDGE_OTHER * 2)[:n], dtype=object),
+        }
+        columns = ["b", "f", "missing", "o"]
+        out = io.StringIO()
+        cli.write_output(table, columns, fmt, out, {"command": "test"})
+        assert_same_text(out.getvalue(), reference_output(table, columns, fmt, {"command": "test"}))
+
+
 class TestSlice:
     def test_slice_rows(self, capsys):
         code = main(["slice", "--y", "0.5", "--x", "0:2:5",
@@ -277,6 +367,28 @@ class TestSlice:
         vals = [r["mi_xj_y"] for r in doc["rows"] if not r["diverged"]
                 and not r["goldstone_offset"]]
         assert max(vals) - min(vals) > 0.05
+
+
+class TestSweepBytes:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_output_matches_reference(self, fmt, tmp_path):
+        # omega0 / omega = 1e3 with couplings up to 100 lambda_c: the energy
+        # leaves [-1e6, 1e6]; lambda_x = 1 is critical, x = y > 1 offset.
+        # 101 x 21 points span two blocks.
+        omega, omega0, x_range, y_range = 1.0, 1e3, (0.0, 100.0, 101), (0.0, 100.0, 21)
+        groups = list(cli.GROUP_ORDER)
+        table = run_sweep(omega, omega0, x_range, y_range, groups, 1e-6)
+        assert table["lambda_x"].size > cli.BLOCK_POINTS
+        assert table["diverged"].any() and table["goldstone_offset"].any()
+        assert (table["e_gs"] < -cli.INF_THRESHOLD).any()
+        out = tmp_path / f"sweep.{fmt}"
+        assert main(["sweep", "--omega", "1", "--omega0", "1000", "--x", "0:100:101",
+                     "--y", "0:100:21", "--format", fmt, "--out", str(out)]) == 0
+        text = out.read_text()
+        config = json.loads(text)["config"] if fmt == "json" else None
+        expected = reference_output(table, sweep_columns(groups), fmt, config)
+        assert "-inf" in expected
+        assert_same_text(text, expected)
 
 
 class TestConfigFile:
@@ -304,10 +416,42 @@ class TestErrors:
     def test_bad_quantities_exits_2(self):
         assert main(["sweep", "--quantities", "nope", "--threads", "1"]) == 2
 
+    #: Small grids, so that a flag that is wrongly accepted runs quickly.
+    SMALL = {"sweep": ["--x", "0:1:2", "--y", "0:1:2"],
+             "slice": ["--x", "0:1:2", "--y", "0.5"],
+             "oracle-compare": ["--lambda-x", "0", "--lambda-y", "0", "--j", "2", "--n-max", "2"]}
+
+    @pytest.mark.parametrize("case", [
+        "sweep --x nan:1:3",
+        "sweep --x 0:inf:3",
+        "sweep --y 0:nan:3",
+        "sweep --omega nan",
+        "sweep --omega inf",
+        "sweep --omega0 nan",
+        "sweep --omega0 inf",
+        "sweep --goldstone-epsilon nan",
+        "slice --y nan",
+        "slice --y inf",
+        "slice --x 0:nan:2",
+        "oracle-compare --lambda-x nan",
+        "oracle-compare --lambda-y inf",
+        "oracle-compare --omega nan",
+        "oracle-compare --omega0 inf",
+        "oracle-compare --omega -1",
+        "oracle-compare --lambda-x -1",
+        "oracle-compare --j 2,nan",
+    ])
+    def test_bad_numbers_exit_2(self, case, capsys):
+        command, *flags = case.split()
+        assert main([command] + self.SMALL[command] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
     def test_row_errors_exit_3(self, monkeypatch, capsys):
         def fake_sweep(*args, **kwargs):
-            return [{"lambda_x": 0.0, "lambda_y": 0.0, "goldstone_offset": False,
-                     "diverged": False, "error": "Boom"}]
+            return {"lambda_x": np.zeros(1), "lambda_y": np.zeros(1),
+                    "goldstone_offset": np.zeros(1, dtype=bool),
+                    "diverged": np.zeros(1, dtype=bool), "error": np.array(["Boom"], dtype=object)}
         monkeypatch.setattr(cli, "run_sweep", fake_sweep)
         assert main(["sweep", "--x", "0:1:2", "--y", "0:1:2", "--threads", "1"]) == 3
 
@@ -360,6 +504,15 @@ class TestOracleCompare:
         # no classical frame to solve in; the analytic energy is continuous there
         assert row["e0_per_spin"] is None and row["abs_de"] is None
         assert row["e_gs_analytic"] < -1.0
+
+    def test_critical_point_with_inexact_lambda_c_is_diverged(self, capsys):
+        code = main(["oracle-compare", "--omega", "0.3", "--omega0", "4",
+                     "--lambda-x", "1", "--lambda-y", "0", "--j", "2", "--n-max", "2",
+                     "--format", "json"])
+        assert code == 0
+        row = json.loads(capsys.readouterr().out)["rows"][0]
+        assert row["diverged"] is True and row["cm_max_dev"] is None
+        assert math.isfinite(row["e0_per_spin"])
 
     def test_zero_coupling_exact(self, capsys):
         code = main(["oracle-compare", "--lambda-x", "0", "--lambda-y", "0",

@@ -67,7 +67,8 @@ def reference(omega, omega0, x, y):
 
 
 def both_paths(omega, omega0, x, y):
-    batched = cli.run_sweep(omega, omega0, (x, x, 1), (y, y, 1), list(GROUPS), EPSILON)[0]
+    table = cli.run_sweep(omega, omega0, (x, x, 1), (y, y, 1), list(GROUPS), EPSILON)
+    batched = {c: column.item() for c, column in table.items()}
     scalar = cli.evaluate_point(omega, omega0, x, y, EPSILON, GROUPS)
     assert batched["goldstone_offset"] == scalar["goldstone_offset"]
     y_ref = mp.mpf(y) * (1 - mp.mpf(EPSILON)) if batched["goldstone_offset"] else y
