@@ -64,7 +64,7 @@ _TAIL_COLUMNS = ["diverged", "error"]
 
 _ORACLE_COLUMNS = [
     "lambda_x", "lambda_y", "j", "e0_per_spin", "e_gs_analytic",
-    "abs_de", "cm_max_dev", "converged", "diverged", "error",
+    "abs_de", "cm_max_dev", "converged", "resolve_de", "diverged", "error",
 ]
 
 
@@ -219,6 +219,8 @@ def run_sweep(omega: float, omega0: float, x_range, y_range, groups: list[str],
 
     A sweep records no errors, so the table has no ``error`` column.
     """
+    if not all(map(math.isfinite, (omega, omega0, goldstone_epsilon, *x_range[:2], *y_range[:2]))):
+        raise ValueError("omega, omega0, the range bounds and goldstone_epsilon must be finite")
     if omega <= 0.0 or omega0 <= 0.0 or min(x_range[0], y_range[0]) < 0.0:
         raise ValueError("omega and omega0 must be positive and couplings nonnegative")
     lx, ly = (a.ravel() for a in np.meshgrid(_grid(x_range), _grid(y_range), indexing="ij"))
@@ -249,7 +251,8 @@ def run_oracle_compare(omega: float, omega0: float, lx_rel: float, ly_rel: float
             "lambda_x": lx_rel, "lambda_y": ly_rel, "j": j,
             "e0_per_spin": math.nan, "e_gs_analytic": e_analytic,
             "abs_de": math.nan, "cm_max_dev": math.nan,
-            "converged": None, "diverged": analytic_cm is None, "error": None,
+            "converged": None, "resolve_de": None, "diverged": analytic_cm is None,
+            "error": None,
         }
         rows.append(row)
         if p.on_goldstone_line():
@@ -262,6 +265,7 @@ def run_oracle_compare(omega: float, omega0: float, lx_rel: float, ly_rel: float
         row["e0_per_spin"] = res.energy_per_spin / omega
         row["abs_de"] = abs(res.energy_per_spin / omega - e_analytic)
         row["converged"] = res.converged
+        row["resolve_de"] = None if res.resolve_de is None else res.resolve_de / omega
         if analytic_cm is not None:
             row["cm_max_dev"] = float(np.max(np.abs(res.cm.mat - analytic_cm)))
     return {c: np.array([row[c] for row in rows], dtype=object) for c in _ORACLE_COLUMNS}
@@ -452,6 +456,11 @@ def main(argv=None) -> int:
                 raise ConfigError("--j must list at least one spin length")
             if not all(math.isfinite(v) for v in sizes):
                 raise ConfigError("--j must list finite spin lengths")
+            try:
+                for j in sizes:
+                    oracle.TruncationSpec(j=j, n_max=args.n_max)
+            except ValueError as exc:
+                raise ConfigError(f"bad --j or --n-max: {exc}") from exc
             for name in ("lambda_x", "lambda_y"):
                 value = getattr(args, name)
                 if not (math.isfinite(value) and value >= 0.0):

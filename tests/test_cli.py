@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from twomode_dicke import cli
+from twomode_dicke import cli, model, oracle
 from twomode_dicke.cli import (
     _csv_cell,
     _csv_cells,
@@ -219,6 +219,16 @@ class TestRunSweep:
             run_sweep(-1.0, 1.0, (0.0, 1.0, 2), (0.0, 1.0, 2), ["gaps"], 1e-6)
         with pytest.raises(ValueError):
             run_sweep(1.0, 1.0, (-0.5, 1.0, 2), (0.0, 1.0, 2), ["gaps"], 1e-6)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["omega", "omega0", "x_lo", "x_hi", "y_lo", "y_hi", "eps"])
+    def test_rejects_non_finite_numbers(self, name, bad):
+        numbers = {"omega": 1.0, "omega0": 1.0, "x_lo": 0.0, "x_hi": 1.0,
+                   "y_lo": 0.0, "y_hi": 1.0, "eps": 1e-6}
+        numbers[name] = bad
+        omega, omega0, x_lo, x_hi, y_lo, y_hi, eps = numbers.values()
+        with pytest.raises(ValueError, match="finite"):
+            run_sweep(omega, omega0, (x_lo, x_hi, 2), (y_lo, y_hi, 2), list(cli.GROUP_ORDER), eps)
 
     def test_blocks_do_not_change_rows(self, monkeypatch):
         args = (0.5, 2.0, (0.0, 3.0, 7), (0.0, 3.0, 5), list(cli.GROUP_ORDER), 1e-6)
@@ -440,6 +450,10 @@ class TestErrors:
         "oracle-compare --omega -1",
         "oracle-compare --lambda-x -1",
         "oracle-compare --j 2,nan",
+        "oracle-compare --j 0",
+        "oracle-compare --j -1",
+        "oracle-compare --j 1.3",
+        "oracle-compare --n-max 0",
     ])
     def test_bad_numbers_exit_2(self, case, capsys):
         command, *flags = case.split()
@@ -456,6 +470,55 @@ class TestErrors:
         assert main(["sweep", "--x", "0:1:2", "--y", "0:1:2", "--threads", "1"]) == 3
 
 
+#: oracle-compare --j 2,5 --n-max 6 rows (e0_per_spin, abs_de, cm_max_dev,
+#: converged, diverged) at (omega, omega0, lambda_x, lambda_y), as computed
+#: with the complex Hamiltonian and ARPACK's complex Arnoldi driver.
+PINNED_ORACLE_ROWS = [
+    ((1.0, 1.0, 0.5, 0.3), [
+        (-1.0222562124978352, 0.02225621249783516, 0.015911325538459864, True, False),
+        (-1.0089880884163125, 0.00898808841631249, 0.006741419384167502, True, False),
+    ]),
+    ((1.0, 1.0, 1.5, 0.5), [
+        (-1.381322943064138, 0.03410072084191573, 0.06600037385272928, False, False),
+        (-1.359255003366486, 0.01203278114426376, 0.014188631964433818, False, False),
+    ]),
+    ((1.0, 1.0, 0.5, 1.5), [
+        (-1.3813229430641372, 0.034100720841914844, 0.06600037385272817, False, False),
+        (-1.3592550033664874, 0.012032781144265092, 0.01418863196443454, False, False),
+    ]),
+    ((0.1, 1.0, 0.5, 0.3), [
+        (-10.040896889399813, 0.04089688939981251, 0.003343258000475191, True, False),
+        (-10.016406162314867, 0.016406162314867245, 0.0013559467784719503, True, False),
+    ]),
+    ((0.1, 1.0, 1.5, 0.5), [
+        (-13.516199044597, 0.04397682237477696, 0.005541788354428534, False, False),
+        (-13.49054579024151, 0.01832356801928725, 0.0020701383539041274, True, False),
+    ]),
+    ((0.1, 1.0, 0.5, 1.5), [
+        (-13.516199044596991, 0.043976822374768076, 0.0055417883544292, False, False),
+        (-13.490545790241558, 0.018323568019335212, 0.0020701383539052376, True, False),
+    ]),
+    ((1.0, 0.1, 0.5, 0.3), [
+        (-0.10395098524662603, 0.003950985246626029, 0.018096943097348328, True, False),
+        (-0.10158998189395593, 0.0015899818939559274, 0.007803073861267107, True, False),
+    ]),
+    ((1.0, 0.1, 1.5, 0.5), [
+        (-0.14758108608162, 0.012858863859397746, 0.2769550053446438, False, False),
+        (-0.1379222235034257, 0.0032000012812034573, 0.027873491966222907, False, False),
+    ]),
+    ((1.0, 0.1, 0.5, 1.5), [
+        (-0.14758108608161988, 0.012858863859397635, 0.27695500534464523, False, False),
+        (-0.1379222235034256, 0.0032000012812033463, 0.027873491966243114, False, False),
+    ]),
+]
+
+#: abs_de and cm_max_dev are small differences of O(1) energies and CM
+#: entries, so their last digits are eigensolver rounding: at omega/omega0 =
+#: 0.1 the pinned energies differ from dense eigh by up to 8e-14 per spin.
+#: Below 1 they are compared to PINNED_ABS absolute.
+PINNED_ABS = 1e-12
+
+
 class TestOracleCompare:
     def test_rows_and_schema(self, capsys):
         code = main(["oracle-compare", "--lambda-x", "0.5", "--lambda-y", "0.3",
@@ -466,6 +529,40 @@ class TestOracleCompare:
         assert [r["j"] for r in doc["rows"]] == [2.0, 4.0]
         devs = [r["abs_de"] for r in doc["rows"]]
         assert devs[1] < devs[0]
+        for r in doc["rows"]:
+            assert r["resolve_de"] >= 0.0
+            assert r["converged"] == (r["resolve_de"] * r["j"] < oracle.CONVERGENCE_TOL)
+
+    def test_resolve_de_in_units_of_omega(self, capsys):
+        code = main(["oracle-compare", "--omega", "0.5", "--lambda-x", "1.5", "--lambda-y", "0.5",
+                     "--j", "2", "--n-max", "4", "--format", "json"])
+        assert code == 0
+        row = json.loads(capsys.readouterr().out)["rows"][0]
+        p = model.ModelParams(0.5, 1.0).with_couplings(1.5 * math.sqrt(0.5), 0.5 * math.sqrt(0.5))
+        res = oracle.exact_ground_state(p, oracle.TruncationSpec(j=2, n_max=4))
+        assert row["resolve_de"] == res.resolve_de / 0.5
+
+    def test_resolve_de_empty_without_resolve(self, monkeypatch, capsys):
+        monkeypatch.setattr(oracle, "DIMENSION_BUDGET", oracle.TruncationSpec(j=2, n_max=2).dimension)
+        assert main(["oracle-compare", "--lambda-x", "0.5", "--lambda-y", "0.3",
+                     "--j", "2", "--n-max", "2"]) == 0
+        row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert row["resolve_de"] == "" and row["converged"] == "false"
+
+    @pytest.mark.parametrize("point,rows", PINNED_ORACLE_ROWS)
+    def test_rows_match_pinned_values(self, point, rows, capsys):
+        omega, omega0, lx, ly = point
+        code = main(["oracle-compare", "--omega", repr(omega), "--omega0", repr(omega0),
+                     "--lambda-x", repr(lx), "--lambda-y", repr(ly), "--j", "2,5",
+                     "--n-max", "6", "--format", "json"])
+        assert code == 0
+        got = json.loads(capsys.readouterr().out)["rows"]
+        assert len(got) == len(rows)
+        for row, (e0, abs_de, cm_max_dev, converged, diverged) in zip(got, rows):
+            assert row["e0_per_spin"] == pytest.approx(e0, rel=1e-12, abs=0.0)
+            assert row["abs_de"] == pytest.approx(abs_de, rel=1e-12, abs=PINNED_ABS)
+            assert row["cm_max_dev"] == pytest.approx(cm_max_dev, rel=1e-12, abs=PINNED_ABS)
+            assert (row["converged"], row["diverged"]) == (converged, diverged)
 
     def test_python_dash_m_runs(self, tmp_path):
         out = tmp_path / "oracle.csv"
@@ -478,7 +575,8 @@ class TestOracleCompare:
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         lines = out.read_text().splitlines()
-        assert lines[0] == ",".join(cli._ORACLE_COLUMNS)
+        assert lines[0] == ("lambda_x,lambda_y,j,e0_per_spin,e_gs_analytic,abs_de,cm_max_dev,"
+                            "converged,resolve_de,diverged,error")
         assert len(lines) == 2
 
     def test_critical_point_is_diverged_with_finite_size_energy(self, capsys):

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from twomode_dicke import model, oracle
 from twomode_dicke.errors import BudgetExceededError
@@ -42,17 +43,90 @@ PHASE_POINTS = {
     "decoupled": ModelParams(1.0, 1.0, 0.0, 0.0),
 }
 
+#: The uncondensed boson (0 = x, 1 = y) whose coupling carries Jy in the
+#: classical frame; the real Hamiltonian is conjugated by diag(i^n) on it.
+CONJUGATED_MODE = {"normal": 1, "superradiant-x": 1, "superradiant-y": 0, "decoupled": 1}
+
+
+def dense_spin_ops(j):
+    """Dense complex Jx, Jy, Jz in the basis m = j .. -j."""
+    m = np.arange(j, -j - 1.0, -1.0)
+    jp = np.diag(np.sqrt(j * (j + 1.0) - m[1:] * (m[1:] + 1.0)), 1)
+    return 0.5 * (jp + jp.T), -0.5j * (jp - jp.T), np.diag(m)
+
+
+def dense_classical_frame_hamiltonian(p, spec):
+    """The complex classical-frame Hamiltonian, built densely with np.kron and expm.
+
+    Each boson is displaced by sqrt(j/2) alpha, the spin rotated by
+    U = e^{-i phi Jz} e^{-i theta Jy}, and a field SYMMETRY_BREAKING_FIELD
+    couples to the quadrature of each condensed boson.
+    """
+    gs = model.classical_ground_state(p)
+    nb = spec.n_max + 1
+    a = np.diag(np.sqrt(np.arange(1.0, nb)), 1)
+    ib = np.eye(nb)
+    jx, jy, jz = dense_spin_ops(spec.j)
+    ispin = np.eye(jz.shape[0])
+    u = expm(-1j * gs.phi * jz) @ expm(-1j * gs.theta * jy)
+    rx, ry, rz = (u.conj().T @ op @ u for op in (jx, jy, jz))
+    g = 1.0 / np.sqrt(2.0 * spec.j)
+    H = p.omega0 * np.kron(np.kron(ib, ib), rz)
+    for alpha, coupling, spin, place in ((gs.alpha_x, p.lambda_x, rx, 0),
+                                         (gs.alpha_y, p.lambda_y, ry, 1)):
+        d = np.sqrt(spec.j / 2.0) * alpha
+        shifted = a + d * ib
+        field = oracle.SYMMETRY_BREAKING_FIELD if alpha != 0.0 else 0.0
+        ops = [ib, ib]
+        ops[place] = shifted.T @ shifted
+        H = H + p.omega * np.kron(np.kron(*ops), ispin)
+        ops[place] = shifted + shifted.T
+        H = H + np.kron(np.kron(*ops), coupling * g * spin + field * ispin)
+    return H
+
 
 class TestSparseBuild:
     @pytest.mark.parametrize("j", [0.5, 1, 5, 20])
     @pytest.mark.parametrize("phase", ["normal", "superradiant-x", "superradiant-y"])
     def test_rotation_matches_dense_conjugation(self, phase, j):
         gs = model.classical_ground_state(PHASE_POINTS[phase])
-        jx, jy, jz = (op.toarray() for op in oracle._spin_ops(j))
+        jx, jy, jz = dense_spin_ops(j)
         u = expm(-1j * gs.phi * jz) @ expm(-1j * gs.theta * jy)
-        for rotated, op in zip(oracle._rotated_spin_ops(gs, j), (jx, jy, jz)):
-            np.testing.assert_allclose(rotated.toarray(), u.conj().T @ op @ u,
+        # the conjugated mode's spin component comes as i U^dag J U, which is real
+        factors = [1.0, 1.0, 1.0]
+        factors[CONJUGATED_MODE[phase]] = 1j
+        for rotated, op, f in zip(oracle._rotated_spin_ops(gs, j), (jx, jy, jz), factors):
+            assert rotated.dtype == np.float64
+            np.testing.assert_allclose(rotated.toarray(), f * (u.conj().T @ op @ u),
                                        rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_max", [1, 3])
+    @pytest.mark.parametrize("j", [0.5, 5])
+    @pytest.mark.parametrize("phase", sorted(PHASE_POINTS))
+    def test_real_hamiltonian_is_conjugated_dense_reference(self, phase, j, n_max):
+        p = PHASE_POINTS[phase]
+        spec = TruncationSpec(j=j, n_max=n_max)
+        H = oracle._hamiltonian(p, spec, model.classical_ground_state(p))
+        assert H.format == "csr" and H.dtype == np.float64
+        phases = [np.ones(n_max + 1), np.ones(n_max + 1)]
+        phases[CONJUGATED_MODE[phase]] = 1j ** np.arange(n_max + 1)
+        d = np.kron(np.kron(*phases), np.ones(int(2 * j) + 1))
+        reference = d.conj()[:, None] * dense_classical_frame_hamiltonian(p, spec) * d[None, :]
+        np.testing.assert_allclose(reference.imag, 0.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(H.toarray(), reference.real, rtol=0, atol=1e-12)
+        assert (H != H.T).nnz == 0
+
+    @pytest.mark.parametrize("n_max", [1, 3])
+    @pytest.mark.parametrize("j", [0.5, 5])
+    @pytest.mark.parametrize("phase", sorted(PHASE_POINTS))
+    def test_cutoff_is_principal_block_of_larger_cutoff(self, phase, j, n_max):
+        p = PHASE_POINTS[phase]
+        gs = model.classical_ground_state(p)
+        bigger = TruncationSpec(j=j, n_max=n_max + 2)
+        block = oracle._fock_block(bigger, n_max)
+        small = oracle._hamiltonian(p, TruncationSpec(j=j, n_max=n_max), gs)
+        sliced = oracle._hamiltonian(p, bigger, gs)[block][:, block]
+        assert sliced.shape == small.shape and (sliced != small).nnz == 0
 
     @pytest.mark.parametrize("j", [5, 20])
     @pytest.mark.parametrize("phase", ["normal", "superradiant-x", "superradiant-y"])
@@ -74,6 +148,48 @@ class TestSparseBuild:
             warnings.simplefilter("error")
             energy, _ = oracle._ground_vector(H)
         assert abs(energy - reference) <= 1e-12 * abs(reference)
+
+
+class TestWarmResolve:
+    @pytest.mark.parametrize("j", [5, 20])
+    @pytest.mark.parametrize("phase", ["normal", "superradiant-x", "superradiant-y"])
+    def test_warm_and_cold_resolves_agree(self, phase, j, monkeypatch):
+        solves = []
+
+        def recording_eigsh(H, **kwargs):
+            out = eigsh(H, **kwargs)
+            solves.append((H, kwargs["v0"], out))
+            return out
+
+        monkeypatch.setattr(oracle, "eigsh", recording_eigsh)
+        spec = TruncationSpec(j=j, n_max=8)
+        res = exact_ground_state(PHASE_POINTS[phase], spec)
+        (_, _, (e_first, psi)), (H_big, v0, (e_warm, _)) = solves
+
+        # the re-solve starts from the first ground vector, zero-padded
+        block = oracle._fock_block(TruncationSpec(j=j, n_max=10), 8)
+        np.testing.assert_array_equal(v0[block], psi[:, 0])
+        assert not np.delete(v0, block).any()
+        assert res.resolve_de == abs(e_warm[0] - e_first[0]) / j
+
+        matvecs = []
+
+        def counted_solve(start):
+            count = [0]
+
+            def matvec(v):
+                count[0] += 1
+                return H_big @ v
+
+            op = LinearOperator(H_big.shape, matvec=matvec, dtype=H_big.dtype)
+            energy = eigsh(op, k=1, which="SA", v0=start, maxiter=5000)[0][0]
+            matvecs.append(count[0])
+            return energy
+
+        cold = counted_solve(np.ones(H_big.shape[0]) / np.sqrt(H_big.shape[0]))
+        counted_solve(v0)
+        assert abs(e_warm[0] - cold) <= 1e-12 * abs(cold)
+        assert matvecs[1] < matvecs[0]
 
 
 class TestDecoupledPoint:
