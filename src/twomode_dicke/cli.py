@@ -177,15 +177,22 @@ def evaluate_point(omega: float, omega0: float, lx_rel: float, ly_rel: float,
     return row
 
 
-def _sweep_block(omega: float, omega0: float, lx_rel: np.ndarray, ly_rel: np.ndarray,
-                 goldstone_epsilon: float, groups: list[str]) -> dict:
-    """Output columns of evaluate_point for arrays of grid points.
+def _gaussian_ok(gs: model.StackedGroundStates) -> np.ndarray:
+    """Where the stacked points have a physical, pure Gaussian ground state.
 
     The conditions under which the scalar pipeline raises one of
     DIVERGED_ERRORS are masks here: an unstable point (fluctuation matrix
     not positive definite or nu_3 below the gap floor), det(2C) off 1 by more
     than PURITY_TOL, and a single-mode det(2C_i) below 1 - PURITY_TOL.
     """
+    tol = gaussian_info.PURITY_TOL
+    return gs.stable & (np.abs(gs.det2 - 1.0) <= tol) & np.all(gs.det2_modes >= 1.0 - tol, axis=1)
+
+
+def _sweep_block(omega: float, omega0: float, lx_rel: np.ndarray, ly_rel: np.ndarray,
+                 goldstone_epsilon: float, groups: list[str]) -> dict:
+    """Output columns of evaluate_point for arrays of grid points; a row is
+    diverged where _gaussian_ok is False."""
     lc = math.sqrt(omega * omega0)
     lx, ly = lx_rel * lc, ly_rel * lc
     offset = (np.abs(lx - ly) <= goldstone_epsilon * lc) & (np.maximum(lx, ly) > lc)
@@ -202,8 +209,7 @@ def _sweep_block(omega: float, omega0: float, lx_rel: np.ndarray, ly_rel: np.nda
         cols["nu_1"], cols["nu_2"], cols["nu_3"] = gs.nu.T
     if not report_groups:
         return cols
-    tol = gaussian_info.PURITY_TOL
-    ok = gs.stable & (np.abs(gs.det2 - 1.0) <= tol) & np.all(gs.det2_modes >= 1.0 - tol, axis=1)
+    ok = _gaussian_ok(gs)
     s = np.maximum(0.5 * np.log(np.where(ok[:, None], gs.det2_modes, 1.0)), 0.0)
     report = gaussian_info.report_columns(*s.T)
     for g in report_groups:
@@ -235,16 +241,17 @@ def run_oracle_compare(omega: float, omega0: float, lx_rel: float, ly_rel: float
     """Finite-size oracle columns, one row per spin length; diverged where the
     analytic CM does not exist.
 
-    On the degenerate line lambda_x = lambda_y > lambda_c the classical frame
-    of the finite-size solve is undefined, so no solve runs there.
+    The analytic CM is the one of the stacked factorization, and it exists
+    where _gaussian_ok says so, as in a sweep.  On the degenerate line
+    lambda_x = lambda_y > lambda_c the classical frame of the finite-size
+    solve is undefined, so no solve runs there.
     """
     base = model.ModelParams(omega=omega, omega0=omega0)
     p = base.with_couplings(lx_rel * base.lambda_c, ly_rel * base.lambda_c)
     e_analytic = model.ground_state_energy(p) / omega
-    try:
-        analytic_cm = _ground_state_cm(p, lx_rel, ly_rel).mat
-    except DIVERGED_ERRORS:
-        analytic_cm = None
+    x, y = np.array([lx_rel]), np.array([ly_rel])
+    gs = model.stacked_ground_states(omega, omega0, x, y)
+    analytic_cm = model.stacked_cms(x, y, gs)[0] if _gaussian_ok(gs)[0] else None
     rows = []
     for j in sizes:
         row = {
@@ -457,10 +464,14 @@ def main(argv=None) -> int:
             if not all(math.isfinite(v) for v in sizes):
                 raise ConfigError("--j must list finite spin lengths")
             try:
-                for j in sizes:
-                    oracle.TruncationSpec(j=j, n_max=args.n_max)
+                specs = [oracle.TruncationSpec(j=j, n_max=args.n_max) for j in sizes]
             except ValueError as exc:
                 raise ConfigError(f"bad --j or --n-max: {exc}") from exc
+            for spec in specs:
+                if spec.dimension > oracle.DIMENSION_BUDGET:
+                    raise ConfigError(
+                        f"--j {spec.j:g} with --n-max {spec.n_max} needs dimension "
+                        f"{spec.dimension}, over the oracle's budget of {oracle.DIMENSION_BUDGET}")
             for name in ("lambda_x", "lambda_y"):
                 value = getattr(args, name)
                 if not (math.isfinite(value) and value >= 0.0):

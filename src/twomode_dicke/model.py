@@ -185,6 +185,9 @@ class StackedGroundStates:
     det2: np.ndarray
     det2_modes: np.ndarray
     stable: np.ndarray
+    #: (n, 3, 3) blocks of 2C over the V and T coordinates of the factorization.
+    c_qq: np.ndarray
+    c_pp: np.ndarray
 
 
 def stacked_ground_states(omega: float, omega0: float, x, y) -> StackedGroundStates:
@@ -211,9 +214,7 @@ def stacked_ground_states(omega: float, omega0: float, x, y) -> StackedGroundSta
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     rho = math.sqrt(omega / omega0)
-    normal = np.maximum(x, y) <= 1.0
-    sr_x = ~normal & (x >= y)
-    sr_y = ~normal & ~sr_x
+    normal, sr_x, sr_y = _phase_masks(x, y)
     # Boson-spin couplings in V (to Q) and T (to P), columns (x, y), and pivots.
     g_v, g_t = np.zeros((x.size, 2)), np.zeros((x.size, 2))
     piv_v, piv_t = np.empty(x.size), np.empty(x.size)
@@ -250,7 +251,51 @@ def stacked_ground_states(omega: float, omega0: float, x, y) -> StackedGroundSta
         det2=np.linalg.det(c_qq) * np.linalg.det(c_pp),
         det2_modes=c_qq.diagonal(0, 1, 2) * c_pp.diagonal(0, 1, 2),
         stable=stable,
+        c_qq=c_qq,
+        c_pp=c_pp,
     )
+
+
+def _phase_masks(x: np.ndarray, y: np.ndarray):
+    """Normal, superradiant-x and superradiant-y masks, by the rules of classical_ground_state."""
+    normal = np.maximum(x, y) <= 1.0
+    sr_x = ~normal & (x >= y)
+    return normal, sr_x, ~normal & ~sr_x
+
+
+#: Per phase (normal, superradiant-x, superradiant-y), the signed permutation
+#: zeta_k = sign_k * xi_index_k from the quadratures xi = (q_x, p_x, q_y, p_y,
+#: Q, P) to the coordinates of stacked_ground_states, zeta = (V coordinates
+#: of x, y, j; T coordinates of x, y, j).  It rotates the boson whose
+#: position couples to P by 90 degrees, and flips the mode x of the
+#: superradiant-x phase, whose coupling to Q is negative.
+_STACKED_FRAMES = (
+    ((0, 3, 4, 1, 2, 5), (1.0, -1.0, 1.0, 1.0, 1.0, 1.0)),
+    ((0, 3, 4, 1, 2, 5), (-1.0, -1.0, 1.0, -1.0, 1.0, 1.0)),
+    ((1, 2, 4, 0, 3, 5), (-1.0, 1.0, 1.0, 1.0, 1.0, 1.0)),
+)
+
+
+def stacked_cms(x, y, gs: StackedGroundStates) -> np.ndarray:
+    """Ground-state covariance matrices C, (n, 6, 6) over modes (x, y, j), of the
+    points of stacked_ground_states(omega, omega0, x, y).
+
+    C is (2C_qq (+) 2C_pp) / 2 in the coordinates of the factorization, mapped
+    back by the signed permutation of each point's phase.  Where gs.stable
+    is False the values are meaningless.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    index = np.empty((x.size, 6), dtype=int)
+    sign = np.empty((x.size, 6))
+    for mask, (idx, sgn) in zip(_phase_masks(x, y), _STACKED_FRAMES):
+        index[mask], sign[mask] = idx, sgn
+    zeta = np.zeros((x.size, 6, 6))
+    zeta[:, :3, :3], zeta[:, 3:, 3:] = gs.c_qq, gs.c_pp
+    cm = np.empty_like(zeta)
+    cm[np.arange(x.size)[:, None, None], index[:, :, None], index[:, None, :]] = (
+        0.5 * sign[:, :, None] * sign[:, None, :] * zeta)
+    return cm
 
 
 @dataclass(frozen=True)

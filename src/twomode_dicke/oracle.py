@@ -4,21 +4,24 @@ Serves as an independent numerical check of the thermodynamic-limit results.
 The Hamiltonian is built directly in the frame of the classical ground state:
 each boson is displaced by its condensate amplitude (an exact operator
 substitution a -> a + sqrt(j) alpha) and the spin operators are rotated by the
-exact 3x3 rotation R of the vector operator J, which keeps H sparse.  The
-truncated Fock cutoff therefore only has to hold O(1) quantum fluctuations,
-not the extensive condensate, and the measured quadrature covariance matrix
-converges to the analytic ground-state covariance matrix at rate O(1/j).
+exact 3x3 rotation R of the vector operator J, which keeps every factor of H
+tridiagonal.  The truncated Fock cutoff therefore only has to hold O(1)
+quantum fluctuations, not the extensive condensate, and the measured
+quadrature covariance matrix converges to the analytic ground-state
+covariance matrix at rate O(1/j).
 
 H is real symmetric.  In every phase the one imaginary term couples the
 uncondensed boson's a + a^dag to Jy; conjugating by D = diag(i^n) on that
-boson's Fock index maps (q, p) -> (-p, q) there and makes the term real, so H
-is built in that frame as a float64 CSR matrix and each truncation is solved
-by one real symmetric Lanczos call.  The measured quadratures undo the map.
+boson's Fock index maps (q, p) -> (-p, q) there and makes the term real.  The
+measured quadratures undo the map.
 
-H at cutoff n_max is exactly the principal block of H at n_max + 2 on the
-Fock states <= n_max, so the convergence check builds H once per j, at
-n_max + 2, and slices the smaller one out of it.  Its re-solve starts from the
-n_max ground vector, zero-padded.
+H is never stored.  It is a sum of Kronecker products of small real factors
+(nb x nb boson and ns x ns spin matrices), so it is applied to a state
+reshaped to (nb, nb, ns) one tensor axis at a time, and its lowest eigenpair
+is found by a thick-restart Lanczos solver with full reorthogonalization
+(Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000)).  The convergence
+check re-solves at n_max + 2, starting from the n_max ground vector,
+zero-padded.
 
 Hilbert space ordering is boson-x (x) boson-y (x) spin; quadratures are
 reported in the usual (q_x, p_x, q_y, p_y, Q, P) order with Q, P the
@@ -30,8 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
 
 from .errors import BudgetExceededError, NumericalFailureError
 from .gaussian_info import CovarianceMatrix
@@ -47,6 +48,16 @@ SYMMETRY_BREAKING_FIELD = 1e-4
 #: The ground energy must move less than this under n_max -> n_max + 2
 #: for the truncation to count as converged.
 CONVERGENCE_TOL = 1e-8
+
+#: Krylov basis size of the Lanczos solver, and the Ritz vectors it keeps
+#: when it restarts.
+LANCZOS_BASIS = 24
+LANCZOS_KEEP = 8
+
+#: Restarts after which the Lanczos solver gives up.
+MAX_RESTARTS = 500
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -81,17 +92,16 @@ class FiniteSizeResult:
 
 
 def _boson_ops(n_max: int):
-    a = sp.diags(np.sqrt(np.arange(1, n_max + 1)), 1, format="csr")
+    a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
     return a, a.T
 
 
 def _spin_ops(j: float):
     """Jx, Ky = i Jy and Jz: all three real."""
     m = np.arange(j, -j - 1.0, -1.0)
-    jz = sp.diags(m, 0, format="csr")
     # J+ |j, m> = sqrt(j(j+1) - m(m+1)) |j, m+1>; basis ordered m = j .. -j.
-    jp = sp.diags(np.sqrt(j * (j + 1.0) - m[1:] * (m[1:] + 1.0)), 1, format="csr")
-    return 0.5 * (jp + jp.T), 0.5 * (jp - jp.T), jz
+    jp = np.diag(np.sqrt(j * (j + 1.0) - m[1:] * (m[1:] + 1.0)), 1)
+    return 0.5 * (jp + jp.T), 0.5 * (jp - jp.T), np.diag(m)
 
 
 def _conjugated_mode(gs: ClassicalGroundState) -> int:
@@ -122,10 +132,9 @@ def _rotated_spin_ops(gs: ClassicalGroundState, j: float):
     return tuple(r[0] * jx + r[1] * ky + r[2] * jz for r in rot)
 
 
-def _hamiltonian(p: ModelParams, spec: TruncationSpec,
-                 gs: ClassicalGroundState) -> sp.csr_matrix:
-    """Two-mode Dicke Hamiltonian conjugated into the classical frame, as a real
-    symmetric matrix.
+def _hamiltonian(p: ModelParams, spec: TruncationSpec, gs: ClassicalGroundState):
+    """Two-mode Dicke Hamiltonian conjugated into the classical frame, as the
+    function that applies it to vectors.
 
     The boson displacement is applied as the exact substitution
     a -> a + sqrt(j) alpha, the spin rotation as the exact 3x3 rotation of J;
@@ -136,6 +145,12 @@ def _hamiltonian(p: ModelParams, spec: TruncationSpec,
     becomes (a - a^dag)(i Jy).  Nothing else changes, because a^dag a is
     invariant under D, that mode has zero displacement, and the
     symmetry-breaking field sits only on condensed modes.
+
+    H = B_x (x) 1 (x) 1 + 1 (x) B_y (x) 1 + 1 (x) 1 (x) S
+        + C_x (x) 1 (x) J_x + 1 (x) C_y (x) J_y,
+    every factor real and tridiagonal.  The returned ``apply(v)`` takes v of
+    shape (dimension,) or (k, dimension), one state per row, and returns H v
+    in the same shape.
     """
     nb = spec.n_max + 1
     ns = int(round(2.0 * spec.j)) + 1
@@ -147,46 +162,123 @@ def _hamiltonian(p: ModelParams, spec: TruncationSpec,
     dy = np.sqrt(spec.j / 2.0) * gs.alpha_y
 
     a, ad = _boson_ops(spec.n_max)
-    ib = sp.identity(nb, format="csr")
+    ib = np.eye(nb)
     x = a + ad
-    num_x = ad @ a + dx * x + dx * dx * ib
-    num_y = ad @ a + dy * x + dy * dy * ib
+    number = np.diag(np.arange(float(nb)))
     couplings = [x + 2.0 * dx * ib, x + 2.0 * dy * ib]
     couplings[_conjugated_mode(gs)] = a - ad  # D^dag (a + a^dag) D = i (a - a^dag)
     x_x, x_y = couplings
     jx, jy, jz = _rotated_spin_ops(gs, spec.j)
-    ispin = sp.identity(ns, format="csr")
-
-    def kron3(A, B, C):
-        return sp.kron(sp.kron(A, B, format="csr"), C, format="csr")
 
     g = 1.0 / np.sqrt(2.0 * spec.j)
-    return (
-        p.omega * (kron3(num_x, ib, ispin) + kron3(ib, num_y, ispin))
-        + p.omega0 * kron3(ib, ib, jz)
-        + p.lambda_x * g * kron3(x_x, ib, jx)
-        + p.lambda_y * g * kron3(ib, x_y, jy)
-        + h_x * kron3(x_x, ib, ispin)
-        + h_y * kron3(ib, x_y, ispin)
-    )
+    b_x = p.omega * (number + dx * x + dx * dx * ib) + h_x * x_x
+    b_y = p.omega * (number + dy * x + dy * dy * ib) + h_y * x_y
+    c_x, c_y = p.lambda_x * g * x_x, p.lambda_y * g * x_y
+    # C-contiguous transposes: the stacked matmul with a transposed view is
+    # about 10% slower
+    spin_t, jx_t, jy_t = (p.omega0 * jz).T.copy(), jx.T.copy(), jy.T.copy()
+
+    def on_x(op, t):
+        return (op @ t.reshape(-1, nb, nb * ns)).reshape(t.shape)
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        psi = v.reshape(-1, nb, nb, ns)
+        out = on_x(b_x, psi)
+        out += b_y @ psi
+        out += psi @ spin_t
+        out += on_x(c_x, psi @ jx_t)
+        out += c_y @ (psi @ jy_t)
+        return out.reshape(v.shape)
+
+    return apply
 
 
-def _fock_block(bigger: TruncationSpec, n_max: int) -> np.ndarray:
-    """Indices of the states of ``bigger`` with both boson numbers <= n_max, in order."""
-    nb = bigger.n_max + 1
-    ns = int(round(2.0 * bigger.j)) + 1
-    return np.arange(bigger.dimension).reshape(nb, nb, ns)[:n_max + 1, :n_max + 1].ravel()
+def _orthogonalize(V: np.ndarray, w: np.ndarray):
+    """Remove from w, in place, its components along the orthonormal rows of V.
+
+    Classical Gram-Schmidt, repeated while a pass cancels more than 30% of
+    the norm (the DGKS criterion).  Returns the coefficients and the norm of
+    what is left; a norm of 0.0 means that w lay in the span of V to
+    rounding, and w is then zeroed.
+    """
+    h = np.zeros(V.shape[0])
+    norm = np.linalg.norm(w)
+    for _ in range(3):
+        c = V @ w
+        w -= c @ V
+        h += c
+        before, norm = norm, np.linalg.norm(w)
+        if norm > 0.717 * before:
+            return h, norm
+    w[:] = 0.0
+    return h, 0.0
 
 
-def _ground_vector(H: sp.csr_matrix, v0: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    dim = H.shape[0]
-    if v0 is None:
-        v0 = np.ones(dim) / np.sqrt(dim)
-    try:
-        evals, evecs = eigsh(H, k=1, which="SA", v0=v0, maxiter=5000)
-    except Exception as exc:  # ArpackNoConvergence and friends
-        raise NumericalFailureError(f"sparse eigensolver failed: {exc}") from exc
-    return float(evals[0]), evecs[:, 0]
+def _fresh_direction(V: np.ndarray) -> np.ndarray:
+    """A unit vector orthogonal to the orthonormal rows of V (fewer rows than columns).
+
+    It is the unit vector e_k least covered by the rows, orthogonalized.
+    """
+    k = int(np.argmin(np.einsum("ij,ij->j", V, V)))
+    w = np.zeros(V.shape[1])
+    w[k] = 1.0
+    _, norm = _orthogonalize(V, w)
+    return w / norm
+
+
+def _ground_vector(apply, dimension: int,
+                   v0: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """Lowest eigenvalue and unit eigenvector of the real symmetric operator ``apply``.
+
+    Thick-restart Lanczos with full reorthogonalization: the basis grows to
+    LANCZOS_BASIS vectors and the tridiagonal T = V H V^T is diagonalized.
+    The solve stops once the lowest Ritz pair's residual |beta y_last| is at
+    machine precision relative to its Ritz value; otherwise the basis
+    restarts from the LANCZOS_KEEP lowest Ritz vectors plus the residual
+    direction, which makes T an arrowhead matrix followed by a tridiagonal
+    one.  A basis that spans an invariant subspace before it is full
+    continues in a fresh orthogonal direction, and a basis as large as the
+    space ends with a zero residual.  The start vector is v0, or the
+    normalized vector of ones.  The eigenvalue returned is the Rayleigh
+    quotient of the Ritz vector, which is rounded less than the Ritz value
+    when the norm of H is much larger than the eigenvalue.
+    """
+    m = min(LANCZOS_BASIS, dimension)
+    keep = min(LANCZOS_KEEP, m - 1)
+    V = np.empty((m + 1, dimension))
+    T = np.zeros((m, m))
+    V[0] = np.full(dimension, 1.0 / np.sqrt(dimension)) if v0 is None else v0 / np.linalg.norm(v0)
+    start = 0
+    for _ in range(MAX_RESTARTS):
+        for i in range(start, m):
+            w = apply(V[i])
+            if i > start:  # past the arrowhead, A v_i couples only to v_i-1, v_i, v_i+1
+                w -= T[i, i - 1] * V[i - 1]
+            alpha = V[i] @ w
+            w -= alpha * V[i]
+            h, beta = _orthogonalize(V[:i + 1], w)
+            T[i, i] = alpha + h[i]
+            if i + 1 == dimension:
+                beta = 0.0
+            elif beta > 0.0:
+                np.divide(w, beta, out=V[i + 1])
+            elif i + 1 < m:
+                V[i + 1] = _fresh_direction(V[:i + 1])
+            if i + 1 < m:
+                T[i + 1, i] = T[i, i + 1] = beta
+        theta, Y = np.linalg.eigh(T)
+        if abs(beta * Y[-1, 0]) <= _EPS * max(abs(theta[0]), _EPS ** (2.0 / 3.0)):
+            psi = Y[:, 0] @ V[:m]
+            psi /= np.linalg.norm(psi)
+            return float(psi @ apply(psi)), psi
+        V[:keep] = Y[:, :keep].T @ V[:m]
+        V[keep] = V[m]
+        T[:] = 0.0
+        T[:keep, :keep] = np.diag(theta[:keep])
+        T[keep, :keep] = T[:keep, keep] = beta * Y[-1, :keep]
+        start = keep
+    raise NumericalFailureError(
+        f"Lanczos eigensolver did not converge in {MAX_RESTARTS} restarts")
 
 
 def _measure_cm(psi: np.ndarray, spec: TruncationSpec, gs: ClassicalGroundState):
@@ -200,9 +292,9 @@ def _measure_cm(psi: np.ndarray, spec: TruncationSpec, gs: ClassicalGroundState)
     tensor = psi.reshape(nb, nb, ns).astype(complex)
 
     a, ad = _boson_ops(spec.n_max)
-    q = ((a + ad) / np.sqrt(2.0)).toarray()
-    pq = (1j * (ad - a) / np.sqrt(2.0)).toarray()
-    jx, ky, _ = (op.toarray() for op in _spin_ops(spec.j))
+    q = (a + ad) / np.sqrt(2.0)
+    pq = 1j * (ad - a) / np.sqrt(2.0)
+    jx, ky, _ = _spin_ops(spec.j)
     jy = -1j * ky
     # Sign conventions matching the analytic fluctuation frame.  The spin
     # quadratures are expanded around the pole opposite the rotated z-axis,
@@ -256,23 +348,16 @@ def exact_ground_state(p: ModelParams, spec: TruncationSpec,
             f"dimension {spec.dimension} exceeds budget {DIMENSION_BUDGET}"
         )
     gs = classical_ground_state(p)
-    bigger = TruncationSpec(j=spec.j, n_max=spec.n_max + 2)
-    resolve = check_convergence and bigger.dimension <= DIMENSION_BUDGET
-    if resolve:
-        # H(n_max) is exactly the principal block of H(n_max + 2) on Fock states <= n_max
-        block = _fock_block(bigger, spec.n_max)
-        H_big = _hamiltonian(p, bigger, gs)
-        H = H_big[block][:, block]
-    else:
-        H = _hamiltonian(p, spec, gs)
-    energy, psi = _ground_vector(H)
+    energy, psi = _ground_vector(_hamiltonian(p, spec, gs), spec.dimension)
     means, cm = _measure_cm(psi, spec, gs)
 
+    bigger = TruncationSpec(j=spec.j, n_max=spec.n_max + 2)
     converged, resolve_de = not check_convergence, None
-    if resolve:
-        v0 = np.zeros(bigger.dimension)
-        v0[block] = psi
-        energy2, _ = _ground_vector(H_big, v0)
+    if check_convergence and bigger.dimension <= DIMENSION_BUDGET:
+        nb = spec.n_max + 1
+        v0 = np.zeros((nb + 2, nb + 2, spec.dimension // (nb * nb)))
+        v0[:nb, :nb] = psi.reshape(nb, nb, -1)
+        energy2, _ = _ground_vector(_hamiltonian(p, bigger, gs), bigger.dimension, v0.ravel())
         converged = bool(abs(energy2 - energy) < CONVERGENCE_TOL)
         resolve_de = abs(energy2 - energy) / spec.j
 

@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, schur
 
 from .errors import (
     NearSingularError,
@@ -85,8 +84,13 @@ def williamson(K, gap_floor: float = GAP_FLOOR) -> WilliamsonDecomposition:
 
     The construction diagonalizes the antisymmetric matrix
     K^{-1/2} Omega K^{-1/2} with a real Schur factorization, which handles
-    degenerate symplectic eigenvalues without any pairing heuristics.
+    degenerate symplectic eigenvalues without any pairing heuristics.  SciPy,
+    which provides it, is imported here rather than with the module, so that
+    the command-line paths, which never call this function, run on NumPy
+    alone.
     """
+    from scipy.linalg import schur
+
     K = _require_symmetric(K)
     n = K.shape[0] // 2
     evals, evecs = np.linalg.eigh(K)
@@ -153,6 +157,14 @@ class StandardFormCM:
             m[2 * i, 2 * j] = m[2 * j, 2 * i] = self.c_plus[k]
             m[2 * i + 1, 2 * j + 1] = m[2 * j + 1, 2 * i + 1] = self.c_minus[k]
         return m
+
+
+def _block_diag(blocks) -> np.ndarray:
+    """The block-diagonal matrix of 2x2 blocks, one per mode."""
+    out = np.zeros((2 * len(blocks), 2 * len(blocks)))
+    for i, blk in enumerate(blocks):
+        out[2 * i:2 * i + 2, 2 * i:2 * i + 2] = blk
+    return out
 
 
 def _rotation(phi: float) -> np.ndarray:
@@ -284,14 +296,14 @@ def standard_form(C, pure: bool = False) -> StandardFormCM:
             locals_.append(np.eye(2))  # degenerate block: keep identity for determinism
         else:
             locals_.append(_inv_sqrt_2x2(blk / a[i]))
-    L = block_diag(*locals_)
+    L = _block_diag(locals_)
     D = L @ B @ L.T
 
     scale = max(np.max(np.abs(D)), 1.0)
     accept = 1e-6 * scale
     trials = []
     for phis in _candidate_phases(D, tol=1e-12 * scale):
-        R = block_diag(*(_rotation(phi) for phi in phis))
+        R = _block_diag([_rotation(phi) for phi in phis])
         Y = R @ D @ R.T
         res = _off_pattern_residual(Y)
         trials.append((res, sum(abs(phi) for phi in phis), Y))

@@ -454,6 +454,7 @@ class TestErrors:
         "oracle-compare --j -1",
         "oracle-compare --j 1.3",
         "oracle-compare --n-max 0",
+        "oracle-compare --j 5000 --n-max 10",
     ])
     def test_bad_numbers_exit_2(self, case, capsys):
         command, *flags = case.split()
@@ -578,6 +579,28 @@ class TestOracleCompare:
         assert lines[0] == ("lambda_x,lambda_y,j,e0_per_spin,e_gs_analytic,abs_de,cm_max_dev,"
                             "converged,resolve_de,diverged,error")
         assert len(lines) == 2
+
+    def test_cli_runs_without_scipy(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import io, sys, contextlib\n"
+            "import numpy as np\n"
+            "import twomode_dicke\n"
+            "from twomode_dicke import cli, symplectic\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['sweep', '--x', '0:2:3', '--y', '0:2:3',\n"
+            "                     '--quantities', 'all']) == 0\n"
+            "    assert cli.main(['oracle-compare', '--lambda-x', '1.5', '--lambda-y', '0.5',\n"
+            "                     '--j', '2,4', '--n-max', '4']) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+            "assert not loaded, loaded\n"
+            "nu = symplectic.williamson(np.diag([1.0, 1.0, 4.0, 4.0])).nu\n"
+            "assert np.allclose(nu, [4.0, 1.0]), nu\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_critical_point_is_diverged_with_finite_size_energy(self, capsys):
         code = main(["oracle-compare", "--lambda-x", "1", "--lambda-y", "0",

@@ -164,6 +164,17 @@ class TestGroundStateCM:
         with pytest.raises((NearSingularError, GoldstoneLineError)):
             model.ground_state_cm(ModelParams(1.0, 1.0, 1.5, 1.5))
 
+    @pytest.mark.parametrize("omega", [0.075, 1.0, 25.0])
+    def test_stacked_cms_match(self, omega):
+        points = [(0.5, 0.3), (1.5, 0.5), (0.5, 1.5), (0.0, 0.0), (2.0, 1.0), (1.0, 2.0)]
+        x, y = (np.array(c) for c in zip(*points))
+        cms = model.stacked_cms(x, y, model.stacked_ground_states(omega, 1.0, x, y))
+        base = ModelParams(omega, 1.0)
+        for cm, (a, b) in zip(cms, points):
+            p = base.with_couplings(a * base.lambda_c, b * base.lambda_c)
+            ref = model.ground_state_cm(p).mat
+            assert np.max(np.abs(cm - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
 
 class TestEnergyDerivativeScan:
     def test_second_order_jump_at_critical(self):

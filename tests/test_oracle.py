@@ -5,10 +5,9 @@ import warnings
 import numpy as np
 import pytest
 from scipy.linalg import expm
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from twomode_dicke import model, oracle
-from twomode_dicke.errors import BudgetExceededError
+from twomode_dicke.errors import BudgetExceededError, NumericalFailureError
 from twomode_dicke.gaussian_info import renyi2_entropy
 from twomode_dicke.model import ModelParams
 from twomode_dicke.oracle import TruncationSpec, exact_ground_state
@@ -85,7 +84,35 @@ def dense_classical_frame_hamiltonian(p, spec):
     return H
 
 
-class TestSparseBuild:
+def unit_vectors(dimension, start, stop):
+    """The unit vectors e_start .. e_stop-1, one per row."""
+    e = np.zeros((stop - start, dimension))
+    e[np.arange(stop - start), np.arange(start, stop)] = 1.0
+    return e
+
+
+def materialize(apply, dimension, block=256):
+    """The dense matrix of a matrix-free operator, applied to blocks of unit vectors."""
+    H = np.empty((dimension, dimension))
+    for start in range(0, dimension, block):
+        stop = min(start + block, dimension)
+        H[:, start:stop] = apply(unit_vectors(dimension, start, stop)).T
+    return H
+
+
+def fock_block(bigger, n_max):
+    """Indices of the states of ``bigger`` with both boson numbers <= n_max, in order."""
+    nb = bigger.n_max + 1
+    return np.arange(bigger.dimension).reshape(nb, nb, -1)[:n_max + 1, :n_max + 1].ravel()
+
+
+def operator(phase, j, n_max):
+    p = PHASE_POINTS[phase]
+    spec = TruncationSpec(j=j, n_max=n_max)
+    return oracle._hamiltonian(p, spec, model.classical_ground_state(p)), spec.dimension
+
+
+class TestMatrixFreeOperator:
     @pytest.mark.parametrize("j", [0.5, 1, 5, 20])
     @pytest.mark.parametrize("phase", ["normal", "superradiant-x", "superradiant-y"])
     def test_rotation_matches_dense_conjugation(self, phase, j):
@@ -97,8 +124,7 @@ class TestSparseBuild:
         factors[CONJUGATED_MODE[phase]] = 1j
         for rotated, op, f in zip(oracle._rotated_spin_ops(gs, j), (jx, jy, jz), factors):
             assert rotated.dtype == np.float64
-            np.testing.assert_allclose(rotated.toarray(), f * (u.conj().T @ op @ u),
-                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(rotated, f * (u.conj().T @ op @ u), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n_max", [1, 3])
     @pytest.mark.parametrize("j", [0.5, 5])
@@ -106,48 +132,73 @@ class TestSparseBuild:
     def test_real_hamiltonian_is_conjugated_dense_reference(self, phase, j, n_max):
         p = PHASE_POINTS[phase]
         spec = TruncationSpec(j=j, n_max=n_max)
-        H = oracle._hamiltonian(p, spec, model.classical_ground_state(p))
-        assert H.format == "csr" and H.dtype == np.float64
+        apply, dimension = operator(phase, j, n_max)
+        H = materialize(apply, dimension)
+        assert apply(np.ones(dimension)).dtype == np.float64
         phases = [np.ones(n_max + 1), np.ones(n_max + 1)]
         phases[CONJUGATED_MODE[phase]] = 1j ** np.arange(n_max + 1)
         d = np.kron(np.kron(*phases), np.ones(int(2 * j) + 1))
         reference = d.conj()[:, None] * dense_classical_frame_hamiltonian(p, spec) * d[None, :]
         np.testing.assert_allclose(reference.imag, 0.0, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(H.toarray(), reference.real, rtol=0, atol=1e-12)
-        assert (H != H.T).nnz == 0
+        np.testing.assert_allclose(H, reference.real, rtol=0, atol=1e-12)
+        assert np.array_equal(H, H.T)
 
     @pytest.mark.parametrize("n_max", [1, 3])
     @pytest.mark.parametrize("j", [0.5, 5])
     @pytest.mark.parametrize("phase", sorted(PHASE_POINTS))
     def test_cutoff_is_principal_block_of_larger_cutoff(self, phase, j, n_max):
-        p = PHASE_POINTS[phase]
-        gs = model.classical_ground_state(p)
-        bigger = TruncationSpec(j=j, n_max=n_max + 2)
-        block = oracle._fock_block(bigger, n_max)
-        small = oracle._hamiltonian(p, TruncationSpec(j=j, n_max=n_max), gs)
-        sliced = oracle._hamiltonian(p, bigger, gs)[block][:, block]
-        assert sliced.shape == small.shape and (sliced != small).nnz == 0
+        block = fock_block(TruncationSpec(j=j, n_max=n_max + 2), n_max)
+        small = materialize(*operator(phase, j, n_max))
+        sliced = materialize(*operator(phase, j, n_max + 2))[np.ix_(block, block)]
+        assert sliced.shape == small.shape and np.array_equal(sliced, small)
+
+    def test_applies_to_one_vector_and_to_rows(self):
+        apply, dimension = operator("superradiant-x", 2.5, 3)
+        v = np.arange(3.0 * dimension).reshape(3, dimension)
+        rows = apply(v)
+        assert rows.shape == v.shape and apply(v[1]).shape == (dimension,)
+        np.testing.assert_array_equal(apply(v[1]), rows[1])
 
     @pytest.mark.parametrize("j", [5, 20])
     @pytest.mark.parametrize("phase", ["normal", "superradiant-x", "superradiant-y"])
     def test_hamiltonian_stays_sparse(self, phase, j):
-        p = PHASE_POINTS[phase]
-        H = oracle._hamiltonian(p, TruncationSpec(j=j, n_max=10),
-                                model.classical_ground_state(p))
-        assert H.nnz / H.shape[0] <= 13
+        apply, dimension = operator(phase, j, 10)
+        nonzeros = 0
+        for start in range(0, dimension, 256):
+            stop = min(start + 256, dimension)
+            nonzeros += np.count_nonzero(apply(unit_vectors(dimension, start, stop)))
+        assert nonzeros / dimension <= 13
 
     @pytest.mark.parametrize("n_max", [1, 3, 10])
     @pytest.mark.parametrize("j", [0.5, 2.5, 5])
     @pytest.mark.parametrize("phase", sorted(PHASE_POINTS))
     def test_lanczos_matches_dense_spectrum(self, phase, j, n_max):
-        p = PHASE_POINTS[phase]
-        H = oracle._hamiltonian(p, TruncationSpec(j=j, n_max=n_max),
-                                model.classical_ground_state(p))
-        reference = np.linalg.eigvalsh(H.toarray())[0]
+        apply, dimension = operator(phase, j, n_max)
+        reference = np.linalg.eigvalsh(materialize(apply, dimension))[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            energy, _ = oracle._ground_vector(H)
+            energy, psi = oracle._ground_vector(apply, dimension)
         assert abs(energy - reference) <= 1e-12 * abs(reference)
+        assert abs(np.linalg.norm(psi) - 1.0) <= 1e-14
+
+
+class TestLanczos:
+    def test_invariant_subspace_continues_in_a_fresh_direction(self):
+        # The start vector has no component on e_0, the ground state, and
+        # spans a three-dimensional invariant subspace.
+        diagonal = np.concatenate([[0.0], np.tile([1.0, 2.0, 3.0], 20)])
+        v0 = np.ones(diagonal.size)
+        v0[0] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            energy, psi = oracle._ground_vector(lambda v: diagonal * v, diagonal.size, v0)
+        assert abs(energy) <= 1e-14
+        assert abs(abs(psi[0]) - 1.0) <= 1e-14
+
+    def test_gives_up_after_max_restarts(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_RESTARTS", 1)
+        with pytest.raises(NumericalFailureError):
+            oracle._ground_vector(*operator("superradiant-x", 5, 10))
 
 
 class TestWarmResolve:
@@ -155,40 +206,40 @@ class TestWarmResolve:
     @pytest.mark.parametrize("phase", ["normal", "superradiant-x", "superradiant-y"])
     def test_warm_and_cold_resolves_agree(self, phase, j, monkeypatch):
         solves = []
+        ground_vector = oracle._ground_vector
 
-        def recording_eigsh(H, **kwargs):
-            out = eigsh(H, **kwargs)
-            solves.append((H, kwargs["v0"], out))
+        def recording_ground_vector(apply, dimension, v0=None):
+            out = ground_vector(apply, dimension, v0)
+            solves.append((apply, dimension, v0, out))
             return out
 
-        monkeypatch.setattr(oracle, "eigsh", recording_eigsh)
-        spec = TruncationSpec(j=j, n_max=8)
-        res = exact_ground_state(PHASE_POINTS[phase], spec)
-        (_, _, (e_first, psi)), (H_big, v0, (e_warm, _)) = solves
+        monkeypatch.setattr(oracle, "_ground_vector", recording_ground_vector)
+        res = exact_ground_state(PHASE_POINTS[phase], TruncationSpec(j=j, n_max=8))
+        (_, _, v_first, (e_first, psi)), (apply_big, dimension, v0, (e_warm, _)) = solves
 
         # the re-solve starts from the first ground vector, zero-padded
-        block = oracle._fock_block(TruncationSpec(j=j, n_max=10), 8)
-        np.testing.assert_array_equal(v0[block], psi[:, 0])
+        assert v_first is None
+        block = fock_block(TruncationSpec(j=j, n_max=10), 8)
+        np.testing.assert_array_equal(v0[block], psi)
         assert not np.delete(v0, block).any()
-        assert res.resolve_de == abs(e_warm[0] - e_first[0]) / j
+        assert res.resolve_de == abs(e_warm - e_first) / j
 
         matvecs = []
 
         def counted_solve(start):
             count = [0]
 
-            def matvec(v):
+            def counted_apply(v):
                 count[0] += 1
-                return H_big @ v
+                return apply_big(v)
 
-            op = LinearOperator(H_big.shape, matvec=matvec, dtype=H_big.dtype)
-            energy = eigsh(op, k=1, which="SA", v0=start, maxiter=5000)[0][0]
+            energy, _ = ground_vector(counted_apply, dimension, start)
             matvecs.append(count[0])
             return energy
 
-        cold = counted_solve(np.ones(H_big.shape[0]) / np.sqrt(H_big.shape[0]))
-        counted_solve(v0)
-        assert abs(e_warm[0] - cold) <= 1e-12 * abs(cold)
+        cold = counted_solve(None)
+        assert counted_solve(v0) == e_warm
+        assert abs(e_warm - cold) <= 1e-12 * abs(cold)
         assert matvecs[1] < matvecs[0]
 
 
@@ -257,13 +308,26 @@ class TestNormalPhaseConvergence:
 
     def test_resolve_de_reports_the_cutoff_change(self):
         p = ModelParams(1.0, 1.0, 0.5, 0.3)
-        res = exact_ground_state(p, TruncationSpec(j=5, n_max=4))
-        bigger = exact_ground_state(p, TruncationSpec(j=5, n_max=6),
-                                    check_convergence=False)
-        assert bigger.resolve_de is None
-        assert res.resolve_de == pytest.approx(
-            abs(bigger.energy_per_spin - res.energy_per_spin), rel=1e-12, abs=1e-15)
+        spec, bigger = TruncationSpec(j=5, n_max=4), TruncationSpec(j=5, n_max=6)
+        res = exact_ground_state(p, spec)
+        assert exact_ground_state(p, bigger, check_convergence=False).resolve_de is None
+
+        # the documented computation: the n_max + 2 re-solve starts from the
+        # n_max ground vector, zero-padded
+        gs = model.classical_ground_state(p)
+        small, big = oracle._hamiltonian(p, spec, gs), oracle._hamiltonian(p, bigger, gs)
+        energy, psi = oracle._ground_vector(small, spec.dimension)
+        v0 = np.zeros(bigger.dimension)
+        v0[fock_block(bigger, 4)] = psi
+        energy2, _ = oracle._ground_vector(big, bigger.dimension, v0)
+        assert res.energy_per_spin == energy / 5
+        assert res.resolve_de == abs(energy2 - energy) / 5
         assert res.converged == (res.resolve_de * 5 < oracle.CONVERGENCE_TOL)
+
+        for e, apply, dimension in ((energy, small, spec.dimension),
+                                    (energy2, big, bigger.dimension)):
+            reference = np.linalg.eigvalsh(materialize(apply, dimension))[0]
+            assert abs(e - reference) <= 1e-12 * abs(reference)
 
     def test_resolve_de_none_over_budget(self, monkeypatch):
         spec = TruncationSpec(j=2, n_max=2)
