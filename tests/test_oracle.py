@@ -42,6 +42,20 @@ PHASE_POINTS = {
     "decoupled": ModelParams(1.0, 1.0, 0.0, 0.0),
 }
 
+#: Coupling points of the solver test, in units of lambda_c: the phase points
+#: (where lambda_c = 1), both sides of the critical line lambda_x = 1, a point
+#: near the Goldstone line and one deep in the superradiant-x phase.
+SOLVER_POINTS = {
+    **{name: (p.lambda_x, p.lambda_y) for name, p in PHASE_POINTS.items()},
+    "below-critical": (0.99, 0.5),
+    "above-critical": (1.01, 0.5),
+    "near-goldstone": (3.0, 2.9),
+    "deep-x": (10.0, 0.1),
+}
+
+#: (omega, omega0): resonance and omega / omega0 = 0.01 and 100.
+FREQUENCIES = [(1.0, 1.0), (0.01, 1.0), (1.0, 0.01)]
+
 #: The uncondensed boson (0 = x, 1 = y) whose coupling carries Jy in the
 #: classical frame; the real Hamiltonian is conjugated by diag(i^n) on it.
 CONJUGATED_MODE = {"normal": 1, "superradiant-x": 1, "superradiant-y": 0, "decoupled": 1}
@@ -107,9 +121,15 @@ def fock_block(bigger, n_max):
 
 
 def operator(phase, j, n_max):
+    """``(apply, diagonal)`` of the classical-frame Hamiltonian at a phase point."""
     p = PHASE_POINTS[phase]
     spec = TruncationSpec(j=j, n_max=n_max)
-    return oracle._hamiltonian(p, spec, model.classical_ground_state(p)), spec.dimension
+    return oracle._hamiltonian(p, spec, model.classical_ground_state(p))
+
+
+def dense_operator(phase, j, n_max):
+    apply, diagonal = operator(phase, j, n_max)
+    return materialize(apply, diagonal.size)
 
 
 class TestMatrixFreeOperator:
@@ -132,9 +152,11 @@ class TestMatrixFreeOperator:
     def test_real_hamiltonian_is_conjugated_dense_reference(self, phase, j, n_max):
         p = PHASE_POINTS[phase]
         spec = TruncationSpec(j=j, n_max=n_max)
-        apply, dimension = operator(phase, j, n_max)
-        H = materialize(apply, dimension)
-        assert apply(np.ones(dimension)).dtype == np.float64
+        apply, diagonal = operator(phase, j, n_max)
+        H = materialize(apply, diagonal.size)
+        assert apply(np.ones(diagonal.size)).dtype == np.float64
+        # the diagonal sums the factors' diagonals in the order apply sums the terms
+        np.testing.assert_array_equal(diagonal, np.diag(H))
         phases = [np.ones(n_max + 1), np.ones(n_max + 1)]
         phases[CONJUGATED_MODE[phase]] = 1j ** np.arange(n_max + 1)
         d = np.kron(np.kron(*phases), np.ones(int(2 * j) + 1))
@@ -148,21 +170,22 @@ class TestMatrixFreeOperator:
     @pytest.mark.parametrize("phase", sorted(PHASE_POINTS))
     def test_cutoff_is_principal_block_of_larger_cutoff(self, phase, j, n_max):
         block = fock_block(TruncationSpec(j=j, n_max=n_max + 2), n_max)
-        small = materialize(*operator(phase, j, n_max))
-        sliced = materialize(*operator(phase, j, n_max + 2))[np.ix_(block, block)]
+        small = dense_operator(phase, j, n_max)
+        sliced = dense_operator(phase, j, n_max + 2)[np.ix_(block, block)]
         assert sliced.shape == small.shape and np.array_equal(sliced, small)
 
     def test_applies_to_one_vector_and_to_rows(self):
-        apply, dimension = operator("superradiant-x", 2.5, 3)
-        v = np.arange(3.0 * dimension).reshape(3, dimension)
+        apply, diagonal = operator("superradiant-x", 2.5, 3)
+        v = np.arange(3.0 * diagonal.size).reshape(3, diagonal.size)
         rows = apply(v)
-        assert rows.shape == v.shape and apply(v[1]).shape == (dimension,)
+        assert rows.shape == v.shape and apply(v[1]).shape == diagonal.shape
         np.testing.assert_array_equal(apply(v[1]), rows[1])
 
     @pytest.mark.parametrize("j", [5, 20])
     @pytest.mark.parametrize("phase", ["normal", "superradiant-x", "superradiant-y"])
     def test_hamiltonian_stays_sparse(self, phase, j):
-        apply, dimension = operator(phase, j, 10)
+        apply, diagonal = operator(phase, j, 10)
+        dimension = diagonal.size
         nonzeros = 0
         for start in range(0, dimension, 256):
             stop = min(start + 256, dimension)
@@ -171,34 +194,52 @@ class TestMatrixFreeOperator:
 
     @pytest.mark.parametrize("n_max", [1, 3, 10])
     @pytest.mark.parametrize("j", [0.5, 2.5, 5])
-    @pytest.mark.parametrize("phase", sorted(PHASE_POINTS))
-    def test_lanczos_matches_dense_spectrum(self, phase, j, n_max):
-        apply, dimension = operator(phase, j, n_max)
-        reference = np.linalg.eigvalsh(materialize(apply, dimension))[0]
+    @pytest.mark.parametrize("point", sorted(SOLVER_POINTS))
+    @pytest.mark.parametrize("omega, omega0", FREQUENCIES)
+    def test_davidson_matches_dense_spectrum(self, omega, omega0, point, j, n_max):
+        base = ModelParams(omega=omega, omega0=omega0)
+        p = base.with_couplings(*(base.lambda_c * np.array(SOLVER_POINTS[point])))
+        apply, diagonal = oracle._hamiltonian(p, TruncationSpec(j=j, n_max=n_max),
+                                              model.classical_ground_state(p))
+        reference = np.linalg.eigvalsh(materialize(apply, diagonal.size))[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            energy, psi = oracle._ground_vector(apply, dimension)
+            energy, psi, _ = oracle._ground_vector(apply, diagonal)
         assert abs(energy - reference) <= 1e-12 * abs(reference)
         assert abs(np.linalg.norm(psi) - 1.0) <= 1e-14
 
 
-class TestLanczos:
+class TestDavidson:
     def test_invariant_subspace_continues_in_a_fresh_direction(self):
         # The start vector has no component on e_0, the ground state, and
-        # spans a three-dimensional invariant subspace.
+        # spans a three-dimensional invariant subspace; on a diagonal H the
+        # Davidson corrections soon lie in the span of the basis.
         diagonal = np.concatenate([[0.0], np.tile([1.0, 2.0, 3.0], 20)])
         v0 = np.ones(diagonal.size)
         v0[0] = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            energy, psi = oracle._ground_vector(lambda v: diagonal * v, diagonal.size, v0)
+            energy, psi, _ = oracle._ground_vector(lambda v: diagonal * v, diagonal, v0)
         assert abs(energy) <= 1e-14
         assert abs(abs(psi[0]) - 1.0) <= 1e-14
 
-    def test_gives_up_after_max_restarts(self, monkeypatch):
-        monkeypatch.setattr(oracle, "MAX_RESTARTS", 1)
+    def test_gives_up_after_max_iterations(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_ITERATIONS", 1)
         with pytest.raises(NumericalFailureError):
             oracle._ground_vector(*operator("superradiant-x", 5, 10))
+
+    @pytest.mark.parametrize("phase", sorted(PHASE_POINTS))
+    def test_result_reports_the_residual(self, phase):
+        p, spec = PHASE_POINTS[phase], TruncationSpec(j=5, n_max=8)
+        res = exact_ground_state(p, spec)
+        apply, diagonal = operator(phase, spec.j, spec.n_max)
+        scale = np.finfo(float).eps * np.max(np.abs(diagonal))
+        assert np.isfinite(res.residual) and res.residual <= oracle.RESIDUAL_TOL * scale
+
+        # it is the residual of the returned ground vector, up to rounding
+        _, psi, _ = oracle._ground_vector(apply, diagonal)
+        energy = res.energy_per_spin * spec.j
+        assert abs(np.linalg.norm(apply(psi) - energy * psi) - res.residual) <= 16 * scale
 
 
 class TestWarmResolve:
@@ -208,14 +249,14 @@ class TestWarmResolve:
         solves = []
         ground_vector = oracle._ground_vector
 
-        def recording_ground_vector(apply, dimension, v0=None):
-            out = ground_vector(apply, dimension, v0)
-            solves.append((apply, dimension, v0, out))
+        def recording_ground_vector(apply, diagonal, v0=None):
+            out = ground_vector(apply, diagonal, v0)
+            solves.append((apply, diagonal, v0, out))
             return out
 
         monkeypatch.setattr(oracle, "_ground_vector", recording_ground_vector)
         res = exact_ground_state(PHASE_POINTS[phase], TruncationSpec(j=j, n_max=8))
-        (_, _, v_first, (e_first, psi)), (apply_big, dimension, v0, (e_warm, _)) = solves
+        (_, _, v_first, (e_first, psi, _)), (apply_big, diagonal, v0, (e_warm, _, _)) = solves
 
         # the re-solve starts from the first ground vector, zero-padded
         assert v_first is None
@@ -233,7 +274,7 @@ class TestWarmResolve:
                 count[0] += 1
                 return apply_big(v)
 
-            energy, _ = ground_vector(counted_apply, dimension, start)
+            energy, _, _ = ground_vector(counted_apply, diagonal, start)
             matvecs.append(count[0])
             return energy
 
@@ -316,17 +357,16 @@ class TestNormalPhaseConvergence:
         # n_max ground vector, zero-padded
         gs = model.classical_ground_state(p)
         small, big = oracle._hamiltonian(p, spec, gs), oracle._hamiltonian(p, bigger, gs)
-        energy, psi = oracle._ground_vector(small, spec.dimension)
+        energy, psi, _ = oracle._ground_vector(*small)
         v0 = np.zeros(bigger.dimension)
         v0[fock_block(bigger, 4)] = psi
-        energy2, _ = oracle._ground_vector(big, bigger.dimension, v0)
+        energy2, _, _ = oracle._ground_vector(*big, v0)
         assert res.energy_per_spin == energy / 5
         assert res.resolve_de == abs(energy2 - energy) / 5
         assert res.converged == (res.resolve_de * 5 < oracle.CONVERGENCE_TOL)
 
-        for e, apply, dimension in ((energy, small, spec.dimension),
-                                    (energy2, big, bigger.dimension)):
-            reference = np.linalg.eigvalsh(materialize(apply, dimension))[0]
+        for e, (apply, diagonal) in ((energy, small), (energy2, big)):
+            reference = np.linalg.eigvalsh(materialize(apply, diagonal.size))[0]
             assert abs(e - reference) <= 1e-12 * abs(reference)
 
     def test_resolve_de_none_over_budget(self, monkeypatch):
