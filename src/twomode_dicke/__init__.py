@@ -1,9 +1,9 @@
 """Correlation structure and excitation spectrum of the two-mode Dicke model.
 
 Thermodynamic-limit pipeline (classical ground state -> quadratic
-fluctuations -> Williamson diagonalization -> ground-state covariance matrix
--> Gaussian correlation measures), a finite-size exact-diagonalization oracle
-for validation, and a sweep CLI.
+fluctuations -> one Cholesky/SVD factorization over positions and momenta ->
+gaps and ground-state covariance matrix -> Gaussian correlation measures), a
+finite-size exact-diagonalization oracle for validation, and a sweep CLI.
 """
 
 from .errors import (
@@ -17,7 +17,6 @@ from .errors import (
     NotPureError,
     NotThreeModeError,
     NumericalFailureError,
-    PatternFailureError,
     TwoModeDickeError,
     UnknownModeError,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "NotPureError",
     "NotThreeModeError",
     "NumericalFailureError",
-    "PatternFailureError",
     "Phase",
     "StandardFormCM",
     "TruncationSpec",

@@ -5,9 +5,8 @@ critical coupling lambda_c = sqrt(omega * omega0); energies are in units of
 omega.  Output is deterministic: grid rows are row-major in lambda_x, then
 lambda_y.  A sweep computes its grid as stacked arrays, block by block, into a
 table of columns (column name -> values over the grid) that ``write_output``
-formats column by column; ``evaluate_point`` is the per-point reference the
-sweep agrees with, and ``_csv_cell`` / ``_json_cell`` the per-cell reference of
-the writer.
+formats column by column; ``evaluate_point`` is the one-point sweep, and
+``_csv_cell`` / ``_json_cell`` the per-cell reference of the writer.
 """
 
 from __future__ import annotations
@@ -23,25 +22,12 @@ from importlib import resources
 import numpy as np
 
 from . import gaussian_info, model, oracle
-from .errors import (
-    ConfigError,
-    GoldstoneLineError,
-    NearSingularError,
-    NonPhysicalError,
-    NonPositiveDefiniteError,
-    NotPureError,
-    NumericalFailureError,
-)
+from .errors import ConfigError
 
 #: Grid points a sweep computes together, and rows the writer formats
 #: together; bounds the memory of the stacked arrays and of the formatted
 #: cells whatever the grid size.
 BLOCK_POINTS = 2048
-
-#: Failures of the covariance-matrix pipeline that mean the point has no
-#: normalizable Gaussian ground state: such rows are diverged, not errors.
-DIVERGED_ERRORS = (NearSingularError, NonPositiveDefiniteError, NotPureError,
-                   NonPhysicalError, NumericalFailureError, GoldstoneLineError)
 
 #: Values with magnitude above this are emitted as the literal token "inf".
 INF_THRESHOLD = 1e6
@@ -120,79 +106,28 @@ def sweep_columns(groups: list[str]) -> list[str]:
     return cols
 
 
-def _ground_state_cm(p: model.ModelParams, lx_rel: float, ly_rel: float):
-    """model.ground_state_cm(p), raising NearSingularError at exactly critical couplings.
-
-    Criticality is decided on the couplings in units of lambda_c: rounding in
-    lambda_c = sqrt(omega * omega0) and in the fluctuation matrix can leave a
-    critical point's matrix numerically positive definite.
-    """
-    if max(lx_rel, ly_rel) == 1.0:
-        raise NearSingularError("exactly critical coupling: no Gaussian ground state")
-    return model.ground_state_cm(p)
-
-
 def evaluate_point(omega: float, omega0: float, lx_rel: float, ly_rel: float,
                    goldstone_epsilon: float, groups: tuple[str, ...]) -> dict:
-    """One output row for a single (lambda_x, lambda_y) grid point.
+    """One output row: run_sweep over the single grid point (lx_rel, ly_rel).
 
-    Couplings are in units of lambda_c.  Points on (or within
-    goldstone_epsilon of) the degenerate line lambda_x = lambda_y > lambda_c
-    are evaluated at lambda_y * (1 - goldstone_epsilon) and flagged.
-    Failures of the covariance-matrix pipeline at exactly-critical points are
-    reported as diverged rows, not errors.
+    Couplings are in units of lambda_c.  A ValueError from the inputs is
+    recorded as the row's error, with every quantity NaN.
     """
-    row: dict = {"lambda_x": lx_rel, "lambda_y": ly_rel, "goldstone_offset": False,
-                 "diverged": False, "error": None}
-    for g in groups:
-        for col in GROUP_COLUMNS[g]:
-            row[col] = math.nan
     try:
-        base = model.ModelParams(omega=omega, omega0=omega0)
-        lc = base.lambda_c
-        lx, ly = lx_rel * lc, ly_rel * lc
-        if abs(lx - ly) <= goldstone_epsilon * lc and max(lx, ly) > lc:
-            ly = ly * (1.0 - goldstone_epsilon)
-            row["goldstone_offset"] = True
-        p = base.with_couplings(lx, ly)
-
-        if "gaps" in groups:
-            nu = model.excitation_gaps(p).nu
-            row["nu_1"], row["nu_2"], row["nu_3"] = nu
-        if "energy" in groups:
-            row["e_gs"] = model.ground_state_energy(p) / omega
-        if any(g in groups for g in ("mi", "eof", "tripartite")):
-            try:
-                report = gaussian_info.correlation_report(_ground_state_cm(p, lx_rel, ly_rel))
-            except DIVERGED_ERRORS:
-                row["diverged"] = True
-            else:
-                values = report.to_dict()
-                for g in ("mi", "eof", "tripartite"):
-                    if g in groups:
-                        for col in GROUP_COLUMNS[g]:
-                            row[col] = values[col]
-    except Exception as exc:  # recorded per-row; the sweep never aborts
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
-
-
-def _gaussian_ok(gs: model.StackedGroundStates) -> np.ndarray:
-    """Where the stacked points have a physical, pure Gaussian ground state.
-
-    The conditions under which the scalar pipeline raises one of
-    DIVERGED_ERRORS are masks here: an unstable point (fluctuation matrix
-    not positive definite or nu_3 below the gap floor), det(2C) off 1 by more
-    than PURITY_TOL, and a single-mode det(2C_i) below 1 - PURITY_TOL.
-    """
-    tol = gaussian_info.PURITY_TOL
-    return gs.stable & (np.abs(gs.det2 - 1.0) <= tol) & np.all(gs.det2_modes >= 1.0 - tol, axis=1)
+        table = run_sweep(omega, omega0, (lx_rel, lx_rel, 1), (ly_rel, ly_rel, 1),
+                          list(groups), goldstone_epsilon)
+    except ValueError as exc:
+        row = {"lambda_x": lx_rel, "lambda_y": ly_rel, "goldstone_offset": False,
+               "diverged": False, "error": f"{type(exc).__name__}: {exc}"}
+        row.update((col, math.nan) for g in groups for col in GROUP_COLUMNS[g])
+        return row
+    return {c: column.item() for c, column in table.items()} | {"error": None}
 
 
 def _sweep_block(omega: float, omega0: float, lx_rel: np.ndarray, ly_rel: np.ndarray,
                  goldstone_epsilon: float, groups: list[str]) -> dict:
-    """Output columns of evaluate_point for arrays of grid points; a row is
-    diverged where _gaussian_ok is False."""
+    """Output columns for arrays of grid points; a row is diverged where the
+    point has no physical pure Gaussian ground state (gs.physical)."""
     lc = math.sqrt(omega * omega0)
     lx, ly = lx_rel * lc, ly_rel * lc
     offset = (np.abs(lx - ly) <= goldstone_epsilon * lc) & (np.maximum(lx, ly) > lc)
@@ -209,7 +144,7 @@ def _sweep_block(omega: float, omega0: float, lx_rel: np.ndarray, ly_rel: np.nda
         cols["nu_1"], cols["nu_2"], cols["nu_3"] = gs.nu.T
     if not report_groups:
         return cols
-    ok = _gaussian_ok(gs)
+    ok = gs.physical
     s = np.maximum(0.5 * np.log(np.where(ok[:, None], gs.det2_modes, 1.0)), 0.0)
     report = gaussian_info.report_columns(*s.T)
     for g in report_groups:
@@ -221,9 +156,12 @@ def _sweep_block(omega: float, omega0: float, lx_rel: np.ndarray, ly_rel: np.nda
 
 def run_sweep(omega: float, omega0: float, x_range, y_range, groups: list[str],
               goldstone_epsilon: float) -> dict[str, np.ndarray]:
-    """The columns of evaluate_point over the grid, computed BLOCK_POINTS at a time.
+    """The output columns over the grid, computed BLOCK_POINTS at a time.
 
-    A sweep records no errors, so the table has no ``error`` column.
+    Points on (or within goldstone_epsilon of) the degenerate line
+    lambda_x = lambda_y > lambda_c are evaluated at lambda_y * (1 -
+    goldstone_epsilon) and flagged.  A sweep records no errors, so the table
+    has no ``error`` column.
     """
     if not all(map(math.isfinite, (omega, omega0, goldstone_epsilon, *x_range[:2], *y_range[:2]))):
         raise ValueError("omega, omega0, the range bounds and goldstone_epsilon must be finite")
@@ -242,7 +180,7 @@ def run_oracle_compare(omega: float, omega0: float, lx_rel: float, ly_rel: float
     analytic CM does not exist.
 
     The analytic CM is the one of the stacked factorization, and it exists
-    where _gaussian_ok says so, as in a sweep.  On the degenerate line
+    where gs.physical says so, as in a sweep.  On the degenerate line
     lambda_x = lambda_y > lambda_c the classical frame of the finite-size
     solve is undefined, so no solve runs there.
     """
@@ -251,7 +189,7 @@ def run_oracle_compare(omega: float, omega0: float, lx_rel: float, ly_rel: float
     e_analytic = model.ground_state_energy(p) / omega
     x, y = np.array([lx_rel]), np.array([ly_rel])
     gs = model.stacked_ground_states(omega, omega0, x, y)
-    analytic_cm = model.stacked_cms(x, y, gs)[0] if _gaussian_ok(gs)[0] else None
+    analytic_cm = model.stacked_cms(x, y, gs)[0] if gs.physical[0] else None
     rows = []
     for j in sizes:
         row = {

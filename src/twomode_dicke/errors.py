@@ -25,10 +25,6 @@ class NotThreeModeError(TwoModeDickeError):
     """Operation requires a three-mode (6x6) covariance matrix."""
 
 
-class PatternFailureError(TwoModeDickeError):
-    """Local reduction did not reach the canonical block pattern within tolerance."""
-
-
 class UnknownModeError(TwoModeDickeError):
     """A requested mode label is not present in the covariance matrix."""
 

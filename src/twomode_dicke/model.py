@@ -1,8 +1,11 @@
 """Two-mode Dicke model in the thermodynamic limit.
 
 Classical ground state, phase identification, quadratic fluctuation matrices,
-excitation gaps and the ground-state covariance matrix.  Quadrature ordering
-is (q_x, p_x, q_y, p_y, Q, P) with Q, P the collective-spin quadratures.
+excitation gaps and the ground-state covariance matrix.  Gaps and covariance
+matrices come from one exact factorization of the fluctuation matrix,
+stacked_ground_states, of which excitation_gaps and ground_state_cm are the
+one-point case.  Quadrature ordering is (q_x, p_x, q_y, p_y, Q, P) with Q, P
+the collective-spin quadratures.
 """
 
 from __future__ import annotations
@@ -14,12 +17,8 @@ from enum import Enum
 import numpy as np
 
 from . import symplectic
-from .errors import GoldstoneLineError
-from .gaussian_info import CovarianceMatrix
-
-#: Relative offset used when a quantity on the degenerate coupling line
-#: lambda_x = lambda_y > lambda_c must be evaluated as a limit.
-LIMIT_EPSILON = 1e-6
+from .errors import GoldstoneLineError, NearSingularError
+from .gaussian_info import PURITY_TOL, CovarianceMatrix
 
 
 class Phase(Enum):
@@ -140,35 +139,33 @@ def fluctuation_matrix(p: ModelParams) -> np.ndarray:
 
 
 def excitation_gaps(p: ModelParams) -> ExcitationSpectrum:
-    """Normal-mode gaps, sorted descending.
+    """Normal-mode gaps, sorted descending: stacked_ground_states at one point.
 
-    On the degenerate line lambda_x = lambda_y > lambda_c the gaps are
-    evaluated as a limit from both sides; the soft mode is reported as
+    On the degenerate line lambda_x = lambda_y > lambda_c the soft mode is
     exactly zero.
     """
-    if p.on_goldstone_line():
-        eps = LIMIT_EPSILON
-        lo = symplectic.symplectic_eigenvalues(
-            fluctuation_matrix(p.with_couplings(p.lambda_x * (1.0 - eps), p.lambda_y))
-        )
-        hi = symplectic.symplectic_eigenvalues(
-            fluctuation_matrix(p.with_couplings(p.lambda_x * (1.0 + eps), p.lambda_y))
-        )
-        if np.max(np.abs(lo[:2] - hi[:2])) > 1e-3 * max(1.0, lo[0]):
-            raise GoldstoneLineError("one-sided limits of the gapped modes disagree")
-        nu = 0.5 * (lo + hi)
-        return ExcitationSpectrum(nu=(float(nu[0]), float(nu[1]), 0.0))
-    nu = symplectic.symplectic_eigenvalues(fluctuation_matrix(p))
-    return ExcitationSpectrum(nu=tuple(float(v) for v in nu))
+    _, _, gs = _one_point(p)
+    return ExcitationSpectrum(nu=tuple(gs.nu[0].tolist()))
 
 
 def ground_state_cm(p: ModelParams) -> CovarianceMatrix:
-    """Ground-state covariance matrix C = (M M^T)^{-1} / 2 over modes (x, y, j)."""
-    K = fluctuation_matrix(p)
-    dec = symplectic.williamson(K)
-    mm = dec.M @ dec.M.T
-    C = 0.5 * np.linalg.inv(mm)
-    return CovarianceMatrix(("x", "y", "j"), 0.5 * (C + C.T))
+    """Ground-state covariance matrix over modes (x, y, j): stacked_cms at one point.
+
+    Raises NearSingularError where the point has no physical pure Gaussian
+    ground state (StackedGroundStates.physical), e.g. at a critical coupling
+    or on the degenerate line.
+    """
+    x, y, gs = _one_point(p)
+    if not gs.physical[0]:
+        raise NearSingularError(
+            f"no pure Gaussian ground state at lambda / lambda_c = ({x[0]!r}, {y[0]!r})")
+    return CovarianceMatrix(("x", "y", "j"), stacked_cms(x, y, gs)[0])
+
+
+def _one_point(p: ModelParams):
+    """The couplings of p in units of lambda_c, as 1-element arrays, and their ground state."""
+    x, y = np.array([p.lambda_x / p.lambda_c]), np.array([p.lambda_y / p.lambda_c])
+    return x, y, stacked_ground_states(p.omega, p.omega0, x, y)
 
 
 @dataclass(frozen=True)
@@ -177,8 +174,8 @@ class StackedGroundStates:
 
     nu is (n, 3), descending; det2 is det(2C) and det2_modes the (n, 3)
     single-mode det(2C_i) of modes x, y, j.  stable is False where the
-    fluctuation matrix is not positive definite or nu_3 < GAP_FLOOR (the
-    points where williamson raises); det2 and det2_modes are meaningless there.
+    fluctuation matrix is not positive definite or nu_3 < GAP_FLOOR;
+    det2 and det2_modes are meaningless there.
     """
 
     nu: np.ndarray
@@ -188,6 +185,17 @@ class StackedGroundStates:
     #: (n, 3, 3) blocks of 2C over the V and T coordinates of the factorization.
     c_qq: np.ndarray
     c_pp: np.ndarray
+
+    @property
+    def physical(self) -> np.ndarray:
+        """Where the points have a physical, pure Gaussian ground state.
+
+        Rounding next to a singular point can leave a stable point's 2C
+        impure or unphysical, so besides stable this asks for |det(2C) - 1|
+        <= PURITY_TOL and every single-mode det(2C_i) >= 1 - PURITY_TOL.
+        """
+        return (self.stable & (np.abs(self.det2 - 1.0) <= PURITY_TOL)
+                & np.all(self.det2_modes >= 1.0 - PURITY_TOL, axis=1))
 
 
 def stacked_ground_states(omega: float, omega0: float, x, y) -> StackedGroundStates:

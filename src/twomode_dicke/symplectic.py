@@ -9,8 +9,6 @@ identity).
 
 from __future__ import annotations
 
-import cmath
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +20,6 @@ from .errors import (
     NotPureError,
     NotThreeModeError,
     NumericalFailureError,
-    PatternFailureError,
 )
 
 #: Symplectic eigenvalues below this are treated as zero (diverging mode).
@@ -30,6 +27,10 @@ GAP_FLOOR = 1e-10
 
 #: Relative tolerance for the symmetry check on inputs.
 SYMMETRY_RTOL = 1e-12
+
+#: Purity slacks of standard_form below this, relative to a_1 + a_2 + a_3,
+#: are rounding of an exact zero.
+_SLACK_RTOL = 1e-14
 
 
 def symplectic_form(n: int) -> np.ndarray:
@@ -83,14 +84,12 @@ def williamson(K, gap_floor: float = GAP_FLOOR) -> WilliamsonDecomposition:
     """Williamson decomposition of a symmetric positive-definite matrix.
 
     The construction diagonalizes the antisymmetric matrix
-    K^{-1/2} Omega K^{-1/2} with a real Schur factorization, which handles
-    degenerate symplectic eigenvalues without any pairing heuristics.  SciPy,
-    which provides it, is imported here rather than with the module, so that
-    the command-line paths, which never call this function, run on NumPy
-    alone.
+    A = K^{-1/2} Omega K^{-1/2} through the Hermitian matrix iA, whose
+    eigenvalues come in pairs +-mu.  An eigenvector v of mu > 0 gives the
+    orthonormal real pair sqrt(2) (Re v, -Im v), on which A acts as the block
+    [[0, mu], [-mu, 0]]; degenerate mu need no pairing heuristics, since eigh
+    returns an orthonormal basis of each eigenspace.
     """
-    from scipy.linalg import schur
-
     K = _require_symmetric(K)
     n = K.shape[0] // 2
     evals, evecs = np.linalg.eigh(K)
@@ -100,30 +99,19 @@ def williamson(K, gap_floor: float = GAP_FLOOR) -> WilliamsonDecomposition:
     omega = symplectic_form(n)
 
     A = inv_sqrt @ omega @ inv_sqrt
-    A = 0.5 * (A - A.T)
-    T, O = schur(A, output="real")
-
-    mu = np.empty(n)
-    for i in range(n):
-        t = T[2 * i, 2 * i + 1]
-        if abs(t) < 1e-300:
-            raise NumericalFailureError("Schur form degenerated to a zero block")
-        if t < 0.0:
-            O[:, [2 * i, 2 * i + 1]] = O[:, [2 * i + 1, 2 * i]]
-            t = -t
-        mu[i] = t
-
+    mu, v = np.linalg.eigh(1j * (0.5 * (A - A.T)))
+    # Ascending: the last n are the mu > 0, so nu = 1 / mu comes out descending.
+    mu, v = mu[n:], v[:, n:]
+    if mu[0] <= 0.0:
+        raise NumericalFailureError("iA has fewer than n positive eigenvalues")
     nu = 1.0 / mu
-    order = np.argsort(-nu, kind="stable")
-    nu = nu[order]
     if nu[-1] < gap_floor:
         raise NearSingularError(
             f"symplectic eigenvalue {nu[-1]:.3e} below gap floor {gap_floor:.1e}"
         )
-    cols = np.empty(2 * n, dtype=int)
-    cols[0::2] = 2 * order
-    cols[1::2] = 2 * order + 1
-    O = O[:, cols]
+    O = np.empty((2 * n, 2 * n))
+    O[:, 0::2] = np.sqrt(2.0) * v.real
+    O[:, 1::2] = -np.sqrt(2.0) * v.imag
 
     # N^T K N = V with N symplectic; M = N^{-T} = Omega^T N Omega.
     N = inv_sqrt @ O * np.repeat(np.sqrt(nu), 2)[None, :]
@@ -134,6 +122,10 @@ def williamson(K, gap_floor: float = GAP_FLOOR) -> WilliamsonDecomposition:
 # ---------------------------------------------------------------------------
 # Three-mode standard form
 # ---------------------------------------------------------------------------
+
+#: The modes (i, j) whose off-diagonal block holds the coefficients of index k.
+_PAIR_OF_K = ((1, 2), (0, 2), (0, 1))
+
 
 @dataclass(frozen=True)
 class StandardFormCM:
@@ -152,177 +144,53 @@ class StandardFormCM:
         m = np.zeros((6, 6))
         for i in range(3):
             m[2 * i, 2 * i] = m[2 * i + 1, 2 * i + 1] = self.a[i]
-        pair_of = {2: (0, 1), 1: (0, 2), 0: (1, 2)}
-        for k, (i, j) in pair_of.items():
+        for k, (i, j) in enumerate(_PAIR_OF_K):
             m[2 * i, 2 * j] = m[2 * j, 2 * i] = self.c_plus[k]
             m[2 * i + 1, 2 * j + 1] = m[2 * j + 1, 2 * i + 1] = self.c_minus[k]
         return m
 
 
-def _block_diag(blocks) -> np.ndarray:
-    """The block-diagonal matrix of 2x2 blocks, one per mode."""
-    out = np.zeros((2 * len(blocks), 2 * len(blocks)))
-    for i, blk in enumerate(blocks):
-        out[2 * i:2 * i + 2, 2 * i:2 * i + 2] = blk
-    return out
+def standard_form(C) -> StandardFormCM:
+    """Local standard form of a pure three-mode covariance matrix, in closed form.
 
+    A local symplectic map brings 2C of a pure state to diagonal blocks
+    a_i I and off-diagonal blocks diag(c+_k, c-_k), fixed by the local
+    invariants a_i = sqrt(det 2C_i) alone (Adesso, Serafini & Illuminati,
+    PRA 73, 032345 (2006)).  For the pair (i, j) with third mode k:
 
-def _rotation(phi: float) -> np.ndarray:
-    c, s = np.cos(phi), np.sin(phi)
-    return np.array([[c, -s], [s, c]])
+        c+-_k = (r_1 +- r_2) / (4 sqrt(a_i a_j)),
+        r_1 = sqrt(((a_i - a_j)^2 - (a_k - 1)^2) ((a_i - a_j)^2 - (a_k + 1)^2)),
+        r_2 = sqrt(((a_i + a_j)^2 - (a_k - 1)^2) ((a_i + a_j)^2 - (a_k + 1)^2)).
 
-
-def _inv_sqrt_2x2(B: np.ndarray) -> np.ndarray:
-    evals, evecs = np.linalg.eigh(B)
-    if evals[0] <= 0.0:
-        raise NonPositiveDefiniteError("single-mode block is not positive definite")
-    return (evecs / np.sqrt(evals)) @ evecs.T
-
-def _block_parts(X):
-    """Split a 2x2 block into its (I, J) and (sigma_z, sigma_x) components.
-
-    Under X -> R(u) X R(v)^T the first component transforms as
-    z_minus * exp(i(u - v)) and the second as z_plus * exp(i(u + v)); the
-    block is diagonal iff both are real, antidiagonal iff both are imaginary.
-    """
-    zm = complex(0.5 * (X[0, 0] + X[1, 1]), 0.5 * (X[1, 0] - X[0, 1]))
-    zp = complex(0.5 * (X[0, 0] - X[1, 1]), 0.5 * (X[0, 1] + X[1, 0]))
-    return zm, zp
-
-
-_PAIRS = [(0, 1), (0, 2), (1, 2)]
-
-
-def _candidate_phases(D: np.ndarray, tol: float):
-    """Per-mode rotation angles that push every off-diagonal block to diagonal form.
-
-    Phase constraints are solved modulo pi on the doubled angles
-    u_m = exp(2i phi_m); the two square-root branches of the seed are both
-    returned and validated numerically by the caller.
-    """
-    diff, summ = {}, {}
-    for (i, j) in _PAIRS:
-        zm, zp = _block_parts(D[2 * i:2 * i + 2, 2 * j:2 * j + 2])
-        if abs(zm) > tol:
-            diff[(i, j)] = -cmath.phase(zm)
-        if abs(zp) > tol:
-            summ[(i, j)] = -cmath.phase(zp)
-
-    # Connected components of the constraint graph: each needs its own seed,
-    # and flipping the sign of every u in a component is a symmetry of the
-    # constraints that yields a distinct (pi/2-rotated) valid candidate.
-    parent = list(range(3))
-
-    def find(m):
-        while parent[m] != m:
-            parent[m] = parent[parent[m]]
-            m = parent[m]
-        return m
-
-    edges = sorted(set(diff) | set(summ))
-    for (i, j) in edges:
-        parent[find(i)] = find(j)
-
-    seeds = {}
-    for (i, j) in edges:  # prefer pairs constraining both channels: they fix 2 phi_i
-        if (i, j) in diff and (i, j) in summ and find(i) not in seeds:
-            base = cmath.exp(1j * (diff[(i, j)] + summ[(i, j)]))
-            seeds[find(i)] = (i, (base, -base))
-    for (i, j) in edges:  # single-channel components have a continuous gauge freedom
-        if find(i) not in seeds:
-            ang = diff[(i, j)] if (i, j) in diff else summ[(i, j)]
-            v = cmath.exp(1j * ang)
-            seeds[find(i)] = (i, (v, -v))
-
-    roots = sorted(seeds)
-    candidates = []
-    for combo in itertools.product(*(seeds[r][1] for r in roots)):
-        u = [None, None, None]
-        for r, val in zip(roots, combo):
-            u[seeds[r][0]] = val
-        for _ in range(3):
-            for (i, j), a_ij in diff.items():
-                e = cmath.exp(-2j * a_ij)
-                if u[i] is not None and u[j] is None:
-                    u[j] = u[i] * e
-                elif u[j] is not None and u[i] is None:
-                    u[i] = u[j] / e
-            for (i, j), b_ij in summ.items():
-                e = cmath.exp(2j * b_ij)
-                if u[i] is not None and u[j] is None:
-                    u[j] = e / u[i]
-                elif u[j] is not None and u[i] is None:
-                    u[i] = e / u[j]
-        candidates.append([0.5 * cmath.phase(um) if um is not None else 0.0 for um in u])
-    if not candidates:
-        candidates.append([0.0, 0.0, 0.0])
-    return candidates
-
-
-def _off_pattern_residual(Y: np.ndarray) -> float:
-    res = 0.0
-    for (i, j) in _PAIRS:
-        blk = Y[2 * i:2 * i + 2, 2 * j:2 * j + 2]
-        res = max(res, abs(blk[0, 1]), abs(blk[1, 0]))
-    return res
-
-
-def standard_form(C, pure: bool = False) -> StandardFormCM:
-    """Reduce a three-mode covariance matrix to its local standard form.
-
-    The reduction is a local symplectic transform: a symmetric single-mode
-    squeezer per block followed by per-mode phase rotations (which subsume the
-    single-mode form swaps).  Correlation measures are untouched by either.
-    This is the reference reduction; the correlation measures of
-    ``gaussian_info`` do not call it, because for a pure state they follow
-    from the local invariants ``a`` alone.
+    Which quadrature carries c+ and the signs are a convention: a local
+    rotation by pi/2 swaps c+ and c-.  Purity makes the slacks
+    a_k - 1 - |a_i - a_j| and a_i + a_j - a_k - 1 nonnegative; r_1 and r_2
+    are evaluated as products of linear factors, with a slack that is
+    rounding of zero set to zero, so that a decoupled mode gives exact zeros.
+    The correlation measures of ``gaussian_info`` do not call this function:
+    they follow from the a_i directly.
     """
     C = _require_symmetric(C)
     if C.shape[0] != 6:
         raise NotThreeModeError(f"expected a 6x6 matrix, got {C.shape}")
     B = 2.0 * C
-    if pure and abs(np.linalg.det(B) - 1.0) > 1e-7:
-        raise NotPureError("pure flag set but det(2C) != 1")
+    det = np.linalg.det(B)
+    if abs(det - 1.0) > 1e-7:
+        raise NotPureError(f"det(2C) = {det:.6e} != 1: the closed form holds for pure states")
+    q, p, qp = B.diagonal()[0::2], B.diagonal()[1::2], B.diagonal(1)[0::2]
+    det_modes = q * p - qp * qp
+    if np.any(det_modes <= 0.0):
+        raise NonPositiveDefiniteError("single-mode block has nonpositive determinant")
+    a = np.sqrt(det_modes)
 
-    a = np.empty(3)
-    locals_ = []
-    for i in range(3):
-        blk = B[2 * i:2 * i + 2, 2 * i:2 * i + 2]
-        det = blk[0, 0] * blk[1, 1] - blk[0, 1] * blk[1, 0]
-        if det <= 0.0:
-            raise NonPositiveDefiniteError("single-mode block has nonpositive determinant")
-        a[i] = np.sqrt(det)
-        if np.allclose(blk, a[i] * np.eye(2), rtol=0.0, atol=1e-14 * max(a[i], 1.0)):
-            locals_.append(np.eye(2))  # degenerate block: keep identity for determinism
-        else:
-            locals_.append(_inv_sqrt_2x2(blk / a[i]))
-    L = _block_diag(locals_)
-    D = L @ B @ L.T
-
-    scale = max(np.max(np.abs(D)), 1.0)
-    accept = 1e-6 * scale
-    trials = []
-    for phis in _candidate_phases(D, tol=1e-12 * scale):
-        R = _block_diag([_rotation(phi) for phi in phis])
-        Y = R @ D @ R.T
-        res = _off_pattern_residual(Y)
-        trials.append((res, sum(abs(phi) for phi in phis), Y))
-    passing = [t for t in trials if t[0] <= accept]
-    if passing:
-        # Several branches can reach the pattern; take the rotation closest
-        # to the identity so inputs already in standard form come back unchanged.
-        res, _, Y = min(passing, key=lambda t: t[1])
-    else:
-        res, _, Y = min(trials, key=lambda t: t[0])
-    if res > accept:
-        raise PatternFailureError(
-            f"off-pattern residual {res:.3e} exceeds tolerance (scale {scale:.3e})"
-        )
-
-    pair_of = {2: (0, 1), 1: (0, 2), 0: (1, 2)}
-    c_plus = np.empty(3)
-    c_minus = np.empty(3)
-    for k, (i, j) in pair_of.items():
-        c_plus[k] = Y[2 * i, 2 * j]
-        c_minus[k] = Y[2 * i + 1, 2 * j + 1]
-    return StandardFormCM(a=a, c_plus=c_plus, c_minus=c_minus)
+    ak = a
+    ai, aj = a[np.array(_PAIR_OF_K).T]
+    floor = _SLACK_RTOL * a.sum()
+    d, s = np.abs(ai - aj), ai + aj
+    slack_1, slack_2 = ak - 1.0 - d, s - ak - 1.0
+    slack_1[slack_1 <= floor] = 0.0
+    slack_2[slack_2 <= floor] = 0.0
+    r1 = np.sqrt(slack_1 * (ak - 1.0 + d) * (ak + 1.0 - d) * (ak + 1.0 + d))
+    r2 = np.sqrt(slack_2 * (s - ak + 1.0) * (s + ak - 1.0) * (s + ak + 1.0))
+    root = 4.0 * np.sqrt(ai * aj)
+    return StandardFormCM(a=a, c_plus=(r1 + r2) / root, c_minus=(r1 - r2) / root)

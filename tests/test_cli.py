@@ -1,6 +1,7 @@
 """Sweep CLI: parsing, output formats, schema, determinism, mirror symmetry."""
 
 import csv
+import functools
 import io
 import json
 import math
@@ -10,14 +11,16 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_sweep_mpmath import reference, reference_gaps
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from twomode_dicke import cli, model, oracle
+from twomode_dicke import cli, gaussian_info, model, oracle
 from twomode_dicke.cli import (
     _csv_cell,
     _csv_cells,
@@ -31,22 +34,24 @@ from twomode_dicke.cli import (
     sweep_columns,
 )
 from twomode_dicke.errors import ConfigError
+from twomode_dicke.gaussian_info import CovarianceMatrix
+from twomode_dicke.symplectic import symplectic_eigenvalues, williamson
 
-#: run_sweep (stacked arrays) against evaluate_point (per point): gaps agree
-#: to GAP_RTOL relative to nu_1, e_gs to ENERGY_RTOL and every report column
-#: to REPORT_ATOL nats.  On an exactly critical point the stacked nu_3 is
-#: exactly 0, where the per-point path reports rounding noise.
+#: run_sweep against a reference: gaps agree to GAP_RTOL relative to nu_1,
+#: e_gs to ENERGY_RTOL and every report column to REPORT_ATOL nats.  On an
+#: exactly critical point nu_3 is exactly 0.
 GAP_RTOL = 1e-10
 ENERGY_RTOL = 1e-14
 REPORT_ATOL = 1e-9
 REPORT_COLUMNS = [c for g in ("mi", "eof", "tripartite") for c in cli.GROUP_COLUMNS[g]]
-#: Over omega / omega0 in [1e-4, 1e4] the per-point path itself errs by up to
-#: ~1e-8 nats (tests/test_sweep_mpmath.py), so the property below compares
-#: report columns to WIDE_REPORT_ATOL, and only points farther than
+#: Over omega / omega0 in [1e-4, 1e4] the per-point Williamson path
+#: (williamson_row) itself errs by up to ~1e-8 nats, so the property below
+#: compares report columns to WIDE_REPORT_ATOL, and only points farther than
 #: NEAR_CRITICAL from a critical line, where that error grows without bound
-#: and the mpmath test decides instead.
+#: and tests/test_sweep_mpmath.py decides instead.
 WIDE_REPORT_ATOL = 5e-8
 NEAR_CRITICAL = 1e-6
+EPSILON = 1e-6
 
 
 def table_rows(table):
@@ -82,20 +87,70 @@ def assert_same_text(text, expected):
         pytest.fail(f"line {line + 1}: got {got[line:line + 1]}, expected {want[line:line + 1]}")
 
 
-def assert_rows_close(batched, scalar, report_atol=REPORT_ATOL):
-    if "nu_1" in scalar:
-        critical = max(scalar["lambda_x"], scalar["lambda_y"]) == 1.0
-        scale = GAP_RTOL * scalar["nu_1"]
+def assert_rows_close(row, ref, report_atol=REPORT_ATOL):
+    """The quantity columns of a sweep row against those of a reference row."""
+    if "nu_1" in row:
+        critical = max(row["lambda_x"], row["lambda_y"]) == 1.0
+        scale = GAP_RTOL * ref["nu_1"]
         for col in ("nu_1", "nu_2") if critical else ("nu_1", "nu_2", "nu_3"):
-            assert abs(batched[col] - scalar[col]) <= scale, (col, batched, scalar)
+            assert abs(row[col] - ref[col]) <= scale, (col, row, ref)
         if critical:
-            assert batched["nu_3"] == 0.0
-    if "e_gs" in scalar:
-        assert abs(batched["e_gs"] - scalar["e_gs"]) <= ENERGY_RTOL * abs(scalar["e_gs"])
+            assert row["nu_3"] == 0.0
+    if "e_gs" in row:
+        assert abs(row["e_gs"] - ref["e_gs"]) <= ENERGY_RTOL * abs(ref["e_gs"])
     for col in REPORT_COLUMNS:
-        if col in scalar:
-            a, b = batched[col], scalar[col]
+        if col in row:
+            a, b = row[col], ref[col]
             assert (math.isnan(a) and math.isnan(b)) or abs(a - b) <= report_atol, (col, a, b)
+
+
+@functools.lru_cache(maxsize=None)
+def mpmath_rows(omega, omega0, spec):
+    """Reference rows of a sweep over spec x spec with every quantity group,
+    from the 60-digit evaluation of tests/test_sweep_mpmath.py.
+
+    Only for frequencies with lambda_c = 1 exactly, so that the program's
+    Goldstone-offset test on absolute couplings is the one below.  Critical
+    points have gaps (from the eigenvalues of Omega K) and NaN report columns.
+    """
+    rows = []
+    for x in cli._grid(spec).tolist():
+        for y in cli._grid(spec).tolist():
+            offset = abs(x - y) <= EPSILON and max(x, y) > 1.0
+            y_ref = mp.mpf(y) * (1 - mp.mpf(EPSILON)) if offset else mp.mpf(y)
+            critical = max(x, y) == 1.0
+            if critical:
+                nu = reference_gaps(omega, omega0, x, y_ref)
+                report = dict.fromkeys(REPORT_COLUMNS, math.nan)
+            else:
+                s, nu = reference(omega, omega0, x, y_ref)
+                # S >= 0 as in renyi2_entropy: a decoupled mode's S is 60-digit noise.
+                report = gaussian_info.report_columns(*(max(v, 0.0) for v in s))
+            with mp.workdps(60):
+                top = max(mp.mpf(x), y_ref)
+                e_gs = -mp.mpf(omega0) / omega * (1 if top <= 1 else (top**4 + 1) / (2 * top**2))
+            rows.append(dict(report, lambda_x=x, lambda_y=y, goldstone_offset=offset,
+                             diverged=critical, e_gs=float(e_gs),
+                             **dict(zip(("nu_1", "nu_2", "nu_3"), nu))))
+    return rows
+
+
+def williamson_row(omega, omega0, lx_rel, ly_rel):
+    """Gaps, energy and report of one point by the per-point path of the public
+    tools: C = (M M^T)^-1 / 2 from williamson(fluctuation_matrix), the gaps
+    from symplectic_eigenvalues, and the Goldstone offset applied as a sweep
+    applies it."""
+    base = model.ModelParams(omega, omega0)
+    lc = base.lambda_c
+    lx, ly = lx_rel * lc, ly_rel * lc
+    offset = abs(lx - ly) <= EPSILON * lc and max(lx, ly) > lc
+    p = base.with_couplings(lx, ly * (1.0 - EPSILON) if offset else ly)
+    K = model.fluctuation_matrix(p)
+    M = williamson(K).M
+    cm = CovarianceMatrix(("x", "y", "j"), 0.5 * np.linalg.inv(M @ M.T))
+    return dict(gaussian_info.correlation_report(cm).to_dict(), goldstone_offset=offset,
+                e_gs=model.ground_state_energy(p) / omega,
+                **dict(zip(("nu_1", "nu_2", "nu_3"), symplectic_eigenvalues(K).tolist())))
 
 
 class TestParsing:
@@ -179,16 +234,17 @@ class TestRunSweep:
     def test_batched_matches_scalar(self, omega, omega0, groups):
         # lambda_c is exact for these frequencies, so the grid holds exactly
         # critical rows and columns (1.0) and Goldstone-offset points (x = y > 1).
-        rows = table_rows(run_sweep(omega, omega0, (0.0, 2.0, 9), (0.0, 2.0, 9), groups, 1e-6))
-        ref = [evaluate_point(omega, omega0, float(lx), float(ly), 1e-6, tuple(groups))
-               for lx in cli._grid((0.0, 2.0, 9)) for ly in cli._grid((0.0, 2.0, 9))]
+        rows = table_rows(run_sweep(omega, omega0, (0.0, 2.0, 9), (0.0, 2.0, 9), groups, EPSILON))
+        ref = mpmath_rows(omega, omega0, (0.0, 2.0, 9))
         assert len(rows) == len(ref) == 81
         assert any(r["goldstone_offset"] for r in rows)
-        assert any(r["diverged"] for r in rows) == bool(set(groups) - {"gaps", "energy"})
+        reported = bool(set(groups) - {"gaps", "energy"})
+        assert any(r["diverged"] for r in rows) == reported
         for a, b in zip(rows, ref):
-            assert a.keys() == b.keys()
-            for key in ("lambda_x", "lambda_y", "goldstone_offset", "diverged", "error"):
+            assert set(a) == set(sweep_columns(groups))
+            for key in ("lambda_x", "lambda_y", "goldstone_offset"):
                 assert a[key] == b[key], (key, a, b)
+            assert a["diverged"] == (b["diverged"] and reported)
             assert_rows_close(a, b)
 
     @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
@@ -200,18 +256,17 @@ class TestRunSweep:
         groups = list(cli.GROUP_ORDER)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = table_rows(run_sweep(omega, omega0, x_range, y_range, groups, 1e-6))
-            ref = [evaluate_point(omega, omega0, float(lx), float(ly), 1e-6, tuple(groups))
-                   for lx in cli._grid(x_range) for ly in cli._grid(y_range)]
-        for a, b in zip(rows, ref):
-            assert a["error"] is None and b["error"] is None
-            assert a["goldstone_offset"] == b["goldstone_offset"]
-            assert a["diverged"] == b["diverged"]
-            if max(a["lambda_x"], a["lambda_y"]) == 1.0:  # no Gaussian ground state
-                assert a["diverged"]
-            if a["diverged"] or min(abs(a["lambda_x"] - 1.0),
-                                    abs(a["lambda_y"] - 1.0)) <= NEAR_CRITICAL:
+            rows = table_rows(run_sweep(omega, omega0, x_range, y_range, groups, EPSILON))
+        for a in rows:
+            critical = max(a["lambda_x"], a["lambda_y"]) == 1.0  # no Gaussian ground state
+            assert a["diverged"] == critical
+            if critical or min(abs(a["lambda_x"] - 1.0),
+                               abs(a["lambda_y"] - 1.0)) <= NEAR_CRITICAL:
                 continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                b = williamson_row(omega, omega0, a["lambda_x"], a["lambda_y"])
+            assert a["goldstone_offset"] == b["goldstone_offset"]
             assert_rows_close(a, b, WIDE_REPORT_ATOL)
 
     def test_rejects_bad_params(self):
@@ -592,10 +647,12 @@ class TestOracleCompare:
             "                     '--quantities', 'all']) == 0\n"
             "    assert cli.main(['oracle-compare', '--lambda-x', '1.5', '--lambda-y', '0.5',\n"
             "                     '--j', '2,4', '--n-max', '4']) == 0\n"
-            "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
-            "assert not loaded, loaded\n"
             "nu = symplectic.williamson(np.diag([1.0, 1.0, 4.0, 4.0])).nu\n"
             "assert np.allclose(nu, [4.0, 1.0]), nu\n"
+            "symplectic.williamson(np.eye(6))\n"
+            "symplectic.standard_form(0.5 * np.eye(6))\n"
+            "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+            "assert not loaded, loaded\n"
         )
         proc = subprocess.run([sys.executable, "-c", code],
                               env={**os.environ, "PYTHONPATH": str(src)},

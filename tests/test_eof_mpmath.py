@@ -54,7 +54,7 @@ def local_entropies(omega, omega0, lx_rel, ly_rel):
 #: (omega, omega0, lambda_x / lambda_c, lambda_y / lambda_c) where the former
 #: evaluation failed: a spurious eof_x_j of 13.36 nats with all entropies
 #: near 1e-8; a ZeroDivisionError with S_k rounding to 0; and the first
-#: PatternFailureError of the standard-form search on the 0:10:61 grid.
+#: point of the 0:10:61 grid where the former numeric standard-form search failed.
 RECORDED_POINTS = [
     (0.00489, 23.7, 43.4, 69.1),
     (0.028755790018399164, 32.62715961332268, 81.25, 100.0),

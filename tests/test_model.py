@@ -8,6 +8,7 @@ import pytest
 from twomode_dicke import model
 from twomode_dicke.errors import GoldstoneLineError, NearSingularError
 from twomode_dicke.model import ModelParams, Phase
+from twomode_dicke.symplectic import williamson
 
 
 class TestModelParams:
@@ -172,7 +173,8 @@ class TestGroundStateCM:
         base = ModelParams(omega, 1.0)
         for cm, (a, b) in zip(cms, points):
             p = base.with_couplings(a * base.lambda_c, b * base.lambda_c)
-            ref = model.ground_state_cm(p).mat
+            M = williamson(model.fluctuation_matrix(p)).M
+            ref = 0.5 * np.linalg.inv(M @ M.T)
             assert np.max(np.abs(cm - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 

@@ -1,8 +1,8 @@
 """Property tests: every point of the physical domain gives a physical row.
 
 Inputs are log-uniform omega, omega0 in [1e-2, 1e2] and couplings in
-[0, 100] lambda_c, evaluated through ``cli.evaluate_point`` with all
-quantity groups and warnings turned into errors.
+[0, 100] lambda_c, evaluated through ``cli.run_sweep`` with all quantity
+groups and warnings turned into errors.
 """
 
 import warnings
@@ -31,9 +31,9 @@ MIRRORED = [c for g in cli.GROUP_ORDER for c in cli.GROUP_COLUMNS[g] if c != "tr
 def row_at(omega, omega0, lx, ly):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        row = cli.evaluate_point(omega, omega0, lx, ly, GOLDSTONE_EPSILON,
-                                 tuple(cli.GROUP_ORDER))
-    assert row["error"] is None, row["error"]
+        table = cli.run_sweep(omega, omega0, (lx, lx, 1), (ly, ly, 1),
+                              list(cli.GROUP_ORDER), GOLDSTONE_EPSILON)
+    row = {c: column.item() for c, column in table.items()}
     if row["diverged"]:
         assert max(lx, ly) == 1.0, (lx, ly)
     return row

@@ -138,7 +138,7 @@ class TestWilliamson:
 
 class TestStandardForm:
     def test_vacuum(self):
-        sf = standard_form(0.5 * np.eye(6), pure=True)
+        sf = standard_form(0.5 * np.eye(6))
         np.testing.assert_allclose(sf.a, [1, 1, 1], atol=1e-12)
         np.testing.assert_allclose(sf.c_plus, 0.0, atol=1e-12)
         np.testing.assert_allclose(sf.c_minus, 0.0, atol=1e-12)
@@ -146,37 +146,55 @@ class TestStandardForm:
 
     def test_idempotence(self):
         C = model.ground_state_cm(model.ModelParams(1.0, 1.0, 1.5, 0.5))
-        sf = standard_form(C.mat, pure=True)
-        sf2 = standard_form(sf.matrix() / 2.0, pure=True)
+        sf = standard_form(C.mat)
+        sf2 = standard_form(sf.matrix() / 2.0)
         np.testing.assert_array_equal(sf.a, sf2.a)
         np.testing.assert_array_equal(sf.c_plus, sf2.c_plus)
         np.testing.assert_array_equal(sf.c_minus, sf2.c_minus)
 
     def test_local_invariants_match_reductions(self):
         C = model.ground_state_cm(model.ModelParams(1.0, 1.0, 1.2, 0.6))
-        sf = standard_form(C.mat, pure=True)
+        sf = standard_form(C.mat)
         for i in range(3):
             blk = 2.0 * C.mat[2 * i:2 * i + 2, 2 * i:2 * i + 2]
             assert abs(sf.a[i] - np.sqrt(np.linalg.det(blk))) < 1e-9
 
     def test_frozen_values(self):
         C = model.ground_state_cm(model.ModelParams(1.0, 1.0, 1.2, 0.6))
-        sf = standard_form(C.mat, pure=True)
+        sf = standard_form(C.mat)
         np.testing.assert_allclose(sf.a, [1.08909564, 1.03578619, 1.12487297], atol=1e-7)
+        # Closed-form convention: c+ = (r_1 + r_2) / (4 sqrt(a_i a_j)), so
+        # |c+| >= |c-| and c+ >= 0; a local pi/2 rotation would swap them.
         np.testing.assert_allclose(
-            sf.c_plus, [-0.27513115, 0.43472906, -0.05339615], atol=1e-7)
+            sf.c_plus, [0.27634625, 0.43546143, 0.05952531], atol=1e-7)
         np.testing.assert_allclose(
-            sf.c_minus, [0.27634625, -0.43546143, -0.05952531], atol=1e-7)
+            sf.c_minus, [-0.27513115, -0.43472906, 0.05339615], atol=1e-7)
 
     def test_pure_state_determinant(self):
         C = model.ground_state_cm(model.ModelParams(1.0, 1.0, 1.2, 0.6))
-        sf = standard_form(C.mat, pure=True)
+        sf = standard_form(C.mat)
         assert abs(np.linalg.det(sf.matrix()) - 1.0) < 1e-7
+
+    def test_pair_invariants_match_input(self):
+        # det of each off-diagonal block and of each two-mode reduction is
+        # invariant under local symplectic maps, so the closed form must
+        # reproduce those of the input, not only the a_i.
+        rng = np.random.default_rng(17)
+        for lx, ly in ((1.2, 0.6), (1.5, 0.5), (0.5, 1.5), (0.8, 0.3), (2.5, 1.7)):
+            C = model.ground_state_cm(model.ModelParams(1.0, 1.0, lx, ly)).mat
+            L = random_local_symplectic(rng)
+            B = 2.0 * L @ C @ L.T
+            M = standard_form(B / 2.0).matrix()
+            for i, j in ((0, 1), (0, 2), (1, 2)):
+                off = np.ix_([2 * i, 2 * i + 1], [2 * j, 2 * j + 1])
+                pair = np.ix_(*2 * [[2 * i, 2 * i + 1, 2 * j, 2 * j + 1]])
+                assert abs(np.linalg.det(M[off]) - np.linalg.det(B[off])) < 1e-10
+                assert abs(np.linalg.det(M[pair]) - np.linalg.det(B[pair])) < 1e-10
 
     def test_decoupled_mode(self):
         # lambda_x = 0 leaves mode x in vacuum, unconstrained by the others
         C = model.ground_state_cm(model.ModelParams(1.0, 1.0, 0.0, 0.5))
-        sf = standard_form(C.mat, pure=True)
+        sf = standard_form(C.mat)
         assert abs(sf.a[0] - 1.0) < 1e-12
         np.testing.assert_allclose(sf.c_plus[1:], 0.0, atol=1e-12)
         np.testing.assert_allclose(sf.c_minus[1:], 0.0, atol=1e-12)
@@ -197,4 +215,4 @@ class TestStandardForm:
 
     def test_pure_flag_rejects_mixed_state(self):
         with pytest.raises(NotPureError):
-            standard_form(np.eye(6), pure=True)  # thermal, det(2C) = 64
+            standard_form(np.eye(6))  # thermal, det(2C) = 64
