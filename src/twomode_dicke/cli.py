@@ -335,13 +335,14 @@ def _build_parser() -> argparse.ArgumentParser:
     oc.add_argument("--lambda-y", type=float, required=True)
     oc.add_argument("--j", default="5,10,20", help="comma-separated spin lengths")
     oc.add_argument("--n-max", type=int, default=10, help="Fock cutoff per boson")
-    parser.command_parsers = {"sweep": sweep, "slice": sl, "oracle-compare": oc}
     return parser
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv; with --config, again with the file's values as ``--key=value``
+    flags before the explicit ones, so they are checked alike and lose to them."""
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 overrides = json.load(fh)
@@ -349,16 +350,15 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argp
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(overrides, dict):
             raise ConfigError("config file must hold a JSON object")
-        known = set(vars(args))
-        unknown = set(overrides) - known
+        unknown = set(overrides) - (set(vars(args)) - {"command", "config"})
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        # precedence: defaults < config file < explicit CLI flags.  Defaults
-        # must be updated on the subparser as well: the subcommand re-parse
-        # would otherwise reinstate its own defaults over the config values.
-        parser.set_defaults(**overrides)
-        parser.command_parsers[args.command].set_defaults(**overrides)
-        args = parser.parse_args(argv)
+        for key, value in overrides.items():
+            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                raise ConfigError(f"config key {key!r} must be a string or a number, "
+                                  f"got {json.dumps(value)}")
+        flags = [f"--{key.replace('_', '-')}={value}" for key, value in overrides.items()]
+        args = parser.parse_args(argv[:1] + flags + argv[1:])
     return args
 
 
@@ -374,14 +374,13 @@ def main(argv=None) -> int:
 
         if args.command in ("sweep", "slice"):
             groups = _parse_quantities(args.quantities)
-            x_range = _parse_range(str(args.x))
+            x_range = _parse_range(args.x)
             if args.command == "slice":
-                y_val = float(args.y)
-                if not (math.isfinite(y_val) and y_val >= 0.0):
+                if not (math.isfinite(args.y) and args.y >= 0.0):
                     raise ConfigError("--y must be finite and nonnegative")
-                y_range = (y_val, y_val, 1)
+                y_range = (args.y, args.y, 1)
             else:
-                y_range = _parse_range(str(args.y))
+                y_range = _parse_range(args.y)
             if not 0.0 < args.goldstone_epsilon < 1.0:
                 raise ConfigError("--goldstone-epsilon must be in (0, 1)")
             table = run_sweep(args.omega, args.omega0, x_range, y_range, groups,
@@ -394,7 +393,7 @@ def main(argv=None) -> int:
             }
         else:
             try:
-                sizes = [float(t) for t in str(args.j).split(",") if t.strip()]
+                sizes = [float(t) for t in args.j.split(",") if t.strip()]
             except ValueError as exc:
                 raise ConfigError(f"bad --j list: {exc}") from exc
             if not sizes:

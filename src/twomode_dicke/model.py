@@ -271,17 +271,28 @@ def _phase_masks(x: np.ndarray, y: np.ndarray):
     return normal, sr_x, ~normal & ~sr_x
 
 
-#: Per phase (normal, superradiant-x, superradiant-y), the signed permutation
-#: zeta_k = sign_k * xi_index_k from the quadratures xi = (q_x, p_x, q_y, p_y,
-#: Q, P) to the coordinates of stacked_ground_states, zeta = (V coordinates
-#: of x, y, j; T coordinates of x, y, j).  It rotates the boson whose
-#: position couples to P by 90 degrees, and flips the mode x of the
-#: superradiant-x phase, whose coupling to Q is negative.
-_STACKED_FRAMES = (
-    ((0, 3, 4, 1, 2, 5), (1.0, -1.0, 1.0, 1.0, 1.0, 1.0)),
-    ((0, 3, 4, 1, 2, 5), (-1.0, -1.0, 1.0, -1.0, 1.0, 1.0)),
-    ((1, 2, 4, 0, 3, 5), (-1.0, 1.0, 1.0, 1.0, 1.0, 1.0)),
-)
+#: Per phase, the signed permutation zeta_k = sign_k * xi_index_k from the
+#: quadratures xi = (q_x, p_x, q_y, p_y, Q, P) to the coordinates zeta = (V of
+#: x, y, j; T of x, y, j) of stacked_ground_states, in which the oracle also
+#: measures its CM.  It rotates the boson whose position couples to P by 90
+#: degrees, and flips mode x of the superradiant-x phase (coupling to Q < 0).
+_STACKED_FRAMES = {
+    Phase.NORMAL: ((0, 3, 4, 1, 2, 5), (1.0, -1.0, 1.0, 1.0, 1.0, 1.0)),
+    Phase.SUPERRADIANT_X: ((0, 3, 4, 1, 2, 5), (-1.0, -1.0, 1.0, -1.0, 1.0, 1.0)),
+    Phase.SUPERRADIANT_Y: ((1, 2, 4, 0, 3, 5), (-1.0, 1.0, 1.0, 1.0, 1.0, 1.0)),
+}
+
+
+def from_stacked_frame(phase: Phase, c_qq: np.ndarray, c_pp: np.ndarray) -> np.ndarray:
+    """The CMs over xi = (q_x, p_x, q_y, p_y, Q, P) of points in one phase, from
+    their (..., 3, 3) blocks c_qq and c_pp over the V and T coordinates (C_qp = 0),
+    by the signed permutation _STACKED_FRAMES[phase]."""
+    index, sign = (np.array(t) for t in _STACKED_FRAMES[phase])
+    zeta = np.zeros(c_qq.shape[:-2] + (6, 6))
+    zeta[..., :3, :3], zeta[..., 3:, 3:] = c_qq, c_pp
+    cm = np.empty_like(zeta)
+    cm[..., index[:, None], index] = np.outer(sign, sign) * zeta
+    return cm
 
 
 def stacked_cms(x, y, gs: StackedGroundStates) -> np.ndarray:
@@ -289,20 +300,14 @@ def stacked_cms(x, y, gs: StackedGroundStates) -> np.ndarray:
     points of stacked_ground_states(omega, omega0, x, y).
 
     C is (2C_qq (+) 2C_pp) / 2 in the coordinates of the factorization, mapped
-    back by the signed permutation of each point's phase.  Where gs.stable
-    is False the values are meaningless.
+    back by from_stacked_frame in each point's phase.  Where gs.stable is
+    False the values are meaningless.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    index = np.empty((x.size, 6), dtype=int)
-    sign = np.empty((x.size, 6))
-    for mask, (idx, sgn) in zip(_phase_masks(x, y), _STACKED_FRAMES):
-        index[mask], sign[mask] = idx, sgn
-    zeta = np.zeros((x.size, 6, 6))
-    zeta[:, :3, :3], zeta[:, 3:, 3:] = gs.c_qq, gs.c_pp
-    cm = np.empty_like(zeta)
-    cm[np.arange(x.size)[:, None, None], index[:, :, None], index[:, None, :]] = (
-        0.5 * sign[:, :, None] * sign[:, None, :] * zeta)
+    cm = np.empty((x.size, 6, 6))
+    for mask, phase in zip(_phase_masks(x, y), Phase):
+        cm[mask] = from_stacked_frame(phase, 0.5 * gs.c_qq[mask], 0.5 * gs.c_pp[mask])
     return cm
 
 

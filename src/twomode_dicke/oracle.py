@@ -12,8 +12,9 @@ covariance matrix at rate O(1/j).
 
 H is real symmetric.  In every phase the one imaginary term couples the
 uncondensed boson's a + a^dag to Jy; conjugating by D = diag(i^n) on that
-boson's Fock index maps (q, p) -> (-p, q) there and makes the term real.  The
-measured quadratures undo the map.
+boson's Fock index maps (q, p) -> (-p, q) there and makes the term real.  C_qq
+and C_pp are then two real Gram matrices over the position (V) and momentum
+(T) coordinates of model.stacked_ground_states, mapped back by its frame table.
 
 H is never stored.  It is a sum of Kronecker products of small real factors
 (nb x nb boson and ns x ns spin matrices), so it is applied to a state
@@ -37,7 +38,8 @@ import numpy as np
 
 from .errors import BudgetExceededError, NumericalFailureError
 from .gaussian_info import CovarianceMatrix
-from .model import ClassicalGroundState, ModelParams, Phase, classical_ground_state
+from .model import (_STACKED_FRAMES, ClassicalGroundState, ModelParams, Phase,
+                    classical_ground_state, from_stacked_frame)
 
 #: Largest Hilbert-space dimension the oracle will diagonalize.
 DIMENSION_BUDGET = 200_000
@@ -253,8 +255,8 @@ def _ground_vector(apply, diagonal: np.ndarray,
     is orthogonalized against V; one that lies in the span of V (as on a
     diagonal H) is replaced by a fresh direction.  The start vector is v0,
     or the basis state of smallest diagonal.  The solve stops once
-    ||r|| <= RESIDUAL_TOL eps max|diag H| and returns the Rayleigh quotient
-    of x, x and ||r||.
+    ||r|| <= RESIDUAL_TOL eps max|diag H| and returns theta, x and ||r||;
+    with V orthonormal, theta is the Rayleigh quotient of x.
     """
     scale = _EPS * np.max(np.abs(diagonal))
     m = min(DAVIDSON_BASIS, diagonal.size)
@@ -272,7 +274,7 @@ def _ground_vector(apply, diagonal: np.ndarray,
         r = ax - theta[0] * x
         residual = float(np.linalg.norm(r))
         if residual <= RESIDUAL_TOL * scale:
-            return float(x @ ax / (x @ x)), x / np.linalg.norm(x), residual
+            return float(theta[0]), x / np.linalg.norm(x), residual
         if k == m:
             V[:2], AV[:2] = Y[:, :2].T @ V, Y[:, :2].T @ AV
             k = 2
@@ -289,54 +291,30 @@ def _ground_vector(apply, diagonal: np.ndarray,
 def _measure_cm(psi: np.ndarray, spec: TruncationSpec, gs: ClassicalGroundState):
     """Means and CM of the classical-frame quadratures in the real ground vector psi.
 
-    psi is D^dag times the ground vector of the complex Hamiltonian, so the
-    conjugated mode's (q, p) are measured as D^dag (q, p) D = (-p, q).
+    With q = (a + a^dag) / sqrt(2) and k = (a^dag - a) / sqrt(2), the V
+    coordinates are (s q on x, q on y, -Jx / sqrt(j)) and the T coordinates
+    i (s k on x, k on y, Ky / sqrt(j)), s = -1 in the superradiant-y phase
+    and +1 otherwise.  So C_qq = V V^T - m m^T with m = V psi, C_pp = W W^T
+    for the real images W of the T coordinates, and the T means are 0.
     """
     nb = spec.n_max + 1
-    ns = int(round(2.0 * spec.j)) + 1
-    tensor = psi.reshape(nb, nb, ns).astype(complex)
-
+    t = psi.reshape(nb, nb, -1)
     a, ad = _boson_ops(spec.n_max)
-    q = (a + ad) / np.sqrt(2.0)
-    pq = 1j * (ad - a) / np.sqrt(2.0)
     jx, ky, _ = _spin_ops(spec.j)
-    jy = -1j * ky
-    # Sign conventions matching the analytic fluctuation frame.  The spin
-    # quadratures are expanded around the pole opposite the rotated z-axis,
-    # which flips their sign; each boson additionally carries a phase-dependent
-    # pi rotation inherited from how the classical rotation orients the
-    # coupling axes (validated against the analytic covariance matrix, whose
-    # residual then vanishes as 1/j in every phase).
-    sx, sy = {
-        Phase.NORMAL: (1.0, -1.0),
-        Phase.SUPERRADIANT_X: (-1.0, -1.0),
-        Phase.SUPERRADIANT_Y: (1.0, 1.0),
-    }[gs.phase]
-    bosons = [(sx * q, sx * pq), (sy * q, sy * pq)]
-    qc, pc = bosons[_conjugated_mode(gs)]
-    bosons[_conjugated_mode(gs)] = (-pc, qc)
-    quad_ops = [(op, axis) for axis, pair in enumerate(bosons) for op in pair] + [
-        (-jx / np.sqrt(spec.j), 2), (-jy / np.sqrt(spec.j), 2),
-    ]
+    # mode x is reflected in the superradiant-y phase relative to the stacked frame
+    s = -1.0 if gs.phase is Phase.SUPERRADIANT_Y else 1.0
 
-    vectors = []
-    for op, axis in quad_ops:
-        if axis == 0:
-            t = np.einsum("ai,ijk->ajk", op, tensor)
-        elif axis == 1:
-            t = np.einsum("bj,ajk->abk", op, tensor)
-        else:
-            t = np.einsum("ck,abk->abc", op, tensor)
-        vectors.append(t.reshape(-1))
+    def images(boson, spin):
+        return np.stack([s * (boson @ t.reshape(nb, -1)).ravel(), (boson @ t).ravel(),
+                         (t @ spin.T).ravel()])
 
-    flat = tensor.reshape(-1)
-    means = np.array([np.real(np.vdot(flat, v)) for v in vectors])
-    G = np.empty((6, 6))
-    for i in range(6):
-        for k in range(i, 6):
-            G[i, k] = G[k, i] = np.real(np.vdot(vectors[i], vectors[k]))
-    cm = G - np.outer(means, means)
-    return means, 0.5 * (cm + cm.T)
+    v = images((a + ad) / np.sqrt(2.0), -jx / np.sqrt(spec.j))
+    w = images((ad - a) / np.sqrt(2.0), ky / np.sqrt(spec.j))
+    m = v @ psi
+    index, sign = _STACKED_FRAMES[gs.phase]
+    means = np.zeros(6)
+    means[list(index[:3])] = np.array(sign[:3]) * m
+    return means, from_stacked_frame(gs.phase, v @ v.T - np.outer(m, m), w @ w.T)
 
 
 def exact_ground_state(p: ModelParams, spec: TruncationSpec,

@@ -473,6 +473,26 @@ class TestConfigFile:
     def test_missing_config_file(self):
         assert main(["sweep", "--config", "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize("config", [
+        '{"omega": [1]}',
+        '{"quantities": ["mi"]}',
+        '{"goldstone_epsilon": [0.1]}',
+        '{"format": "xml"}',
+        '{"n_max": 2.5}',
+        '{"omega": true}',
+    ])
+    def test_bad_config_values_exit_2(self, config, tmp_path, capsys):
+        # checked like the same value typed on the command line
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        command = "oracle-compare" if "n_max" in config else "sweep"
+        try:
+            code = main([command, "--config", str(cfg)] + TestErrors.SMALL[command])
+        except SystemExit as exc:  # argparse rejects a bad type or choice this way
+            code = exc.code
+        assert code == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestErrors:
     def test_bad_range_exits_2(self):

@@ -419,3 +419,24 @@ class TestSuperradiantPhase:
         rx = exact_ground_state(px, spec, check_convergence=False)
         ry = exact_ground_state(py, spec, check_convergence=False)
         assert abs(rx.energy_per_spin - ry.energy_per_spin) < 1e-6
+
+
+class TestConvergenceOffResonance:
+    @pytest.mark.parametrize("omega, omega0", [(0.1, 1.0), (10.0, 1.0)])
+    def test_cm_deviation_halves_when_j_doubles(self, omega, omega0):
+        base = ModelParams(omega, omega0)
+        devs = {}
+        for point in [(0.5, 0.3), (1.5, 0.5), (0.5, 1.5)]:
+            p = base.with_couplings(*(base.lambda_c * np.array(point)))
+            analytic = model.ground_state_cm(p).mat
+            devs[point] = np.array([
+                np.max(np.abs(exact_ground_state(p, TruncationSpec(j=j, n_max=10),
+                                                 check_convergence=False).cm.mat - analytic))
+                for j in (5, 10, 20)
+            ])
+            assert devs[point][2] < devs[point][1] < devs[point][0]
+            # O(1/j) from j = 10 on; at omega / omega0 = 10 the superradiant
+            # j = 5 deviation is O(1) (a near-degenerate doublet)
+            assert 1.7 <= devs[point][1] / devs[point][2] <= 2.6
+        # the superradiant-y measurement is the mirror image of the superradiant-x one
+        np.testing.assert_allclose(devs[(0.5, 1.5)], devs[(1.5, 0.5)], rtol=0.0, atol=1e-12)
