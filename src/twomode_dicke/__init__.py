@@ -24,12 +24,7 @@ from .gaussian_info import (
     CorrelationReport,
     CovarianceMatrix,
     correlation_report,
-    eof_pure_bipartition,
-    eof_two_of_three,
-    mutual_information,
-    reduce,
     renyi2_entropy,
-    tripartite_residual,
 )
 from .model import (
     ClassicalGroundState,
@@ -80,20 +75,15 @@ __all__ = [
     "WilliamsonDecomposition",
     "classical_ground_state",
     "correlation_report",
-    "eof_pure_bipartition",
-    "eof_two_of_three",
     "exact_ground_state",
     "excitation_gaps",
     "fluctuation_matrix",
     "ground_state_cm",
     "ground_state_energy",
     "gs_energy_derivative_scan",
-    "mutual_information",
-    "reduce",
     "renyi2_entropy",
     "standard_form",
     "symplectic_eigenvalues",
     "symplectic_form",
-    "tripartite_residual",
     "williamson",
 ]

@@ -295,7 +295,7 @@ def write_output(table: dict, columns: list[str], fmt: str, out,
         out.write("\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(
         prog="twomode-dicke",
         description="Parameter sweeps of the two-mode Dicke model "
@@ -335,37 +335,42 @@ def _build_parser() -> argparse.ArgumentParser:
     oc.add_argument("--lambda-y", type=float, required=True)
     oc.add_argument("--j", default="5,10,20", help="comma-separated spin lengths")
     oc.add_argument("--n-max", type=int, default=10, help="Fock cutoff per boson")
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """Parse argv; with --config, again with the file's values as ``--key=value``
-    flags before the explicit ones, so they are checked alike and lose to them."""
-    args = parser.parse_args(argv)
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                overrides = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-        if not isinstance(overrides, dict):
-            raise ConfigError("config file must hold a JSON object")
-        unknown = set(overrides) - (set(vars(args)) - {"command", "config"})
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in overrides.items():
-            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-                raise ConfigError(f"config key {key!r} must be a string or a number, "
-                                  f"got {json.dumps(value)}")
-        flags = [f"--{key.replace('_', '-')}={value}" for key, value in overrides.items()]
-        args = parser.parse_args(argv[:1] + flags + argv[1:])
-    return args
+def _apply_config_file(parser: argparse.ArgumentParser, commands: dict,
+                       argv: list[str]) -> argparse.Namespace:
+    """Parse argv once, with the values of its --config file inserted as
+    ``--key=value`` flags before the explicit ones: they are checked like typed
+    flags, lose to them, and may supply a required option.  commands maps each
+    command to its subparser."""
+    find = argparse.ArgumentParser(add_help=False)
+    find.add_argument("--config", nargs="?")
+    path = find.parse_known_args(argv[1:])[0].config if argv and argv[0] in commands else None
+    if not path:
+        return parser.parse_args(argv)
+    try:
+        with open(path) as fh:
+            overrides = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    if not isinstance(overrides, dict):
+        raise ConfigError("config file must hold a JSON object")
+    unknown = set(overrides) - ({a.dest for a in commands[argv[0]]._actions} - {"help", "config"})
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in overrides.items():
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ConfigError(f"config key {key!r} must be a string or a number, "
+                              f"got {json.dumps(value)}")
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in overrides.items()]
+    return parser.parse_args(argv[:1] + flags + argv[1:])
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
-        args = _apply_config_file(parser, list(sys.argv[1:] if argv is None else argv))
+        args = _apply_config_file(parser, commands, list(sys.argv[1:] if argv is None else argv))
 
         for name in ("omega", "omega0"):
             value = getattr(args, name)

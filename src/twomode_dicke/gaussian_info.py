@@ -1,9 +1,9 @@
-"""Correlation measures on Gaussian states.
+"""Correlation measures of the pure three-mode Gaussian ground state.
 
-All entropies are Renyi-2 in nats: S = 0.5 * ln det(2C).  The three parties
-of the full model are labeled "x", "y" (optical modes) and "j" (collective
-spin); the routines below accept any labeled covariance matrix with the
-conventional (q, p) ordering per mode.
+All entropies are Renyi-2 in nats: S = 0.5 * ln det(2C), for parties "x", "y"
+(optical modes) and "j" (collective spin).  Purity makes every measure a
+function of S_x, S_y and S_j: report_columns evaluates them all, on floats or
+on grid arrays, and correlation_report on one labeled CovarianceMatrix.
 """
 
 from __future__ import annotations
@@ -36,10 +36,6 @@ class CovarianceMatrix:
             )
         object.__setattr__(self, "modes", tuple(self.modes))
         object.__setattr__(self, "mat", mat)
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.modes)
 
     def _rows(self, keep):
         keep = set(keep)
@@ -78,40 +74,12 @@ class CovarianceMatrix:
         return abs(self.det2() - 1.0) <= tol
 
 
-def reduce(C: CovarianceMatrix, keep) -> CovarianceMatrix:
-    """Module-level alias for CovarianceMatrix.reduce."""
-    return C.reduce(keep)
-
-
 def renyi2_entropy(C: CovarianceMatrix) -> float:
     """Renyi-2 entropy 0.5 * ln det(2C), in nats."""
     det2 = C.det2()
     if det2 < 1.0 - PURITY_TOL:
         raise NonPhysicalError(f"det(2C) = {det2:.6e} < 1; state is unphysical")
     return max(0.5 * math.log(det2), 0.0)
-
-
-def mutual_information(C: CovarianceMatrix, partition) -> float:
-    """S(A) + S(B) - S(AB) for two disjoint groups of modes of C."""
-    side_a, side_b = (tuple(s) for s in partition)
-    if set(side_a) & set(side_b):
-        raise UnknownModeError("partition sides must be disjoint")
-    s_a = renyi2_entropy(C.reduce(side_a))
-    s_b = renyi2_entropy(C.reduce(side_b))
-    s_ab = renyi2_entropy(C.reduce(side_a + side_b))
-    return s_a + s_b - s_ab
-
-
-def eof_pure_bipartition(C: CovarianceMatrix, side) -> float:
-    """Entanglement of formation across side vs rest for a pure global state.
-
-    For pure states this is the entanglement entropy, i.e. the Renyi-2
-    entropy of the reduced state, and equals half the mutual information of
-    the bipartition.
-    """
-    if not C.is_pure():
-        raise NotPureError(f"det(2C) = {C.det2():.6e} is not 1 within {PURITY_TOL:.0e}")
-    return renyi2_entropy(C.reduce(side))
 
 
 def _t_diff(s_a, s_b):
@@ -155,23 +123,6 @@ def eof_from_entropies(s_i, s_j, s_k):
     e = np.minimum(np.maximum(np.where(near, e_near, e_mid), 0.0), cap)
     e = np.where(separable, 0.0, np.where(decoupled, cap, e))
     return e if e.ndim else float(e)
-
-
-def eof_two_of_three(C: CovarianceMatrix, pair) -> float:
-    """Renyi-2 Gaussian EoF between two of the three modes of a pure 3-mode state."""
-    rest = [m for m in C.modes if m not in pair]
-    if C.n_modes != 3 or len(rest) != 1:
-        raise UnknownModeError(f"pair {pair} must name two of three modes, got {C.modes}")
-    if not C.is_pure():
-        raise NotPureError(f"det(2C) = {C.det2():.6e} is not 1 within {PURITY_TOL:.0e}")
-    return eof_from_entropies(*(renyi2_entropy(C.reduce((m,))) for m in (*pair, rest[0])))
-
-
-def tripartite_residual(C: CovarianceMatrix, anchor, pair) -> float:
-    """Monogamy residual E(anchor : jk) - E(anchor : j) - E(anchor : k) >= 0."""
-    j, k = pair
-    e_all = eof_pure_bipartition(C, (anchor,))
-    return e_all - eof_two_of_three(C, (anchor, j)) - eof_two_of_three(C, (anchor, k))
 
 
 @dataclass(frozen=True)

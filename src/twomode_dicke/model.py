@@ -348,17 +348,13 @@ def gs_energy_derivative_scan(p: ModelParams, axis: str, grid):
     second-order jump (in d2E).
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.size < 5 or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("grid must be strictly increasing with at least 5 points")
+    if grid.size < 5 or np.any(np.diff(grid) <= 0.0) or grid[0] < 0.0:
+        raise ValueError("grid must be nonnegative, strictly increasing, with at least 5 points")
     if axis not in ("x", "y"):
         raise ValueError("axis must be 'x' or 'y'")
 
-    def params_at(val):
-        if axis == "x":
-            return p.with_couplings(val, p.lambda_y)
-        return p.with_couplings(p.lambda_x, val)
-
-    energy = np.array([ground_state_energy(params_at(v)) for v in grid])
+    lambda_x, lambda_y = (grid, p.lambda_y) if axis == "x" else (p.lambda_x, grid)
+    energy = ground_state_energies(p.omega, p.omega0, lambda_x, lambda_y)
     h = np.diff(grid)
     d1_mid = np.diff(energy) / h                      # at midpoints
     d2_grid = np.full(grid.size, np.nan)

@@ -465,6 +465,53 @@ class TestConfigFile:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["rows"]) == 4  # x from config (2), y overridden to 2
 
+    #: A required option of each command and the explicit flags of a small run.
+    REQUIRED = {
+        "oracle-compare": ({"lambda_x": 0.5, "lambda_y": 0.3}, ["--j", "2", "--n-max", "2"]),
+        "slice": ({"y": 0.3}, ["--x", "0:1:3"]),
+    }
+
+    @staticmethod
+    def _flags(values):
+        return [a for k, v in values.items() for a in (f"--{k.replace('_', '-')}", str(v))]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", list(REQUIRED))
+    def test_required_option_from_config(self, command, fmt, tmp_path, capsys):
+        values, rest = self.REQUIRED[command]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        rest = rest + ["--format", fmt]
+        assert main([command] + self._flags(values) + rest) == 0
+        by_flag = capsys.readouterr().out
+        assert main([command, "--config", str(cfg)] + rest) == 0
+        assert capsys.readouterr().out == by_flag
+
+    @pytest.mark.parametrize("command", list(REQUIRED))
+    def test_flag_overrides_required_config_value(self, command, tmp_path, capsys):
+        values, rest = self.REQUIRED[command]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        key = list(values)[-1]
+        flags = self._flags(values | {key: 0.1})
+        assert main([command] + flags + rest) == 0
+        by_flag = capsys.readouterr().out
+        assert main([command, "--config", str(cfg)] + flags[-2:] + rest) == 0
+        assert capsys.readouterr().out == by_flag
+
+    @pytest.mark.parametrize("with_config", [False, True])
+    @pytest.mark.parametrize("command", list(REQUIRED))
+    def test_missing_required_option_exits_2(self, command, with_config, tmp_path, capsys):
+        values, rest = self.REQUIRED[command]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"omega": 1.0}))
+        argv = [command] + (["--config", str(cfg)] if with_config else []) + rest
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "required" in err and f"--{list(values)[0].replace('_', '-')}" in err
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))

@@ -1,28 +1,29 @@
-"""Correlation measures on Gaussian states: frozen oracles and identities."""
+"""Correlation measures: frozen oracles and identities.
 
+The identities are checked where the measures ship, on the columns of
+run_sweep, which evaluates gaussian_info.report_columns on the stacked ground
+states; the frozen values on correlation_report, its one-point form.
+"""
+
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from twomode_dicke import model
-from twomode_dicke.errors import (
-    NonPhysicalError,
-    NotPureError,
-    UnknownModeError,
-)
+from twomode_dicke.cli import GROUP_COLUMNS, run_sweep
+from twomode_dicke.errors import NonPhysicalError, UnknownModeError
 from twomode_dicke.gaussian_info import (
     CovarianceMatrix,
     correlation_report,
-    eof_pure_bipartition,
-    eof_two_of_three,
-    mutual_information,
-    reduce,
+    eof_from_entropies,
     renyi2_entropy,
-    tripartite_residual,
 )
 
 VACUUM = CovarianceMatrix(("x", "y", "j"), 0.5 * np.eye(6))
+REPORT_GROUPS = ["mi", "eof", "tripartite"]
+EPSILON = 1e-6
 
 
 def gs_cm(lx, ly, omega=1.0, omega0=1.0):
@@ -31,7 +32,7 @@ def gs_cm(lx, ly, omega=1.0, omega0=1.0):
 
 class TestCovarianceMatrix:
     def test_reduce_vacuum(self):
-        red = reduce(VACUUM, ("x",))
+        red = VACUUM.reduce(("x",))
         assert red.modes == ("x",)
         np.testing.assert_allclose(red.mat, 0.5 * np.eye(2))
 
@@ -80,111 +81,107 @@ class TestRenyi2Entropy:
             renyi2_entropy(CovarianceMatrix(("x",), 0.25 * np.eye(2)))
 
 
-class TestMutualInformation:
-    def test_vacuum(self):
-        assert abs(mutual_information(VACUUM, (("x", "y"), ("j",)))) < 1e-12
+def sweep_row(lx, ly):
+    """The shipped report columns at one point, from a 1x1 run_sweep."""
+    table = run_sweep(1.0, 1.0, (lx, lx, 1), (ly, ly, 1), REPORT_GROUPS, EPSILON)
+    assert not table["diverged"][0]
+    return {c: v.item() for c, v in table.items()}
 
-    def test_decoupled_hamiltonian(self):
-        C = gs_cm(0.0, 0.0)
-        assert abs(mutual_information(C, (("x", "y"), ("j",)))) < 1e-12
+
+def block_entropies(table):
+    """0.5 ln det(2C) of every mode subset, from stacked_cms at the sweep's points."""
+    x = table["lambda_x"]
+    y = np.where(table["goldstone_offset"], table["lambda_y"] * (1.0 - EPSILON),
+                 table["lambda_y"])
+    cms = model.stacked_cms(x, y, model.stacked_ground_states(1.0, 1.0, x, y))
+    rows = {"x": [0, 1], "y": [2, 3], "j": [4, 5]}
+    out = {}
+    for n in (1, 2, 3):
+        for modes in itertools.combinations("xyj", n):
+            r = sum((rows[m] for m in modes), [])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out["".join(modes)] = 0.5 * np.log(np.linalg.det(2.0 * cms[:, r][:, :, r]))
+    return out
+
+
+class TestMutualInformation:
+    def test_decoupled_point(self):
+        # At zero coupling the ground state is the vacuum: no correlations.
+        row = sweep_row(0.0, 0.0)
+        for g in REPORT_GROUPS:
+            for col in GROUP_COLUMNS[g]:
+                assert abs(row[col]) < 1e-12, col
+
+    def test_entropies_are_block_log_dets(self):
+        # The report takes the two-mode entropies from the complementary
+        # single-mode ones (purity); MI additivity and E(x:yj) = I(x:yj) / 2
+        # rest on that.  Here every entropy and MI column is checked against
+        # ln det of the blocks of 2C on the 201^2 plane.
+        table = run_sweep(1.0, 1.0, (0.0, 2.0, 201), (0.0, 2.0, 201), REPORT_GROUPS, EPSILON)
+        ok = ~table["diverged"]
+        assert ok.sum() > 0.99 * ok.size
+        blk = {k: v[ok] for k, v in block_entropies(table).items()}
+        col = {k: v[ok] for k, v in table.items()}
+        assert np.max(np.abs(blk["xyj"])) < 1e-11
+        for modes in ("x", "y", "j", "xy", "xj", "yj"):
+            np.testing.assert_allclose(col[f"s_{modes}"], blk[modes], rtol=0, atol=1e-11)
+        for a, b, ab in (("xy", "j", "xyj"), ("xj", "y", "xyj"), ("yj", "x", "xyj"),
+                         ("x", "y", "xy"), ("x", "j", "xj"), ("y", "j", "yj")):
+            np.testing.assert_allclose(col[f"mi_{a}_{b}"], blk[a] + blk[b] - blk[ab],
+                                       rtol=0, atol=1e-11)
 
     def test_additivity_identities(self):
-        C = gs_cm(1.5, 0.5)
-        i_xy_j = mutual_information(C, (("x", "y"), ("j",)))
-        i_x_j = mutual_information(C, (("x",), ("j",)))
-        i_y_j = mutual_information(C, (("y",), ("j",)))
-        i_xj_y = mutual_information(C, (("x", "j"), ("y",)))
-        i_x_y = mutual_information(C, (("x",), ("y",)))
-        assert abs(i_xy_j - i_x_j - i_y_j) < 1e-8
-        assert abs(i_xj_y - i_x_y - i_y_j) < 1e-8
+        row = sweep_row(1.5, 0.5)
+        assert abs(row["mi_xy_j"] - row["mi_x_j"] - row["mi_y_j"]) < 1e-12
+        assert abs(row["mi_xj_y"] - row["mi_x_y"] - row["mi_y_j"]) < 1e-12
 
     def test_complementary_bipartition_is_twice_entropy(self):
-        C = gs_cm(1.5, 0.5)
-        s_x = renyi2_entropy(C.reduce(("x",)))
-        assert abs(mutual_information(C, (("x",), ("y", "j"))) - 2 * s_x) < 1e-9
-
-    def test_rejects_overlapping_partition(self):
-        with pytest.raises(UnknownModeError):
-            mutual_information(VACUUM, (("x", "y"), ("y",)))
+        row = sweep_row(1.5, 0.5)
+        for m, mi in (("x", "mi_yj_x"), ("y", "mi_xj_y"), ("j", "mi_xy_j")):
+            assert abs(row[mi] - 2.0 * row[f"s_{m}"]) < 1e-12
 
 
-class TestEofPureBipartition:
-    def test_vacuum(self):
-        assert eof_pure_bipartition(VACUUM, ("x",)) == 0.0
-
-    def test_equals_half_mutual_information(self):
-        C = gs_cm(1.5, 0.5)
-        e = eof_pure_bipartition(C, ("x",))
-        i = mutual_information(C, (("x",), ("y", "j")))
-        assert abs(e - 0.5 * i) < 1e-9
-
+class TestEntanglementOfFormation:
     def test_growth_toward_criticality(self):
-        low = eof_pure_bipartition(gs_cm(0.5, 0.5), ("j",))
-        high = eof_pure_bipartition(gs_cm(1.05, 0.5), ("j",))
-        assert high > low
-
-    def test_rejects_mixed_global_state(self):
-        with pytest.raises(NotPureError):
-            eof_pure_bipartition(
-                CovarianceMatrix(("x", "y", "j"), 0.6 * np.eye(6)), ("x",))
-
-
-class TestEofTwoOfThree:
-    def test_vacuum_all_pairs(self):
-        for pair in (("x", "y"), ("x", "j"), ("y", "j")):
-            assert eof_two_of_three(VACUUM, pair) == 0.0
+        # E(j:xy) of the pure state is S_j.
+        assert sweep_row(1.05, 0.5)["s_j"] > sweep_row(0.5, 0.5)["s_j"]
 
     def test_intermode_eof_vanishes_on_grid(self):
-        for lx in np.linspace(0.0, 2.0, 11):
-            for ly in np.linspace(0.0, 2.0, 11):
-                if abs(lx - 1.0) < 0.02 or abs(ly - 1.0) < 0.02:
-                    continue
-                if abs(lx - ly) < 0.02 and lx > 1.0:
-                    continue
-                assert eof_two_of_three(gs_cm(lx, ly), ("x", "y")) < 1e-8
+        table = run_sweep(1.0, 1.0, (0.0, 2.0, 11), (0.0, 2.0, 11), ["eof"], EPSILON)
+        ok = ~table["diverged"]
+        assert ok.sum() >= 110  # all but the critical line max(x, y) = 1
+        assert np.max(table["eof_x_y"][ok]) < 1e-8
 
-    def test_roughly_half_of_mutual_information(self):
-        C = gs_cm(1.5, 0.5)
-        e = eof_two_of_three(C, ("x", "j"))
-        i = mutual_information(C, (("x",), ("j",)))
-        assert abs(e - 0.5 * i) < 0.25 * abs(0.5 * i)
+    def test_roughly_half_of_mi(self):
+        row = sweep_row(1.5, 0.5)
+        half = 0.5 * row["mi_x_j"]
+        assert abs(row["eof_x_j"] - half) < 0.25 * abs(half)
 
     def test_pair_order_irrelevant(self):
-        C = gs_cm(1.5, 0.5)
-        assert eof_two_of_three(C, ("x", "j")) == eof_two_of_three(C, ("j", "x"))
-
-    def test_rejects_repeated_mode(self):
-        with pytest.raises(UnknownModeError):
-            eof_two_of_three(VACUUM, ("x", "x"))
-
-    def test_rejects_mixed_global_state(self):
-        # The closed form holds for pure three-mode states only.
-        with pytest.raises(NotPureError):
-            eof_two_of_three(
-                CovarianceMatrix(("x", "y", "j"), 0.6 * np.eye(6)), ("x", "j"))
+        row = sweep_row(1.5, 0.5)
+        s_x, s_y, s_j = row["s_x"], row["s_y"], row["s_j"]
+        assert eof_from_entropies(s_x, s_j, s_y) == eof_from_entropies(s_j, s_x, s_y)
 
 
 class TestTripartiteResidual:
-    def test_vacuum(self):
-        assert tripartite_residual(VACUUM, "x", ("y", "j")) == 0.0
-
     def test_spec_display_identity(self):
         # with E(x:y) = 0, the residual anchored at x is S(x) - E(x:j)
-        C = gs_cm(1.5, 0.5)
-        res = tripartite_residual(C, "x", ("y", "j"))
-        expected = renyi2_entropy(C.reduce(("x",))) - eof_two_of_three(C, ("x", "j"))
-        assert abs(res - expected) < 1e-9
+        row = sweep_row(1.5, 0.5)
+        assert row["eof_x_y"] == 0.0
+        assert abs(row["tri_j_yx"] - (row["s_x"] - row["eof_x_j"])) < 1e-12
 
     def test_monogamy_nonnegative(self):
         for lx, ly in ((0.5, 0.3), (1.5, 0.5), (0.9, 0.9), (1.8, 0.3)):
-            C = gs_cm(lx, ly)
-            for anchor, pair in (("x", ("y", "j")), ("j", ("x", "y")), ("y", ("x", "j"))):
-                assert tripartite_residual(C, anchor, pair) >= -1e-9
+            row = sweep_row(lx, ly)
+            # Anchored at j, at x and at y; the last is no report column.
+            assert row["tri_x_yj"] >= -1e-9
+            assert row["tri_j_yx"] >= -1e-9
+            assert row["s_y"] - row["eof_x_y"] - row["eof_y_j"] >= -1e-9
 
     def test_peaked_near_criticality(self):
-        mid = tripartite_residual(gs_cm(0.99, 0.5), "j", ("x", "y"))
-        low = tripartite_residual(gs_cm(0.5, 0.5), "j", ("x", "y"))
-        high = tripartite_residual(gs_cm(1.8, 0.5), "j", ("x", "y"))
+        mid = sweep_row(0.99, 0.5)["tri_x_yj"]
+        low = sweep_row(0.5, 0.5)["tri_x_yj"]
+        high = sweep_row(1.8, 0.5)["tri_x_yj"]
         assert mid > low and mid > high
 
 

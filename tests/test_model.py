@@ -215,3 +215,17 @@ class TestEnergyDerivativeScan:
             model.gs_energy_derivative_scan(p, "x", [0.5, 0.4, 0.6, 0.7, 0.8])
         with pytest.raises(ValueError):
             model.gs_energy_derivative_scan(p, "z", np.linspace(0, 1, 11))
+        with pytest.raises(ValueError):
+            model.gs_energy_derivative_scan(p, "x", np.linspace(-0.5, 1, 11))
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_energies_match_one_point_energy(self, axis):
+        # The scan evaluates the grid as one array; ground_state_energy is the
+        # one-point form, and the two round ** differently by a few ulps.
+        p = ModelParams(0.5, 2.0, 0.7, 0.4)
+        grid = np.linspace(0.2, 3.0, 57)
+        points, _ = model.gs_energy_derivative_scan(p, axis, grid)
+        for pt in points:
+            q = (p.with_couplings(pt.coupling, p.lambda_y) if axis == "x"
+                 else p.with_couplings(p.lambda_x, pt.coupling))
+            assert abs(pt.energy - model.ground_state_energy(q)) <= 1e-14 * max(1.0, abs(pt.energy))
