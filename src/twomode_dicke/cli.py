@@ -5,14 +5,17 @@ critical coupling lambda_c = sqrt(omega * omega0); energies are in units of
 omega.  Output is deterministic: grid rows are row-major in lambda_x, then
 lambda_y.  A sweep computes its grid as stacked arrays, block by block, into a
 table of columns (column name -> values over the grid) that ``write_output``
-formats column by column; ``evaluate_point`` is the one-point sweep, and
-``_csv_cell`` / ``_json_cell`` the per-cell reference of the writer.
+formats block by block, each distinct float value of a block once;
+``evaluate_point`` is the one-point sweep, and ``_csv_cell`` / ``_json_cell``
+the per-cell reference of the writer.  The argument parser is built once per
+process, on the first ``main`` call.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -250,19 +253,36 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
+def _float_cells(columns: list[np.ndarray]) -> list[list[str]]:
+    """The CSV fields of _csv_cell(v) for v in equal-length 1-D float arrays, formatted together.
+
+    Each distinct value, told apart by its bits so that -0.0 and 0.0 stay
+    distinct, is formatted once to 17 significant digits, and only the
+    distinct values that are NaN or beyond INF_THRESHOLD go through
+    _csv_cell; the strings are then scattered back to their cells.  Float
+    cells never need CSV quoting.
+    """
+    if not columns:
+        return []
+    bits = np.concatenate(columns, dtype=np.float64).view(np.uint64)
+    keys, inverse = np.unique(bits, return_inverse=True)
+    distinct = keys.view(np.float64)
+    text = list(map("%.17g".__mod__, distinct.tolist()))
+    for i in np.flatnonzero(~(np.abs(distinct) <= INF_THRESHOLD)).tolist():
+        text[i] = _csv_cell(float(distinct[i]))
+    return np.array(text, dtype=object)[inverse].reshape(len(columns), -1).tolist()
+
+
 def _csv_cells(column) -> list[str]:
     """The CSV fields of _csv_cell(v) for v in a 1-D array, formatted a column at a time.
 
-    A float array is formatted to 17 significant digits in one pass, and only
-    the cells that are NaN or beyond INF_THRESHOLD go through _csv_cell.  Float
-    and bool cells never need CSV quoting; any other column (the oracle's
-    None, bool and error cells) goes through _csv_cell and _csv_field per cell.
+    A float array is the one-column case of _float_cells, and a bool array
+    maps to true/false; neither needs CSV quoting.  Any other column (the
+    oracle's None, bool and error cells) goes through _csv_cell and _csv_field
+    per cell.
     """
     if column.dtype.kind == "f":
-        cells = list(map("%.17g".__mod__, column.tolist()))
-        for i in np.flatnonzero(~(np.abs(column) <= INF_THRESHOLD)).tolist():
-            cells[i] = _csv_cell(float(column[i]))
-        return cells
+        return _float_cells([column])[0]
     if column.dtype.kind == "b":
         return list(map(("false", "true").__getitem__, column.tolist()))
     return [_csv_field(_csv_cell(v)) for v in column.tolist()]
@@ -274,15 +294,20 @@ def write_output(table: dict, columns: list[str], fmt: str, out,
 
     A column the table lacks is empty in every row.  CSV is formatted and
     written BLOCK_POINTS rows at a time, with the bytes csv.writer gives for
-    the rows of _csv_cell.
+    the rows of _csv_cell; the float columns of a block are formatted
+    together by _float_cells, so a value repeated within the block is
+    formatted once.
     """
     n_rows = len(next(iter(table.values())))
     if fmt == "csv":
         out.write(",".join(columns) + "\n")
+        floats = [c for c in columns if c in table and table[c].dtype.kind == "f"]
         for start in range(0, n_rows, BLOCK_POINTS):
             block = slice(start, min(start + BLOCK_POINTS, n_rows))
+            formatted = dict(zip(floats, _float_cells([table[c][block] for c in floats])))
             empty = [""] * (block.stop - block.start)
-            cells = [_csv_cells(table[c][block]) if c in table else empty for c in columns]
+            cells = [formatted[c] if c in formatted else _csv_cells(table[c][block])
+                     if c in table else empty for c in columns]
             out.write("\n".join(map(",".join, zip(*cells))) + "\n")
     else:
         cells = [list(map(_json_cell, table[c].tolist())) if c in table else [None] * n_rows
@@ -295,7 +320,11 @@ def write_output(table: dict, columns: list[str], fmt: str, out,
         out.write("\n")
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+@functools.cache
+def _build_parser() -> tuple[argparse.ArgumentParser, dict, argparse.ArgumentParser]:
+    """The command-line parser, its subparsers by command, and the one-option
+    --config pre-parser of _apply_config_file; built once per process, on the
+    first call."""
     parser = argparse.ArgumentParser(
         prog="twomode-dicke",
         description="Parameter sweeps of the two-mode Dicke model "
@@ -335,17 +364,16 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     oc.add_argument("--lambda-y", type=float, required=True)
     oc.add_argument("--j", default="5,10,20", help="comma-separated spin lengths")
     oc.add_argument("--n-max", type=int, default=10, help="Fock cutoff per boson")
-    return parser, sub.choices
-
-
-def _apply_config_file(parser: argparse.ArgumentParser, commands: dict,
-                       argv: list[str]) -> argparse.Namespace:
-    """Parse argv once, with the values of its --config file inserted as
-    ``--key=value`` flags before the explicit ones: they are checked like typed
-    flags, lose to them, and may supply a required option.  commands maps each
-    command to its subparser."""
     find = argparse.ArgumentParser(add_help=False)
     find.add_argument("--config", nargs="?")
+    return parser, sub.choices, find
+
+
+def _apply_config_file(argv: list[str]) -> argparse.Namespace:
+    """Parse argv once, with the values of its --config file inserted as
+    ``--key=value`` flags before the explicit ones: they are checked like typed
+    flags, lose to them, and may supply a required option."""
+    parser, commands, find = _build_parser()
     path = find.parse_known_args(argv[1:])[0].config if argv and argv[0] in commands else None
     if not path:
         return parser.parse_args(argv)
@@ -368,9 +396,8 @@ def _apply_config_file(parser: argparse.ArgumentParser, commands: dict,
 
 
 def main(argv=None) -> int:
-    parser, commands = _build_parser()
     try:
-        args = _apply_config_file(parser, commands, list(sys.argv[1:] if argv is None else argv))
+        args = _apply_config_file(list(sys.argv[1:] if argv is None else argv))
 
         for name in ("omega", "omega0"):
             value = getattr(args, name)

@@ -93,15 +93,22 @@ def classical_ground_state(p: ModelParams) -> ClassicalGroundState:
         return ClassicalGroundState(
             phase=Phase.SUPERRADIANT_X, alpha_x=alpha, alpha_y=0.0,
             theta=math.acos(ct), phi=0.0,
-            energy=-(lx**4 + lc**4) / (2.0 * lx**2 * p.omega), cos_theta=ct,
+            energy=_superradiant_energy(p.omega0, lx / lc), cos_theta=ct,
         )
     ct = -(lc / ly) ** 2
     alpha = -(ly / p.omega) * math.sqrt(1.0 - (lc / ly) ** 4)
     return ClassicalGroundState(
         phase=Phase.SUPERRADIANT_Y, alpha_x=0.0, alpha_y=alpha,
         theta=math.acos(ct), phi=math.pi / 2.0,
-        energy=-(ly**4 + lc**4) / (2.0 * ly**2 * p.omega), cos_theta=ct,
+        energy=_superradiant_energy(p.omega0, ly / lc), cos_theta=ct,
     )
+
+
+def _superradiant_energy(omega0: float, x):
+    """-(lambda^4 + lambda_c^4) / (2 lambda^2 omega) = -(omega0 / 2)(x^2 + x^-2)
+    at x = lambda / lambda_c, so that no power of lambda or lambda_c is formed:
+    it neither under- nor overflows where lambda_c does not."""
+    return -0.5 * omega0 * (x * x + 1.0 / (x * x))
 
 
 def ground_state_energy(p: ModelParams) -> float:
@@ -111,10 +118,9 @@ def ground_state_energy(p: ModelParams) -> float:
 
 def ground_state_energies(omega: float, omega0: float, lambda_x, lambda_y) -> np.ndarray:
     """ground_state_energy for arrays of couplings."""
-    lc = math.sqrt(omega * omega0)
-    lm = np.maximum(lambda_x, lambda_y)
-    sr = np.maximum(lm, lc)  # equals lm wherever the superradiant branch is taken
-    return np.where(lm <= lc, -omega0, -(sr**4 + lc**4) / (2.0 * sr**2 * omega))
+    # At x = 1 the superradiant energy is -omega0, that of the normal phase.
+    x = np.maximum(np.maximum(lambda_x, lambda_y) / math.sqrt(omega * omega0), 1.0)
+    return _superradiant_energy(omega0, x)
 
 
 def fluctuation_matrix(p: ModelParams) -> np.ndarray:
@@ -174,8 +180,9 @@ class StackedGroundStates:
 
     nu is (n, 3), descending; det2 is det(2C) and det2_modes the (n, 3)
     single-mode det(2C_i) of modes x, y, j.  stable is False where the
-    fluctuation matrix is not positive definite or nu_3 < GAP_FLOOR;
-    det2 and det2_modes are meaningless there.
+    fluctuation matrix is not positive definite, nu_3 / lambda_c <
+    GAP_FLOOR, or the factorization overflows (nu is NaN there); det2 and
+    det2_modes are meaningless there.
     """
 
     nu: np.ndarray
@@ -245,10 +252,16 @@ def stacked_ground_states(omega: float, omega0: float, x, y) -> StackedGroundSta
         return L
 
     l_v, l_t = cholesky(g_v, piv_v), cholesky(g_t, piv_t)
-    u, sigma, wt = np.linalg.svd(l_v.transpose(0, 2, 1) @ l_t)
+    # An overflowing pivot or rho leaves L_V^T L_T non-finite: such a point is
+    # unstable, with NaN gaps, and the SVD gets the identity in its place.
+    m = l_v.transpose(0, 2, 1) @ l_t
+    finite = np.isfinite(m).all(axis=(1, 2))
+    m[~finite] = l_v[~finite] = l_t[~finite] = np.eye(3)
+    u, sigma, wt = np.linalg.svd(m)
     sigma[:, 2] = rho * rho * np.sqrt(piv_v * piv_t) / (sigma[:, 0] * sigma[:, 1])
+    sigma[~finite] = math.nan
     nu = math.sqrt(omega * omega0) * sigma
-    stable = (piv_v > 0.0) & (piv_t > 0.0) & (nu[:, 2] >= symplectic.GAP_FLOOR)
+    stable = finite & (piv_v > 0.0) & (piv_t > 0.0) & (sigma[:, 2] >= symplectic.GAP_FLOOR)
     scale = 1.0 / np.sqrt(np.where(stable[:, None], sigma, 1.0))[:, None, :]
     f_q = l_t @ wt.transpose(0, 2, 1) * scale
     f_p = l_v @ u * scale

@@ -416,6 +416,122 @@ class TestColumnWriter:
         assert_same_text(out.getvalue(), reference_output(table, columns, fmt, {"command": "test"}))
 
 
+class TestBlockWriter:
+    """The float columns of a block are formatted together, each distinct value once."""
+
+    def test_distinct_values_across_columns_and_blocks(self, monkeypatch):
+        # -0.0 and 0.0 in one column and across columns (a writer that merges
+        # values by == rather than by bits writes one as the other), values
+        # equal across columns, the +-1e6 edges, and a constant column whose
+        # run spans both blocks.
+        monkeypatch.setattr(cli, "BLOCK_POINTS", 4)
+        third, inside, beyond = 1.0 / 3.0, 1e6, math.nextafter(1e6, math.inf)
+        table = {
+            "a": np.array([-0.0, 0.0, third, math.nan, inside, -inside, 0.0, -0.0]),
+            "b": np.array([0.0, -0.0, beyond, -beyond, third, math.inf, -math.inf, 0.0]),
+            "c": np.full(8, third),
+            "flag": np.arange(8) % 2 == 0,
+            "note": np.array([None, "x", None, "y, z", None, None, "w", None], dtype=object),
+            "d": np.array([-0.0, -0.0, math.nan, math.nan, 2.5, 2.5, -2.5, 2.5]),
+        }
+        columns = ["c", "a", "flag", "missing", "b", "note", "d"]
+        out = io.StringIO()
+        cli.write_output(table, columns, "csv", out, {"command": "test"})
+        expected = reference_output(table, columns, "csv", {"command": "test"})
+        assert_same_text(out.getvalue(), expected)
+        assert expected.splitlines()[1] == "0.33333333333333331,-0,true,,0,,-0"
+
+
+class TestParserOncePerProcess:
+    def test_cached_parser_gives_same_output(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"y": 0.3}))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"format": "xml"}))
+        commands = [
+            ["sweep", "--x", "0:2:3", "--y", "0:2:3"],
+            ["slice", "--x", "0:2:3", "--y", "0.5"],
+            ["oracle-compare", "--lambda-x", "1.5", "--lambda-y", "0.5",
+             "--j", "2", "--n-max", "2"],
+            ["slice", "--config", str(cfg), "--x", "0:1:3"],
+            ["sweep", "--config", str(bad), "--x", "0:1:2", "--y", "0:1:2"],
+            ["sweep", "--x", "0:2:3", "--y", "0:2:3"],
+        ]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the bad config value this way
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        fresh = []
+        for argv in commands:
+            cli._build_parser.cache_clear()
+            fresh.append(run(argv))
+        cli._build_parser.cache_clear()
+        cached = [run(argv) for argv in commands]
+        assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 2, 0]
+        assert cached == fresh
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(commands) - 1)
+
+
+#: omega = omega0 = scale multiplies lambda_c and every gap by scale and
+#: changes nothing else.
+SCALES = [1e-11, 1e-100, 1e100]
+SCALED_GRID = ((0.0, 2.0, 9), (0.0, 2.0, 9))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+class TestExtremeScales:
+    @pytest.mark.parametrize("scale", [1e-150, 1e-80, 1e80, 1e150])
+    def test_energy_is_scale_invariant(self, scale):
+        ref = run_sweep(1.0, 1.0, *SCALED_GRID, ["energy"], EPSILON)["e_gs"]
+        e_gs = run_sweep(scale, scale, *SCALED_GRID, ["energy"], EPSILON)["e_gs"]
+        np.testing.assert_allclose(e_gs, ref, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_gap_floor_is_relative_to_lambda_c(self, scale):
+        groups = ["gaps", "mi", "eof", "tripartite"]
+        ref = run_sweep(1.0, 1.0, *SCALED_GRID, groups, EPSILON)
+        table = run_sweep(scale, scale, *SCALED_GRID, groups, EPSILON)
+        assert not ref["diverged"].all()
+        for col in REPORT_COLUMNS + ["diverged", "goldstone_offset"]:
+            np.testing.assert_array_equal(table[col], ref[col], err_msg=col)
+        for col in ("nu_1", "nu_2", "nu_3"):
+            np.testing.assert_allclose(table[col], scale * ref[col], rtol=1e-15, atol=0.0,
+                                       err_msg=col)
+
+    def test_overflowing_points_are_diverged(self):
+        table = run_sweep(1.0, 1.0, (0.0, 1e300, 3), (0.0, 2.0, 2), list(cli.GROUP_ORDER), EPSILON)
+        huge = table["lambda_x"] > 1.0
+        assert huge.sum() == 4
+        assert table["diverged"][huge].all() and not table["diverged"][~huge].any()
+        assert np.isnan(table["nu_1"][huge]).all() and np.isfinite(table["nu_1"][~huge]).all()
+        assert (table["e_gs"][huge] == -math.inf).all()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--x", "0:1e300:3", "--y", "0:2:2"],
+        ["sweep", "--omega", "1e160", "--omega0", "1e-160", "--x", "0:2:3", "--y", "0:0:1"],
+        ["sweep", "--omega", "1e80", "--omega0", "1e80", "--x", "0:2:3", "--y", "0:2:3"],
+        ["slice", "--x", "0:1e300:3", "--y", "2"],
+    ])
+    def test_sweep_exits_0_without_error_rows(self, argv, capsys):
+        assert main(argv) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert rows and all(row["error"] == "" for row in rows)
+
+    def test_oracle_compare_writes_its_row(self, capsys):
+        code = main(["oracle-compare", "--lambda-x", "1e300", "--lambda-y", "0", "--j", "1",
+                     "--n-max", "2"])
+        (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        assert row["diverged"] == "true"
+        assert code == (3 if row["error"] else 0)
+
+
 class TestSlice:
     def test_slice_rows(self, capsys):
         code = main(["slice", "--y", "0.5", "--x", "0:2:5",

@@ -50,6 +50,15 @@ class TestClassicalGroundState:
         assert abs(gs.phi - math.pi / 2.0) < 1e-12
         assert abs(gs.alpha_y + 1.3437096247164249) < 1e-10
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e-80, 1e80, 1e150])
+    @pytest.mark.parametrize("lx, ly", [(2.0, 0.5), (0.5, 2.0), (0.5, 0.3), (30.0, 1.0)])
+    def test_energy_is_scale_invariant(self, scale, lx, ly):
+        # omega = omega0 = scale: lambda_c^4 under- or overflows, the energy in
+        # units of omega does not move.
+        ref = model.classical_ground_state(ModelParams(1.0, 1.0, lx, ly)).energy
+        gs = model.classical_ground_state(ModelParams(scale, scale, lx * scale, ly * scale))
+        assert gs.energy / scale == pytest.approx(ref, rel=1e-15, abs=0.0)
+
     def test_boundary_continuity(self):
         gs = model.classical_ground_state(ModelParams(1.0, 1.0, 1.0, 0.0))
         assert gs.phase is Phase.NORMAL
