@@ -1,8 +1,9 @@
 """Command-line driver: parameter-plane sweeps, slices and oracle comparison.
 
 Couplings on the command line and in all output are expressed in units of the
-critical coupling lambda_c = sqrt(omega * omega0); energies are in units of
-omega.  Output is deterministic: grid rows are row-major in lambda_x, then
+critical coupling lambda_c = sqrt(omega * omega0); energies per spin are in
+units of omega, and the gaps nu_i = lambda_c sigma_i in the unit of omega
+itself.  Output is deterministic: grid rows are row-major in lambda_x, then
 lambda_y.  A sweep computes its grid as stacked arrays, block by block, into a
 table of columns (column name -> values over the grid) that ``write_output``
 formats block by block, each distinct float value of a block once;
@@ -32,7 +33,8 @@ from .errors import ConfigError
 #: cells whatever the grid size.
 BLOCK_POINTS = 2048
 
-#: Values with magnitude above this are emitted as the literal token "inf".
+#: Values with magnitude above this are emitted as the literal token "inf",
+#: except in the coordinate columns (see _limit).
 INF_THRESHOLD = 1e6
 
 #: Quantity groups selectable with --quantities, in stable output order.
@@ -219,7 +221,13 @@ def run_oracle_compare(omega: float, omega0: float, lx_rel: float, ly_rel: float
     return {c: np.array([row[c] for row in rows], dtype=object) for c in _ORACLE_COLUMNS}
 
 
-def _csv_cell(value) -> str:
+def _limit(column: str) -> float:
+    """The magnitude above which a float of the column is written as the token
+    "inf": INF_THRESHOLD, but the coordinates of a row are written unclipped."""
+    return sys.float_info.max if column in ("lambda_x", "lambda_y", "j") else INF_THRESHOLD
+
+
+def _csv_cell(value, limit: float = INF_THRESHOLD) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -227,22 +235,17 @@ def _csv_cell(value) -> str:
     if isinstance(value, float):
         if math.isnan(value):
             return ""
-        if value > INF_THRESHOLD:
+        if value > limit:
             return "inf"
-        if value < -INF_THRESHOLD:
+        if value < -limit:
             return "-inf"
         return format(value, ".17g")
     return str(value)
 
 
-def _json_cell(value):
-    if isinstance(value, float):
-        if math.isnan(value):
-            return None
-        if value > INF_THRESHOLD:
-            return "inf"
-        if value < -INF_THRESHOLD:
-            return "-inf"
+def _json_cell(value, limit: float = INF_THRESHOLD):
+    if isinstance(value, float) and not abs(value) <= limit:
+        return None if math.isnan(value) else _csv_cell(value, limit)
     return value
 
 
@@ -253,14 +256,14 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _float_cells(columns: list[np.ndarray]) -> list[list[str]]:
-    """The CSV fields of _csv_cell(v) for v in equal-length 1-D float arrays, formatted together.
+def _float_cells(columns: list[np.ndarray], limit: float = INF_THRESHOLD) -> list[list[str]]:
+    """The CSV fields of _csv_cell(v, limit) for v in equal-length 1-D float arrays, together.
 
     Each distinct value, told apart by its bits so that -0.0 and 0.0 stay
     distinct, is formatted once to 17 significant digits, and only the
-    distinct values that are NaN or beyond INF_THRESHOLD go through
-    _csv_cell; the strings are then scattered back to their cells.  Float
-    cells never need CSV quoting.
+    distinct values that are NaN or beyond limit go through _csv_cell; the
+    strings are then scattered back to their cells.  Float cells never need
+    CSV quoting.
     """
     if not columns:
         return []
@@ -268,13 +271,13 @@ def _float_cells(columns: list[np.ndarray]) -> list[list[str]]:
     keys, inverse = np.unique(bits, return_inverse=True)
     distinct = keys.view(np.float64)
     text = list(map("%.17g".__mod__, distinct.tolist()))
-    for i in np.flatnonzero(~(np.abs(distinct) <= INF_THRESHOLD)).tolist():
-        text[i] = _csv_cell(float(distinct[i]))
+    for i in np.flatnonzero(~(np.abs(distinct) <= limit)).tolist():
+        text[i] = _csv_cell(float(distinct[i]), limit)
     return np.array(text, dtype=object)[inverse].reshape(len(columns), -1).tolist()
 
 
-def _csv_cells(column) -> list[str]:
-    """The CSV fields of _csv_cell(v) for v in a 1-D array, formatted a column at a time.
+def _csv_cells(column, limit: float = INF_THRESHOLD) -> list[str]:
+    """The CSV fields of _csv_cell(v, limit) for v in a 1-D array, a column at a time.
 
     A float array is the one-column case of _float_cells, and a bool array
     maps to true/false; neither needs CSV quoting.  Any other column (the
@@ -282,10 +285,10 @@ def _csv_cells(column) -> list[str]:
     per cell.
     """
     if column.dtype.kind == "f":
-        return _float_cells([column])[0]
+        return _float_cells([column], limit)[0]
     if column.dtype.kind == "b":
         return list(map(("false", "true").__getitem__, column.tolist()))
-    return [_csv_field(_csv_cell(v)) for v in column.tolist()]
+    return [_csv_field(_csv_cell(v, limit)) for v in column.tolist()]
 
 
 def write_output(table: dict, columns: list[str], fmt: str, out,
@@ -294,24 +297,29 @@ def write_output(table: dict, columns: list[str], fmt: str, out,
 
     A column the table lacks is empty in every row.  CSV is formatted and
     written BLOCK_POINTS rows at a time, with the bytes csv.writer gives for
-    the rows of _csv_cell; the float columns of a block are formatted
-    together by _float_cells, so a value repeated within the block is
-    formatted once.
+    the rows of _csv_cell(value, _limit(column)); the float columns of a
+    block that share a limit are formatted together by _float_cells, so a
+    value repeated within them is formatted once.
     """
     n_rows = len(next(iter(table.values())))
     if fmt == "csv":
         out.write(",".join(columns) + "\n")
-        floats = [c for c in columns if c in table and table[c].dtype.kind == "f"]
+        floats = {}
+        for c in columns:
+            if c in table and table[c].dtype.kind == "f":
+                floats.setdefault(_limit(c), []).append(c)
         for start in range(0, n_rows, BLOCK_POINTS):
             block = slice(start, min(start + BLOCK_POINTS, n_rows))
-            formatted = dict(zip(floats, _float_cells([table[c][block] for c in floats])))
+            formatted = {}
+            for limit, group in floats.items():
+                formatted.update(zip(group, _float_cells([table[c][block] for c in group], limit)))
             empty = [""] * (block.stop - block.start)
-            cells = [formatted[c] if c in formatted else _csv_cells(table[c][block])
+            cells = [formatted[c] if c in formatted else _csv_cells(table[c][block], _limit(c))
                      if c in table else empty for c in columns]
             out.write("\n".join(map(",".join, zip(*cells))) + "\n")
     else:
-        cells = [list(map(_json_cell, table[c].tolist())) if c in table else [None] * n_rows
-                 for c in columns]
+        cells = [[_json_cell(v, _limit(c)) for v in table[c].tolist()] if c in table
+                 else [None] * n_rows for c in columns]
         doc = {
             "config": config_echo,
             "rows": [dict(zip(columns, row)) for row in zip(*cells)],
@@ -339,24 +347,23 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict, argparse.ArgumentPar
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", help="output path (default: stdout)")
 
+    def add_grid(sp):
+        sp.add_argument("--x", default="0:2:101", help="lambda_x range min:max:count")
+        sp.add_argument("--quantities", default="all",
+                        help="comma-separated subset of gaps,energy,mi,eof,tripartite,all")
+        sp.add_argument("--goldstone-epsilon", type=float, default=1e-6)
+        sp.add_argument("--threads", type=int, default=1,
+                        help="accepted and ignored: the grid is computed as stacked arrays")
+
     sweep = sub.add_parser("sweep", help="rectangular grid over (lambda_x, lambda_y)")
     add_common(sweep)
-    sweep.add_argument("--x", default="0:2:101", help="lambda_x range min:max:count")
+    add_grid(sweep)
     sweep.add_argument("--y", default="0:2:101", help="lambda_y range min:max:count")
-    sweep.add_argument("--quantities", default="all",
-                       help="comma-separated subset of gaps,energy,mi,eof,tripartite,all")
-    sweep.add_argument("--goldstone-epsilon", type=float, default=1e-6)
-    sweep.add_argument("--threads", type=int, default=1,
-                       help="accepted and ignored: a sweep computes its grid as stacked arrays")
 
     sl = sub.add_parser("slice", help="1D slice at fixed lambda_y")
     add_common(sl)
-    sl.add_argument("--x", default="0:2:101", help="lambda_x range min:max:count")
+    add_grid(sl)
     sl.add_argument("--y", type=float, required=True, help="fixed lambda_y (units of lambda_c)")
-    sl.add_argument("--quantities", default="all")
-    sl.add_argument("--goldstone-epsilon", type=float, default=1e-6)
-    sl.add_argument("--threads", type=int, default=1,
-                    help="accepted and ignored: a slice computes its grid as stacked arrays")
 
     oc = sub.add_parser("oracle-compare", help="finite-size oracle vs analytic pipeline")
     add_common(oc)

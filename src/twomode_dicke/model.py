@@ -95,15 +95,13 @@ def classical_ground_state(p: ModelParams) -> ClassicalGroundState:
             theta=math.acos(ct), phi=0.0,
             energy=_superradiant_energy(p.omega0, lx / lc), cos_theta=ct,
         )
-    ct = -(lc / ly) ** 2
-    alpha = -(ly / p.omega) * math.sqrt(1.0 - (lc / ly) ** 4)
-    return ClassicalGroundState(
-        phase=Phase.SUPERRADIANT_Y, alpha_x=0.0, alpha_y=alpha,
-        theta=math.acos(ct), phi=math.pi / 2.0,
-        energy=_superradiant_energy(p.omega0, ly / lc), cos_theta=ct,
-    )
+    # the x <-> y mirror image of the superradiant-x minimum, its spin turned by pi/2 about z
+    mirror = classical_ground_state(p.with_couplings(ly, lx))
+    return replace(mirror, phase=Phase.SUPERRADIANT_Y, alpha_x=0.0, alpha_y=mirror.alpha_x,
+                   phi=math.pi / 2.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _superradiant_energy(omega0: float, x):
     """-(lambda^4 + lambda_c^4) / (2 lambda^2 omega) = -(omega0 / 2)(x^2 + x^-2)
     at x = lambda / lambda_c, so that no power of lambda or lambda_c is formed:
@@ -205,6 +203,7 @@ class StackedGroundStates:
                 & np.all(self.det2_modes >= 1.0 - PURITY_TOL, axis=1))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def stacked_ground_states(omega: float, omega0: float, x, y) -> StackedGroundStates:
     """Gaps and covariance determinants at 1-D arrays of couplings in units of lambda_c.
 

@@ -10,9 +10,12 @@ quantum fluctuations, not the extensive condensate, and the measured
 quadrature covariance matrix converges to the analytic ground-state
 covariance matrix at rate O(1/j).
 
-H is real symmetric.  In every phase the one imaginary term couples the
-uncondensed boson's a + a^dag to Jy; conjugating by D = diag(i^n) on that
-boson's Fock index maps (q, p) -> (-p, q) there and makes the term real.  C_qq
+Swapping x and y and rotating the spin by pi/2 about z (with a parity on the
+uncondensed boson) maps H at (lambda_x, lambda_y) onto H at (lambda_y,
+lambda_x), so a superradiant-y point is solved as its superradiant-x mirror
+image, and y is always the uncondensed boson.  H is real symmetric: the one
+imaginary term couples y's a + a^dag to Jy, and conjugating by D = diag(i^n)
+on its Fock index maps (q, p) -> (-p, q) there and makes the term real.  C_qq
 and C_pp are then two real Gram matrices over the position (V) and momentum
 (T) coordinates of model.stacked_ground_states, mapped back by its frame table.
 
@@ -115,47 +118,33 @@ def _spin_ops(j: float):
     return 0.5 * (jp + jp.T), 0.5 * (jp - jp.T), np.diag(m)
 
 
-def _conjugated_mode(gs: ClassicalGroundState) -> int:
-    """The boson (0 = x, 1 = y) whose coupling carries Jy in the classical frame.
-
-    It is the uncondensed mode: y in the normal and superradiant-x phases,
-    x in the superradiant-y phase.
-    """
-    return 0 if gs.phase is Phase.SUPERRADIANT_Y else 1
-
-
 def _rotated_spin_ops(gs: ClassicalGroundState, j: float):
-    """U^dag J_a U = sum_b R_ab J_b, U = e^{-i phi Jz} e^{-i theta Jy}, R = R_z(phi) R_y(theta),
-    with i U^dag J_a U in place of U^dag J_a U for a = _conjugated_mode(gs).
+    """U^dag J_a U = sum_b R_ab J_b for U = e^{-i theta Jy}, R = R_y(theta), with
+    i U^dag Jy U = Ky in place of U^dag Jy U, so all three operators are real.
 
     The entries of R are exact: cos(theta) as the classical ground state
-    computed it, sin(theta) >= 0 for theta in [pi/2, pi], and phi in {0, pi/2}.
-    The one row of R with a Jy entry has no other entry, and it is the row of
-    the conjugated mode, so all three operators are real.
+    computed it, and sin(theta) >= 0 for theta in [pi/2, pi].
     """
     ct = gs.cos_theta
     st = np.sqrt((1.0 - ct) * (1.0 + ct))
-    cf, sf = (0.0, 1.0) if gs.phase is Phase.SUPERRADIANT_Y else (1.0, 0.0)
-    rot = np.array([[cf * ct, -sf, cf * st],
-                    [sf * ct, cf, sf * st],
-                    [-st, 0.0, ct]])
     jx, ky, jz = _spin_ops(j)
-    return tuple(r[0] * jx + r[1] * ky + r[2] * jz for r in rot)
+    return ct * jx + st * jz, ky, ct * jz - st * jx
 
 
 def _hamiltonian(p: ModelParams, spec: TruncationSpec, gs: ClassicalGroundState):
-    """Two-mode Dicke Hamiltonian conjugated into the classical frame, as the
-    function that applies it to vectors, and its diagonal.
+    """Two-mode Dicke Hamiltonian conjugated into the classical frame of a
+    normal or superradiant-x gs, as the function that applies it to vectors,
+    and its diagonal.
 
-    The boson displacement is applied as the exact substitution
+    The displacement of mode x is applied as the exact substitution
     a -> a + sqrt(j) alpha, the spin rotation as the exact 3x3 rotation of J;
     an irrelevant constant offset from the displacement is kept so the
     spectrum equals that of the lab-frame Hamiltonian.  The only imaginary
-    term, (a + a^dag) Jy on the conjugated mode, is made real by conjugating
-    with D = diag(i^n) on that mode's Fock index: D^dag a D = i a, so the term
-    becomes (a - a^dag)(i Jy).  Nothing else changes, because a^dag a is
-    invariant under D, that mode has zero displacement, and the
-    symmetry-breaking field sits only on condensed modes.
+    term, (a + a^dag) Jy on the uncondensed mode y, is made real by
+    conjugating with D = diag(i^n) on its Fock index: D^dag a D = i a, so the
+    term becomes (a - a^dag)(i Jy).  Nothing else changes, because a^dag a is
+    invariant under D, and mode y carries neither a displacement nor the
+    symmetry-breaking field.
 
     H = B_x (x) 1 (x) 1 + 1 (x) B_y (x) 1 + 1 (x) 1 (x) S
         + C_x (x) 1 (x) J_x + 1 (x) C_y (x) J_y,
@@ -168,23 +157,20 @@ def _hamiltonian(p: ModelParams, spec: TruncationSpec, gs: ClassicalGroundState)
     ns = int(round(2.0 * spec.j)) + 1
     # pin the Z2-degenerate branch by a weak field on the condensed mode
     h_x = SYMMETRY_BREAKING_FIELD if gs.alpha_x != 0.0 else 0.0
-    h_y = SYMMETRY_BREAKING_FIELD if gs.alpha_y != 0.0 else 0.0
     # Condensate amplitude: <a> = sqrt(j/2) * alpha in this normalization.
     dx = np.sqrt(spec.j / 2.0) * gs.alpha_x
-    dy = np.sqrt(spec.j / 2.0) * gs.alpha_y
 
     a, ad = _boson_ops(spec.n_max)
     ib = np.eye(nb)
     x = a + ad
     number = np.diag(np.arange(float(nb)))
-    couplings = [x + 2.0 * dx * ib, x + 2.0 * dy * ib]
-    couplings[_conjugated_mode(gs)] = a - ad  # D^dag (a + a^dag) D = i (a - a^dag)
-    x_x, x_y = couplings
+    x_x = x + 2.0 * dx * ib
+    x_y = a - ad  # D^dag (a + a^dag) D = i (a - a^dag)
     jx, jy, jz = _rotated_spin_ops(gs, spec.j)
 
     g = 1.0 / np.sqrt(2.0 * spec.j)
     b_x = p.omega * (number + dx * x + dx * dx * ib) + h_x * x_x
-    b_y = p.omega * (number + dy * x + dy * dy * ib) + h_y * x_y
+    b_y = p.omega * number
     c_x, c_y = p.lambda_x * g * x_x, p.lambda_y * g * x_y
     # C-contiguous transposes: the stacked matmul with a transposed view is
     # about 10% slower
@@ -288,33 +274,32 @@ def _ground_vector(apply, diagonal: np.ndarray,
         f"Davidson eigensolver did not converge in {MAX_ITERATIONS} iterations")
 
 
-def _measure_cm(psi: np.ndarray, spec: TruncationSpec, gs: ClassicalGroundState):
-    """Means and CM of the classical-frame quadratures in the real ground vector psi.
+def _measure_cm(psi: np.ndarray, spec: TruncationSpec, phase: Phase, order: list[int]):
+    """Means and CM of the classical-frame quadratures in the real ground vector
+    psi, for a ground state in ``phase``.
 
     With q = (a + a^dag) / sqrt(2) and k = (a^dag - a) / sqrt(2), the V
-    coordinates are (s q on x, q on y, -Jx / sqrt(j)) and the T coordinates
-    i (s k on x, k on y, Ky / sqrt(j)), s = -1 in the superradiant-y phase
-    and +1 otherwise.  So C_qq = V V^T - m m^T with m = V psi, C_pp = W W^T
-    for the real images W of the T coordinates, and the T means are 0.
+    coordinates are (q on x, q on y, -Jx / sqrt(j)) and the T coordinates
+    i (k on x, k on y, Ky / sqrt(j)), in ``order`` ([1, 0, 2] for a mirrored
+    solve).  So C_qq = V V^T - m m^T with m = V psi, C_pp = W W^T for the real
+    images W of the T coordinates, and the T means are 0.
     """
     nb = spec.n_max + 1
     t = psi.reshape(nb, nb, -1)
     a, ad = _boson_ops(spec.n_max)
     jx, ky, _ = _spin_ops(spec.j)
-    # mode x is reflected in the superradiant-y phase relative to the stacked frame
-    s = -1.0 if gs.phase is Phase.SUPERRADIANT_Y else 1.0
 
     def images(boson, spin):
-        return np.stack([s * (boson @ t.reshape(nb, -1)).ravel(), (boson @ t).ravel(),
-                         (t @ spin.T).ravel()])
+        return np.stack([(boson @ t.reshape(nb, -1)).ravel(), (boson @ t).ravel(),
+                         (t @ spin.T).ravel()])[order]
 
     v = images((a + ad) / np.sqrt(2.0), -jx / np.sqrt(spec.j))
     w = images((ad - a) / np.sqrt(2.0), ky / np.sqrt(spec.j))
     m = v @ psi
-    index, sign = _STACKED_FRAMES[gs.phase]
+    index, sign = _STACKED_FRAMES[phase]
     means = np.zeros(6)
     means[list(index[:3])] = np.array(sign[:3]) * m
-    return means, from_stacked_frame(gs.phase, v @ v.T - np.outer(m, m), w @ w.T)
+    return means, from_stacked_frame(phase, v @ v.T - np.outer(m, m), w @ w.T)
 
 
 def exact_ground_state(p: ModelParams, spec: TruncationSpec,
@@ -323,16 +308,20 @@ def exact_ground_state(p: ModelParams, spec: TruncationSpec,
 
     A small symmetry-breaking field pins the finite-size ground state onto the
     branch described by the classical solution whenever the condensate is
-    nonzero.  Raises BudgetExceededError when the truncated dimension is too
-    large.
+    nonzero; a superradiant-y point is solved with its couplings swapped.
+    Raises BudgetExceededError when the truncated dimension is too large.
     """
     if spec.dimension > DIMENSION_BUDGET:
         raise BudgetExceededError(
             f"dimension {spec.dimension} exceeds budget {DIMENSION_BUDGET}"
         )
-    gs = classical_ground_state(p)
-    energy, psi, residual = _ground_vector(*_hamiltonian(p, spec, gs))
-    means, cm = _measure_cm(psi, spec, gs)
+    gs = frame = classical_ground_state(p)
+    order = [0, 1, 2]
+    if gs.phase is Phase.SUPERRADIANT_Y:
+        p, order = p.with_couplings(p.lambda_y, p.lambda_x), [1, 0, 2]
+        frame = classical_ground_state(p)
+    energy, psi, residual = _ground_vector(*_hamiltonian(p, spec, frame))
+    means, cm = _measure_cm(psi, spec, gs.phase, order)
 
     bigger = TruncationSpec(j=spec.j, n_max=spec.n_max + 2)
     converged, resolve_de = not check_convergence, None
@@ -340,7 +329,7 @@ def exact_ground_state(p: ModelParams, spec: TruncationSpec,
         nb = spec.n_max + 1
         v0 = np.zeros((nb + 2, nb + 2, spec.dimension // (nb * nb)))
         v0[:nb, :nb] = psi.reshape(nb, nb, -1)
-        energy2, _, _ = _ground_vector(*_hamiltonian(p, bigger, gs), v0.ravel())
+        energy2, _, _ = _ground_vector(*_hamiltonian(p, bigger, frame), v0.ravel())
         converged = bool(abs(energy2 - energy) < CONVERGENCE_TOL)
         resolve_de = abs(energy2 - energy) / spec.j
 

@@ -52,6 +52,13 @@ REPORT_COLUMNS = [c for g in ("mi", "eof", "tripartite") for c in cli.GROUP_COLU
 WIDE_REPORT_ATOL = 5e-8
 NEAR_CRITICAL = 1e-6
 EPSILON = 1e-6
+#: The columns that give a row's coordinates: written unclipped, where every
+#: other float column writes magnitudes above INF_THRESHOLD as "inf".
+UNCLIPPED = ("lambda_x", "lambda_y", "j")
+
+
+def limit(column):
+    return sys.float_info.max if column in UNCLIPPED else cli.INF_THRESHOLD
 
 
 def table_rows(table):
@@ -61,7 +68,8 @@ def table_rows(table):
 
 
 def reference_output(table, columns, fmt, config_echo) -> str:
-    """What write_output must write: csv.writer or json over rows of _csv_cell / _json_cell."""
+    """What write_output must write: csv.writer or json over rows of
+    _csv_cell / _json_cell, with each column's limit."""
     values = {c: column.tolist() for c, column in table.items()}
     rows = [dict(zip(values, cells)) for cells in zip(*values.values())]
     buf = io.StringIO()
@@ -69,10 +77,10 @@ def reference_output(table, columns, fmt, config_echo) -> str:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_csv_cell(row.get(c)) for c in columns])
+            writer.writerow([_csv_cell(row.get(c), limit(c)) for c in columns])
     else:
         doc = {"config": config_echo,
-               "rows": [{c: _json_cell(row.get(c)) for c in columns} for row in rows]}
+               "rows": [{c: _json_cell(row.get(c), limit(c)) for c in columns} for row in rows]}
         json.dump(doc, buf, indent=2)
         buf.write("\n")
     return buf.getvalue()
@@ -433,13 +441,16 @@ class TestBlockWriter:
             "flag": np.arange(8) % 2 == 0,
             "note": np.array([None, "x", None, "y, z", None, None, "w", None], dtype=object),
             "d": np.array([-0.0, -0.0, math.nan, math.nan, 2.5, 2.5, -2.5, 2.5]),
+            # a coordinate column shares values beyond 1e6 with the clipped "b"
+            "lambda_x": np.array([beyond, 1e300, third, math.inf, -beyond, -0.0, math.nan, 0.0]),
         }
-        columns = ["c", "a", "flag", "missing", "b", "note", "d"]
+        columns = ["c", "a", "flag", "missing", "b", "note", "d", "lambda_x"]
         out = io.StringIO()
         cli.write_output(table, columns, "csv", out, {"command": "test"})
         expected = reference_output(table, columns, "csv", {"command": "test"})
         assert_same_text(out.getvalue(), expected)
-        assert expected.splitlines()[1] == "0.33333333333333331,-0,true,,0,,-0"
+        assert expected.splitlines()[1] == "0.33333333333333331,-0,true,,0,,-0,1000000.0000000001"
+        assert expected.splitlines()[3].endswith(",inf,,,0.33333333333333331")
 
 
 class TestParserOncePerProcess:
@@ -484,8 +495,7 @@ SCALES = [1e-11, 1e-100, 1e100]
 SCALED_GRID = ((0.0, 2.0, 9), (0.0, 2.0, 9))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 class TestExtremeScales:
     @pytest.mark.parametrize("scale", [1e-150, 1e-80, 1e80, 1e150])
     def test_energy_is_scale_invariant(self, scale):
@@ -524,11 +534,28 @@ class TestExtremeScales:
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert rows and all(row["error"] == "" for row in rows)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_huge_couplings_are_written_unclipped(self, fmt, capsys):
+        assert main(["sweep", "--x", "0:1e300:3", "--y", "0:2:2", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            doc = json.loads(out)
+            jsonschema.validate(doc, schema())
+            rows = doc["rows"]
+        else:
+            rows = [{c: float(v) for c, v in row.items() if c.startswith("lambda")}
+                    for row in csv.DictReader(io.StringIO(out))]
+        assert [row["lambda_x"] for row in rows] == [0.0, 0.0, 5e299, 5e299, 1e300, 1e300]
+        assert [row["lambda_y"] for row in rows] == [0.0, 2.0] * 3
+
+    # the finite-size solve of a NaN Hamiltonian warns before it fails
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
     def test_oracle_compare_writes_its_row(self, capsys):
         code = main(["oracle-compare", "--lambda-x", "1e300", "--lambda-y", "0", "--j", "1",
                      "--n-max", "2"])
         (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
-        assert row["diverged"] == "true"
+        assert row["diverged"] == "true" and float(row["lambda_x"]) == 1e300
         assert code == (3 if row["error"] else 0)
 
 

@@ -42,6 +42,11 @@ PHASE_POINTS = {
     "decoupled": ModelParams(1.0, 1.0, 0.0, 0.0),
 }
 
+#: The phase points whose classical frame a solve runs in: a superradiant-y
+#: point is solved as its superradiant-x mirror image, so its operator is that
+#: of the superradiant-x point, and the block and sparsity tests skip it.
+FRAME_PHASES = ["decoupled", "normal", "superradiant-x"]
+
 #: Coupling points of the solver test, in units of lambda_c: the phase points
 #: (where lambda_c = 1), both sides of the critical line lambda_x = 1, a point
 #: near the Goldstone line and one deep in the superradiant-x phase.
@@ -56,9 +61,10 @@ SOLVER_POINTS = {
 #: (omega, omega0): resonance and omega / omega0 = 0.01 and 100.
 FREQUENCIES = [(1.0, 1.0), (0.01, 1.0), (1.0, 0.01)]
 
-#: The uncondensed boson (0 = x, 1 = y) whose coupling carries Jy in the
-#: classical frame; the real Hamiltonian is conjugated by diag(i^n) on it.
-CONJUGATED_MODE = {"normal": 1, "superradiant-x": 1, "superradiant-y": 0, "decoupled": 1}
+#: The x <-> y mirror map of the classical-frame quadratures (q_x, p_x, q_y,
+#: p_y, Q, P): the modes swap, and the condensed mode's quadratures change sign.
+MIRROR = np.array([2, 3, 0, 1, 4, 5])
+MIRROR_SIGN = np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
 
 
 def dense_spin_ops(j):
@@ -73,7 +79,8 @@ def dense_classical_frame_hamiltonian(p, spec):
 
     Each boson is displaced by sqrt(j/2) alpha, the spin rotated by
     U = e^{-i phi Jz} e^{-i theta Jy}, and a field SYMMETRY_BREAKING_FIELD
-    couples to the quadrature of each condensed boson.
+    couples to the quadrature of each condensed boson.  In the superradiant-y
+    phase this is the phi = pi/2 frame, which the oracle never builds.
     """
     gs = model.classical_ground_state(p)
     nb = spec.n_max + 1
@@ -96,6 +103,31 @@ def dense_classical_frame_hamiltonian(p, spec):
         ops[place] = shifted + shifted.T
         H = H + np.kron(np.kron(*ops), coupling * g * spin + field * ispin)
     return H
+
+
+def solve_frame(p):
+    """The couplings and classical ground state a solve at p works in: a
+    superradiant-y point is solved at its swapped couplings."""
+    gs = model.classical_ground_state(p)
+    if gs.phase is model.Phase.SUPERRADIANT_Y:
+        p = p.with_couplings(p.lambda_y, p.lambda_x)
+        gs = model.classical_ground_state(p)
+    return p, gs
+
+
+def real_dense_reference(p, spec):
+    """dense_classical_frame_hamiltonian(p, spec) in the basis of the solve's
+    real Hamiltonian: conjugated by diag(i^n) on the uncondensed boson y, and
+    at a superradiant-y point first mirrored, i.e. the bosons swapped and a
+    parity (-1)^n put on the uncondensed one, so diag((-i)^n) on it."""
+    nb, ns = spec.n_max + 1, int(2 * spec.j) + 1
+    dense = dense_classical_frame_hamiltonian(p, spec)
+    conjugation = 1j
+    if model.classical_ground_state(p).phase is model.Phase.SUPERRADIANT_Y:
+        dense = dense.reshape(nb, nb, ns, nb, nb, ns).transpose(1, 0, 2, 4, 3, 5)
+        dense, conjugation = dense.reshape(nb * nb * ns, -1), -1j
+    d = np.kron(np.kron(np.ones(nb), conjugation ** np.arange(nb)), np.ones(ns))
+    return d.conj()[:, None] * dense * d[None, :]
 
 
 def unit_vectors(dimension, start, stop):
@@ -121,10 +153,9 @@ def fock_block(bigger, n_max):
 
 
 def operator(phase, j, n_max):
-    """``(apply, diagonal)`` of the classical-frame Hamiltonian at a phase point."""
-    p = PHASE_POINTS[phase]
-    spec = TruncationSpec(j=j, n_max=n_max)
-    return oracle._hamiltonian(p, spec, model.classical_ground_state(p))
+    """``(apply, diagonal)`` of the classical-frame Hamiltonian a solve at a phase point uses."""
+    p, gs = solve_frame(PHASE_POINTS[phase])
+    return oracle._hamiltonian(p, TruncationSpec(j=j, n_max=n_max), gs)
 
 
 def dense_operator(phase, j, n_max):
@@ -139,35 +170,35 @@ class TestMatrixFreeOperator:
         gs = model.classical_ground_state(PHASE_POINTS[phase])
         jx, jy, jz = dense_spin_ops(j)
         u = expm(-1j * gs.phi * jz) @ expm(-1j * gs.theta * jy)
-        # the conjugated mode's spin component comes as i U^dag J U, which is real
-        factors = [1.0, 1.0, 1.0]
-        factors[CONJUGATED_MODE[phase]] = 1j
-        for rotated, op, f in zip(oracle._rotated_spin_ops(gs, j), (jx, jy, jz), factors):
+        rx, ry, rz = (u.conj().T @ op @ u for op in (jx, jy, jz))
+        # the y component, coupled to the conjugated mode y, comes as i U^dag Jy U,
+        # which is real; a superradiant-y point is solved in its mirror frame,
+        # where the components are those of the phi = pi/2 frame, x and y swapped
+        # and Jx -> -Jx
+        expected = ((ry, -1j * rx, rz) if gs.phase is model.Phase.SUPERRADIANT_Y
+                    else (rx, 1j * ry, rz))
+        for rotated, ref in zip(oracle._rotated_spin_ops(solve_frame(PHASE_POINTS[phase])[1], j),
+                                expected):
             assert rotated.dtype == np.float64
-            np.testing.assert_allclose(rotated, f * (u.conj().T @ op @ u), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(rotated, ref, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n_max", [1, 3])
     @pytest.mark.parametrize("j", [0.5, 5])
     @pytest.mark.parametrize("phase", sorted(PHASE_POINTS))
     def test_real_hamiltonian_is_conjugated_dense_reference(self, phase, j, n_max):
-        p = PHASE_POINTS[phase]
-        spec = TruncationSpec(j=j, n_max=n_max)
         apply, diagonal = operator(phase, j, n_max)
         H = materialize(apply, diagonal.size)
         assert apply(np.ones(diagonal.size)).dtype == np.float64
         # the diagonal sums the factors' diagonals in the order apply sums the terms
         np.testing.assert_array_equal(diagonal, np.diag(H))
-        phases = [np.ones(n_max + 1), np.ones(n_max + 1)]
-        phases[CONJUGATED_MODE[phase]] = 1j ** np.arange(n_max + 1)
-        d = np.kron(np.kron(*phases), np.ones(int(2 * j) + 1))
-        reference = d.conj()[:, None] * dense_classical_frame_hamiltonian(p, spec) * d[None, :]
+        reference = real_dense_reference(PHASE_POINTS[phase], TruncationSpec(j=j, n_max=n_max))
         np.testing.assert_allclose(reference.imag, 0.0, rtol=0, atol=1e-12)
         np.testing.assert_allclose(H, reference.real, rtol=0, atol=1e-12)
         assert np.array_equal(H, H.T)
 
     @pytest.mark.parametrize("n_max", [1, 3])
     @pytest.mark.parametrize("j", [0.5, 5])
-    @pytest.mark.parametrize("phase", sorted(PHASE_POINTS))
+    @pytest.mark.parametrize("phase", FRAME_PHASES)
     def test_cutoff_is_principal_block_of_larger_cutoff(self, phase, j, n_max):
         block = fock_block(TruncationSpec(j=j, n_max=n_max + 2), n_max)
         small = dense_operator(phase, j, n_max)
@@ -182,7 +213,7 @@ class TestMatrixFreeOperator:
         np.testing.assert_array_equal(apply(v[1]), rows[1])
 
     @pytest.mark.parametrize("j", [5, 20])
-    @pytest.mark.parametrize("phase", ["normal", "superradiant-x", "superradiant-y"])
+    @pytest.mark.parametrize("phase", ["normal", "superradiant-x"])
     def test_hamiltonian_stays_sparse(self, phase, j):
         apply, diagonal = operator(phase, j, 10)
         dimension = diagonal.size
@@ -199,9 +230,13 @@ class TestMatrixFreeOperator:
     def test_davidson_matches_dense_spectrum(self, omega, omega0, point, j, n_max):
         base = ModelParams(omega=omega, omega0=omega0)
         p = base.with_couplings(*(base.lambda_c * np.array(SOLVER_POINTS[point])))
-        apply, diagonal = oracle._hamiltonian(p, TruncationSpec(j=j, n_max=n_max),
-                                              model.classical_ground_state(p))
-        reference = np.linalg.eigvalsh(materialize(apply, diagonal.size))[0]
+        spec = TruncationSpec(j=j, n_max=n_max)
+        frame, gs = solve_frame(p)
+        apply, diagonal = oracle._hamiltonian(frame, spec, gs)
+        # a superradiant-y point is checked against the phi = pi/2 frame it is not solved in
+        dense = (dense_classical_frame_hamiltonian(p, spec) if point == "superradiant-y"
+                 else materialize(apply, diagonal.size))
+        reference = np.linalg.eigvalsh(dense)[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             energy, psi, _ = oracle._ground_vector(apply, diagonal)
@@ -412,13 +447,37 @@ class TestSuperradiantPhase:
         scale = np.max(np.abs(res1.cm.mat))
         assert np.max(np.abs(res1.cm.mat - res2.cm.mat)) < 1e-3 * scale
 
-    def test_superradiant_y_mirror(self):
-        px = ModelParams(1.0, 1.0, 1.5, 0.5)
-        py = ModelParams(1.0, 1.0, 0.5, 1.5)
+    @pytest.mark.parametrize("omega, omega0", FREQUENCIES)
+    def test_superradiant_y_mirror(self, omega, omega0):
+        base = ModelParams(omega, omega0)
+        px = base.with_couplings(1.5 * base.lambda_c, 0.5 * base.lambda_c)
+        py = base.with_couplings(0.5 * base.lambda_c, 1.5 * base.lambda_c)
         spec = TruncationSpec(j=10, n_max=8)
-        rx = exact_ground_state(px, spec, check_convergence=False)
-        ry = exact_ground_state(py, spec, check_convergence=False)
-        assert abs(rx.energy_per_spin - ry.energy_per_spin) < 1e-6
+        rx, ry = exact_ground_state(px, spec), exact_ground_state(py, spec)
+        assert ry.energy_per_spin == rx.energy_per_spin and ry.residual == rx.residual
+        assert ry.resolve_de == rx.resolve_de and ry.converged == rx.converged
+        np.testing.assert_array_equal(
+            ry.cm.mat, MIRROR_SIGN[:, None] * rx.cm.mat[np.ix_(MIRROR, MIRROR)] * MIRROR_SIGN)
+        np.testing.assert_array_equal(ry.means, MIRROR_SIGN * rx.means[MIRROR])
+        # the analytic CMs obey the same map, up to the rounding of their two
+        # phase branches (9e-14 at omega / omega0 = 0.01)
+        np.testing.assert_allclose(
+            model.ground_state_cm(py).mat,
+            MIRROR_SIGN[:, None] * model.ground_state_cm(px).mat[np.ix_(MIRROR, MIRROR)]
+            * MIRROR_SIGN, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_max", [1, 3])
+    @pytest.mark.parametrize("j", [0.5, 2.5, 5])
+    @pytest.mark.parametrize("omega, omega0", FREQUENCIES)
+    def test_superradiant_y_energy_matches_dense_frame(self, omega, omega0, j, n_max):
+        # the mirrored solve against eigvalsh of H built densely in the phi = pi/2 frame
+        base = ModelParams(omega, omega0)
+        p = base.with_couplings(0.5 * base.lambda_c, 1.5 * base.lambda_c)
+        spec = TruncationSpec(j=j, n_max=n_max)
+        assert model.classical_ground_state(p).phase is model.Phase.SUPERRADIANT_Y
+        reference = np.linalg.eigvalsh(dense_classical_frame_hamiltonian(p, spec))[0]
+        energy = exact_ground_state(p, spec, check_convergence=False).energy_per_spin * j
+        assert abs(energy - reference) <= 1e-12 * abs(reference)
 
 
 class TestConvergenceOffResonance:
