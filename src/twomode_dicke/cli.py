@@ -140,7 +140,8 @@ def _sweep_block(omega: float, omega0: float, lx_rel: np.ndarray, ly_rel: np.nda
             "diverged": np.zeros(lx.size, dtype=bool)}
     y = np.where(offset, ly_rel * (1.0 - goldstone_epsilon), ly_rel)
     if "energy" in groups:
-        cols["e_gs"] = model.ground_state_energies(omega, omega0, lx, y * lc) / omega
+        with np.errstate(over="ignore"):  # e_gs is -inf where it leaves the floats
+            cols["e_gs"] = model.ground_state_energies(omega, omega0, lx, y * lc) / omega
     report_groups = [g for g in ("mi", "eof", "tripartite") if g in groups]
     if "gaps" not in groups and not report_groups:
         return cols
@@ -187,7 +188,8 @@ def run_oracle_compare(omega: float, omega0: float, lx_rel: float, ly_rel: float
     The analytic CM is the one of the stacked factorization, and it exists
     where gs.physical says so, as in a sweep.  On the degenerate line
     lambda_x = lambda_y > lambda_c the classical frame of the finite-size
-    solve is undefined, so no solve runs there.
+    solve is undefined, and where the factorization overflows (its gaps are
+    NaN) so is H, so no solve runs there.
     """
     base = model.ModelParams(omega=omega, omega0=omega0)
     p = base.with_couplings(lx_rel * base.lambda_c, ly_rel * base.lambda_c)
@@ -205,7 +207,7 @@ def run_oracle_compare(omega: float, omega0: float, lx_rel: float, ly_rel: float
             "error": None,
         }
         rows.append(row)
-        if p.on_goldstone_line():
+        if p.on_goldstone_line() or np.isnan(gs.nu).any():
             continue
         try:
             res = oracle.exact_ground_state(p, oracle.TruncationSpec(j=j, n_max=n_max))

@@ -187,7 +187,8 @@ class StackedGroundStates:
     det2: np.ndarray
     det2_modes: np.ndarray
     stable: np.ndarray
-    #: (n, 3, 3) blocks of 2C over the V and T coordinates of the factorization.
+    #: (n, 3, 3) blocks of 2C over the V and T coordinates of the factorization,
+    #: in the canonical layout: the larger coupling's boson, the other, j.
     c_qq: np.ndarray
     c_pp: np.ndarray
 
@@ -203,45 +204,42 @@ class StackedGroundStates:
                 & np.all(self.det2_modes >= 1.0 - PURITY_TOL, axis=1))
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def stacked_ground_states(omega: float, omega0: float, x, y) -> StackedGroundStates:
     """Gaps and covariance determinants at 1-D arrays of couplings in units of lambda_c.
 
-    The phase of each point is chosen by mask, with the rules of
-    classical_ground_state; a point on the degenerate line x = y > 1 is
-    unstable.  Rotating one boson mode by 90 degrees in phase space, a local
-    symplectic map that changes no single-mode quantity, makes
-    fluctuation_matrix / lambda_c block diagonal over positions and momenta:
-    V (+) T, each diag(rho, rho, kappa) plus one boson-spin coupling, with
-    rho = sqrt(omega / omega0); the signs of the couplings drop out, since
-    (q, p) -> (-q, -p) on one mode flips them.  With Cholesky factors
+    Each point is factored at its canonical couplings a = max(x, y), b =
+    min(x, y): a point with y > x as its exact x <-> y mirror image, modes
+    swapped and spin turned by pi/2 about z.  It is normal where a <= 1; a
+    point on the degenerate line x = y > 1 is unstable.  Rotating one boson
+    mode by 90 degrees in phase space, a local symplectic map that changes no
+    single-mode quantity, makes fluctuation_matrix / lambda_c block diagonal
+    over positions and momenta: V (+) T, each diag(rho, rho, kappa) plus the
+    spin's coupling to one boson, the larger coupling's in V, the other's in
+    T, with rho = sqrt(omega / omega0); the signs of the couplings drop out,
+    since (q, p) -> (-q, -p) on one mode flips them.  With Cholesky factors
     V = L_V L_V^T, T = L_T L_T^T and the SVD L_V^T L_T = U diag(sigma) W^T:
 
         nu = lambda_c sigma,  2C_qq = L_T W sigma^-1 W^T L_T^T,
         2C_pp = L_V U sigma^-1 U^T L_V^T,  2C_qp = 0,
 
     so det(2C_i) = (2C_qq)_ii (2C_pp)_ii is a product of sums of squares.
-    The Cholesky pivots are written in factored form, e.g. (1 - x)(1 + x) / rho,
+    The Cholesky pivots are written in factored form, e.g. (1 - a)(1 + a) / rho,
     and sigma_3 is taken from det(L_V^T L_T) = rho^2 sqrt(pivot_V pivot_T),
     so both stay accurate next to the critical and degenerate lines.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     rho = math.sqrt(omega / omega0)
-    normal, sr_x, sr_y = _phase_masks(x, y)
-    # Boson-spin couplings in V (to Q) and T (to P), columns (x, y), and pivots.
+    a, b = np.maximum(x, y), np.minimum(x, y)
+    normal = a <= 1.0
+    # Boson-spin couplings in V (to Q) and T (to P), columns (a, b), and pivots.
     g_v, g_t = np.zeros((x.size, 2)), np.zeros((x.size, 2))
-    piv_v, piv_t = np.empty(x.size), np.empty(x.size)
-    a, b = x[normal], y[normal]
-    g_v[normal, 0], g_t[normal, 1] = a, b
-    piv_v[normal] = (1.0 - a) * (1.0 + a) / rho
-    piv_t[normal] = (1.0 - b) * (1.0 + b) / rho
-    for mask, lam, other, col in ((sr_x, x, y, 0), (sr_y, y, x, 1)):
-        a, b = lam[mask], other[mask]
-        g_v[mask, col] = 1.0 / a
-        g_t[mask, 1 - col] = b
-        piv_v[mask] = (a - 1.0) * (a + 1.0) * (a * a + 1.0) / (a * a * rho)
-        piv_t[mask] = (a - b) * (a + b) / rho
+    g_v[:, 0] = np.where(normal, a, 1.0 / a)
+    g_t[:, 1] = b
+    piv_v = np.where(normal, (1.0 - a) * (1.0 + a) / rho,
+                     (a - 1.0) * (a + 1.0) * (a * a + 1.0) / (a * a * rho))
+    piv_t = np.where(normal, (1.0 - b) * (1.0 + b) / rho, (a - b) * (a + b) / rho)
 
     def cholesky(g, piv):
         L = np.zeros((x.size, 3, 3))
@@ -266,40 +264,39 @@ def stacked_ground_states(omega: float, omega0: float, x, y) -> StackedGroundSta
     f_p = l_v @ u * scale
     c_qq = f_q @ f_q.transpose(0, 2, 1)
     c_pp = f_p @ f_p.transpose(0, 2, 1)
+    det2_modes = c_qq.diagonal(0, 1, 2) * c_pp.diagonal(0, 1, 2)
+    det2_modes[y > x, :2] = det2_modes[y > x, 1::-1]
     return StackedGroundStates(
         nu=nu,
         det2=np.linalg.det(c_qq) * np.linalg.det(c_pp),
-        det2_modes=c_qq.diagonal(0, 1, 2) * c_pp.diagonal(0, 1, 2),
+        det2_modes=det2_modes,
         stable=stable,
         c_qq=c_qq,
         c_pp=c_pp,
     )
 
 
-def _phase_masks(x: np.ndarray, y: np.ndarray):
-    """Normal, superradiant-x and superradiant-y masks, by the rules of classical_ground_state."""
-    normal = np.maximum(x, y) <= 1.0
-    sr_x = ~normal & (x >= y)
-    return normal, sr_x, ~normal & ~sr_x
-
-
-#: Per phase, the signed permutation zeta_k = sign_k * xi_index_k from the
-#: quadratures xi = (q_x, p_x, q_y, p_y, Q, P) to the coordinates zeta = (V of
-#: x, y, j; T of x, y, j) of stacked_ground_states, in which the oracle also
-#: measures its CM.  It rotates the boson whose position couples to P by 90
-#: degrees, and flips mode x of the superradiant-x phase (coupling to Q < 0).
+#: Per frame (phase of the canonical point, mirrored: y > x), the signed
+#: permutation zeta_k = sign_k * xi_index_k from the quadratures xi = (q_x,
+#: p_x, q_y, p_y, Q, P) to the coordinates zeta = (V; T) of
+#: stacked_ground_states, each over (boson a, boson b, j), in which the oracle
+#: also measures its CM.  It rotates the boson whose position couples to P by
+#: 90 degrees, and flips boson a of an unmirrored superradiant point (coupling
+#: to Q < 0).  Mirroring swaps the bosons and turns the spin by pi/2 about z,
+#: which moves these signs; as 2C_qp = 0, the sign of all of T is free.
 _STACKED_FRAMES = {
-    Phase.NORMAL: ((0, 3, 4, 1, 2, 5), (1.0, -1.0, 1.0, 1.0, 1.0, 1.0)),
-    Phase.SUPERRADIANT_X: ((0, 3, 4, 1, 2, 5), (-1.0, -1.0, 1.0, -1.0, 1.0, 1.0)),
-    Phase.SUPERRADIANT_Y: ((1, 2, 4, 0, 3, 5), (-1.0, 1.0, 1.0, 1.0, 1.0, 1.0)),
+    (Phase.NORMAL, False): ((0, 3, 4, 1, 2, 5), (1.0, -1.0, 1.0, 1.0, 1.0, 1.0)),
+    (Phase.NORMAL, True): ((2, 1, 5, 3, 0, 4), (1.0, 1.0, 1.0, -1.0, 1.0, 1.0)),
+    (Phase.SUPERRADIANT_X, False): ((0, 3, 4, 1, 2, 5), (-1.0, -1.0, 1.0, -1.0, 1.0, 1.0)),
+    (Phase.SUPERRADIANT_X, True): ((2, 1, 4, 3, 0, 5), (1.0, -1.0, 1.0, 1.0, 1.0, 1.0)),
 }
 
 
-def from_stacked_frame(phase: Phase, c_qq: np.ndarray, c_pp: np.ndarray) -> np.ndarray:
-    """The CMs over xi = (q_x, p_x, q_y, p_y, Q, P) of points in one phase, from
-    their (..., 3, 3) blocks c_qq and c_pp over the V and T coordinates (C_qp = 0),
-    by the signed permutation _STACKED_FRAMES[phase]."""
-    index, sign = (np.array(t) for t in _STACKED_FRAMES[phase])
+def from_stacked_frame(frame: tuple, c_qq: np.ndarray, c_pp: np.ndarray) -> np.ndarray:
+    """The CMs over xi = (q_x, p_x, q_y, p_y, Q, P) of points with one frame, a
+    (phase, mirrored) key of _STACKED_FRAMES, from their (..., 3, 3) blocks c_qq
+    and c_pp over the V and T coordinates (C_qp = 0), by its signed permutation."""
+    index, sign = (np.array(t) for t in _STACKED_FRAMES[frame])
     zeta = np.zeros(c_qq.shape[:-2] + (6, 6))
     zeta[..., :3, :3], zeta[..., 3:, 3:] = c_qq, c_pp
     cm = np.empty_like(zeta)
@@ -312,14 +309,14 @@ def stacked_cms(x, y, gs: StackedGroundStates) -> np.ndarray:
     points of stacked_ground_states(omega, omega0, x, y).
 
     C is (2C_qq (+) 2C_pp) / 2 in the coordinates of the factorization, mapped
-    back by from_stacked_frame in each point's phase.  Where gs.stable is
+    back by from_stacked_frame in each point's frame.  Where gs.stable is
     False the values are meaningless.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    cm = np.empty((x.size, 6, 6))
-    for mask, phase in zip(_phase_masks(x, y), Phase):
-        cm[mask] = from_stacked_frame(phase, 0.5 * gs.c_qq[mask], 0.5 * gs.c_pp[mask])
+    normal, mirrored = np.maximum(x, y) <= 1.0, np.greater(y, x)
+    cm = np.empty(gs.c_qq.shape[:1] + (6, 6))
+    for frame in _STACKED_FRAMES:
+        mask = (normal == (frame[0] is Phase.NORMAL)) & (mirrored == frame[1])
+        cm[mask] = from_stacked_frame(frame, 0.5 * gs.c_qq[mask], 0.5 * gs.c_pp[mask])
     return cm
 
 

@@ -10,10 +10,10 @@ quantum fluctuations, not the extensive condensate, and the measured
 quadrature covariance matrix converges to the analytic ground-state
 covariance matrix at rate O(1/j).
 
-Swapping x and y and rotating the spin by pi/2 about z (with a parity on the
-uncondensed boson) maps H at (lambda_x, lambda_y) onto H at (lambda_y,
-lambda_x), so a superradiant-y point is solved as its superradiant-x mirror
-image, and y is always the uncondensed boson.  H is real symmetric: the one
+Swapping x and y and rotating the spin by pi/2 about z (with a parity on one
+boson) maps H at (lambda_x, lambda_y) onto H at (lambda_y, lambda_x), so every
+point with lambda_y > lambda_x is solved as its mirror image, and y, the boson
+of the smaller coupling, is never condensed.  H is real symmetric: the one
 imaginary term couples y's a + a^dag to Jy, and conjugating by D = diag(i^n)
 on its Fock index maps (q, p) -> (-p, q) there and makes the term real.  C_qq
 and C_pp are then two real Gram matrices over the position (V) and momentum
@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, NumericalFailureError
 from .gaussian_info import CovarianceMatrix
-from .model import (_STACKED_FRAMES, ClassicalGroundState, ModelParams, Phase,
+from .model import (_STACKED_FRAMES, ClassicalGroundState, ModelParams,
                     classical_ground_state, from_stacked_frame)
 
 #: Largest Hilbert-space dimension the oracle will diagonalize.
@@ -274,15 +274,15 @@ def _ground_vector(apply, diagonal: np.ndarray,
         f"Davidson eigensolver did not converge in {MAX_ITERATIONS} iterations")
 
 
-def _measure_cm(psi: np.ndarray, spec: TruncationSpec, phase: Phase, order: list[int]):
+def _measure_cm(psi: np.ndarray, spec: TruncationSpec, frame: tuple):
     """Means and CM of the classical-frame quadratures in the real ground vector
-    psi, for a ground state in ``phase``.
+    psi of a solve in ``frame``, the (phase, mirrored) key of _STACKED_FRAMES.
 
     With q = (a + a^dag) / sqrt(2) and k = (a^dag - a) / sqrt(2), the V
     coordinates are (q on x, q on y, -Jx / sqrt(j)) and the T coordinates
-    i (k on x, k on y, Ky / sqrt(j)), in ``order`` ([1, 0, 2] for a mirrored
-    solve).  So C_qq = V V^T - m m^T with m = V psi, C_pp = W W^T for the real
-    images W of the T coordinates, and the T means are 0.
+    i (k on x, k on y, Ky / sqrt(j)) of the solve, in the canonical layout.
+    So C_qq = V V^T - m m^T with m = V psi, C_pp = W W^T for the real images
+    W of the T coordinates, and the T means are 0.
     """
     nb = spec.n_max + 1
     t = psi.reshape(nb, nb, -1)
@@ -291,15 +291,15 @@ def _measure_cm(psi: np.ndarray, spec: TruncationSpec, phase: Phase, order: list
 
     def images(boson, spin):
         return np.stack([(boson @ t.reshape(nb, -1)).ravel(), (boson @ t).ravel(),
-                         (t @ spin.T).ravel()])[order]
+                         (t @ spin.T).ravel()])
 
     v = images((a + ad) / np.sqrt(2.0), -jx / np.sqrt(spec.j))
     w = images((ad - a) / np.sqrt(2.0), ky / np.sqrt(spec.j))
     m = v @ psi
-    index, sign = _STACKED_FRAMES[phase]
+    index, sign = _STACKED_FRAMES[frame]
     means = np.zeros(6)
     means[list(index[:3])] = np.array(sign[:3]) * m
-    return means, from_stacked_frame(phase, v @ v.T - np.outer(m, m), w @ w.T)
+    return means, from_stacked_frame(frame, v @ v.T - np.outer(m, m), w @ w.T)
 
 
 def exact_ground_state(p: ModelParams, spec: TruncationSpec,
@@ -308,20 +308,20 @@ def exact_ground_state(p: ModelParams, spec: TruncationSpec,
 
     A small symmetry-breaking field pins the finite-size ground state onto the
     branch described by the classical solution whenever the condensate is
-    nonzero; a superradiant-y point is solved with its couplings swapped.
+    nonzero; a point with lambda_y > lambda_x is solved with its couplings
+    swapped.
     Raises BudgetExceededError when the truncated dimension is too large.
     """
     if spec.dimension > DIMENSION_BUDGET:
         raise BudgetExceededError(
             f"dimension {spec.dimension} exceeds budget {DIMENSION_BUDGET}"
         )
-    gs = frame = classical_ground_state(p)
-    order = [0, 1, 2]
-    if gs.phase is Phase.SUPERRADIANT_Y:
-        p, order = p.with_couplings(p.lambda_y, p.lambda_x), [1, 0, 2]
-        frame = classical_ground_state(p)
+    mirrored = p.lambda_y > p.lambda_x
+    if mirrored:
+        p = p.with_couplings(p.lambda_y, p.lambda_x)
+    frame = classical_ground_state(p)
     energy, psi, residual = _ground_vector(*_hamiltonian(p, spec, frame))
-    means, cm = _measure_cm(psi, spec, gs.phase, order)
+    means, cm = _measure_cm(psi, spec, (frame.phase, mirrored))
 
     bigger = TruncationSpec(j=spec.j, n_max=spec.n_max + 2)
     converged, resolve_de = not check_convergence, None

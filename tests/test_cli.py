@@ -320,10 +320,15 @@ class TestRunSweep:
             mirror = lookup[(row["lambda_y"], row["lambda_x"])]
             if row["diverged"] or mirror["diverged"]:
                 continue
+            # off the diagonal both rows come from one factorization, and
+            # tri_x_yj subtracts its two EoFs in the other order; at x = y the
+            # point is its own mirror and s_x, s_y agree to rounding
+            tol = 1e-8 if row["lambda_x"] == row["lambda_y"] else 0.0
             for col in symmetric:
-                assert abs(row[col] - mirror[col]) < 1e-8, col
+                atol = max(tol, 1e-15) if col == "tri_x_yj" else tol
+                assert abs(row[col] - mirror[col]) <= atol, col
             for col, twin in swapped.items():
-                assert abs(row[col] - mirror[twin]) < 1e-8, col
+                assert abs(row[col] - mirror[twin]) <= tol, col
 
 
 class TestOutput:
@@ -526,6 +531,8 @@ class TestExtremeScales:
     @pytest.mark.parametrize("argv", [
         ["sweep", "--x", "0:1e300:3", "--y", "0:2:2"],
         ["sweep", "--omega", "1e160", "--omega0", "1e-160", "--x", "0:2:3", "--y", "0:0:1"],
+        # e_gs / omega overflows to -inf
+        ["sweep", "--omega", "1e-160", "--omega0", "1e160", "--x", "0:2:3", "--y", "0:0:1"],
         ["sweep", "--omega", "1e80", "--omega0", "1e80", "--x", "0:2:3", "--y", "0:2:3"],
         ["slice", "--x", "0:1e300:3", "--y", "2"],
     ])
@@ -548,15 +555,14 @@ class TestExtremeScales:
         assert [row["lambda_x"] for row in rows] == [0.0, 0.0, 5e299, 5e299, 1e300, 1e300]
         assert [row["lambda_y"] for row in rows] == [0.0, 2.0] * 3
 
-    # the finite-size solve of a NaN Hamiltonian warns before it fails
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     def test_oracle_compare_writes_its_row(self, capsys):
+        # the factorization overflows, so no finite-size solve runs
         code = main(["oracle-compare", "--lambda-x", "1e300", "--lambda-y", "0", "--j", "1",
                      "--n-max", "2"])
         (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
         assert row["diverged"] == "true" and float(row["lambda_x"]) == 1e300
-        assert code == (3 if row["error"] else 0)
+        assert row["error"] == row["e0_per_spin"] == row["converged"] == ""
+        assert code == 0
 
 
 class TestSlice:

@@ -176,7 +176,8 @@ class TestGroundStateCM:
 
     @pytest.mark.parametrize("omega", [0.075, 1.0, 25.0])
     def test_stacked_cms_match(self, omega):
-        points = [(0.5, 0.3), (1.5, 0.5), (0.5, 1.5), (0.0, 0.0), (2.0, 1.0), (1.0, 2.0)]
+        points = [(0.5, 0.3), (0.3, 0.5), (1.5, 0.5), (0.5, 1.5), (0.0, 0.0), (2.0, 1.0),
+                  (1.0, 2.0)]
         x, y = (np.array(c) for c in zip(*points))
         cms = model.stacked_cms(x, y, model.stacked_ground_states(omega, 1.0, x, y))
         base = ModelParams(omega, 1.0)

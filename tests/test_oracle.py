@@ -62,9 +62,21 @@ SOLVER_POINTS = {
 FREQUENCIES = [(1.0, 1.0), (0.01, 1.0), (1.0, 0.01)]
 
 #: The x <-> y mirror map of the classical-frame quadratures (q_x, p_x, q_y,
-#: p_y, Q, P): the modes swap, and the condensed mode's quadratures change sign.
+#: p_y, Q, P) of a superradiant point: the modes swap, and the condensed
+#: mode's quadratures change sign.
 MIRROR = np.array([2, 3, 0, 1, 4, 5])
 MIRROR_SIGN = np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
+
+#: The mirror map of a normal point, from the frame table: the modes swap, Q
+#: and P swap, and both momenta change sign (the sign of every T coordinate
+#: is free, as C_qp = 0).
+NORMAL_MIRROR = np.array([2, 3, 0, 1, 5, 4])
+NORMAL_MIRROR_SIGN = np.array([1.0, -1.0, 1.0, -1.0, 1.0, 1.0])
+
+
+def mirrored(mat, index, sign):
+    """The CM mat under the signed permutation xi_k -> sign_k xi_index_k."""
+    return sign[:, None] * mat[np.ix_(index, index)] * sign
 
 
 def dense_spin_ops(j):
@@ -106,13 +118,11 @@ def dense_classical_frame_hamiltonian(p, spec):
 
 
 def solve_frame(p):
-    """The couplings and classical ground state a solve at p works in: a
-    superradiant-y point is solved at its swapped couplings."""
-    gs = model.classical_ground_state(p)
-    if gs.phase is model.Phase.SUPERRADIANT_Y:
+    """The couplings and classical ground state a solve at p works in: a point
+    with lambda_y > lambda_x is solved at its swapped couplings."""
+    if p.lambda_y > p.lambda_x:
         p = p.with_couplings(p.lambda_y, p.lambda_x)
-        gs = model.classical_ground_state(p)
-    return p, gs
+    return p, model.classical_ground_state(p)
 
 
 def real_dense_reference(p, spec):
@@ -411,6 +421,23 @@ class TestNormalPhaseConvergence:
         assert res.resolve_de is None
         assert not res.converged
 
+    @pytest.mark.parametrize("omega, omega0", FREQUENCIES)
+    def test_normal_mirror(self, omega, omega0):
+        # a normal point with lambda_y > lambda_x is solved as its mirror image too
+        base = ModelParams(omega, omega0)
+        px = base.with_couplings(0.5 * base.lambda_c, 0.3 * base.lambda_c)
+        py = base.with_couplings(0.3 * base.lambda_c, 0.5 * base.lambda_c)
+        spec = TruncationSpec(j=10, n_max=8)
+        rx, ry = exact_ground_state(px, spec), exact_ground_state(py, spec)
+        assert ry.energy_per_spin == rx.energy_per_spin and ry.residual == rx.residual
+        assert ry.resolve_de == rx.resolve_de and ry.converged == rx.converged
+        np.testing.assert_array_equal(
+            ry.cm.mat, mirrored(rx.cm.mat, NORMAL_MIRROR, NORMAL_MIRROR_SIGN))
+        np.testing.assert_array_equal(ry.means, NORMAL_MIRROR_SIGN * rx.means[NORMAL_MIRROR])
+        np.testing.assert_array_equal(
+            model.ground_state_cm(py).mat,
+            mirrored(model.ground_state_cm(px).mat, NORMAL_MIRROR, NORMAL_MIRROR_SIGN))
+
 
 class TestSuperradiantPhase:
     def test_cm_matches_analytic_at_one_over_j(self):
@@ -456,15 +483,12 @@ class TestSuperradiantPhase:
         rx, ry = exact_ground_state(px, spec), exact_ground_state(py, spec)
         assert ry.energy_per_spin == rx.energy_per_spin and ry.residual == rx.residual
         assert ry.resolve_de == rx.resolve_de and ry.converged == rx.converged
-        np.testing.assert_array_equal(
-            ry.cm.mat, MIRROR_SIGN[:, None] * rx.cm.mat[np.ix_(MIRROR, MIRROR)] * MIRROR_SIGN)
+        np.testing.assert_array_equal(ry.cm.mat, mirrored(rx.cm.mat, MIRROR, MIRROR_SIGN))
         np.testing.assert_array_equal(ry.means, MIRROR_SIGN * rx.means[MIRROR])
-        # the analytic CMs obey the same map, up to the rounding of their two
-        # phase branches (9e-14 at omega / omega0 = 0.01)
-        np.testing.assert_allclose(
+        # the analytic CMs obey the same map: both come from one factorization
+        np.testing.assert_array_equal(
             model.ground_state_cm(py).mat,
-            MIRROR_SIGN[:, None] * model.ground_state_cm(px).mat[np.ix_(MIRROR, MIRROR)]
-            * MIRROR_SIGN, rtol=0.0, atol=1e-12)
+            mirrored(model.ground_state_cm(px).mat, MIRROR, MIRROR_SIGN))
 
     @pytest.mark.parametrize("n_max", [1, 3])
     @pytest.mark.parametrize("j", [0.5, 2.5, 5])
@@ -498,4 +522,4 @@ class TestConvergenceOffResonance:
             # j = 5 deviation is O(1) (a near-degenerate doublet)
             assert 1.7 <= devs[point][1] / devs[point][2] <= 2.6
         # the superradiant-y measurement is the mirror image of the superradiant-x one
-        np.testing.assert_allclose(devs[(0.5, 1.5)], devs[(1.5, 0.5)], rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(devs[(0.5, 1.5)], devs[(1.5, 0.5)])

@@ -15,7 +15,11 @@ from twomode_dicke import cli
 GOLDSTONE_EPSILON = 1e-6
 ADDITIVITY_TOL = 1e-8
 MONOGAMY_TOL = 1e-9
-MIRROR_TOL = 1e-8
+#: Off the diagonal a row and its mirror come from one factorization and are
+#: equal, but tri_x_yj subtracts its two EoFs in the other order.  At x = y
+#: the point is its own mirror, and s_x, s_y agree to rounding only.
+TRI_MIRROR_ATOL = 1e-15
+DIAGONAL_MIRROR_TOL = 1e-8
 
 frequencies = st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)
 couplings = st.floats(0.0, 100.0)
@@ -61,7 +65,12 @@ def test_rows_physical_and_mirror_symmetric(omega, omega0, lx, ly):
     twin = row_at(omega, omega0, ly, lx)
     for col in MIRRORED:
         a, b = row[col], twin[SWAPPED.get(col, col)]
-        assert abs(a - b) <= MIRROR_TOL * max(1.0, abs(a), abs(b)), (col, a, b)
+        if lx == ly:
+            assert abs(a - b) <= DIAGONAL_MIRROR_TOL * max(1.0, abs(a), abs(b)), (col, a, b)
+        elif col == "tri_x_yj":
+            assert abs(a - b) <= TRI_MIRROR_ATOL, (col, a, b)
+        else:
+            assert a == b, (col, a, b)
 
 
 @given(frequencies, frequencies, couplings)
