@@ -26,7 +26,7 @@ from importlib import resources
 import numpy as np
 
 from . import gaussian_info, model, oracle
-from .errors import ConfigError
+from .errors import ConfigError, NumericalFailureError
 
 #: Grid points a sweep computes together, and rows the writer formats
 #: together; bounds the memory of the stacked arrays and of the formatted
@@ -181,15 +181,16 @@ def run_sweep(omega: float, omega0: float, x_range, y_range, groups: list[str],
 
 
 def run_oracle_compare(omega: float, omega0: float, lx_rel: float, ly_rel: float,
-                       sizes: list[float], n_max: int) -> dict[str, np.ndarray]:
-    """Finite-size oracle columns, one row per spin length; diverged where the
-    analytic CM does not exist.
+                       specs: list[oracle.TruncationSpec]) -> dict[str, np.ndarray]:
+    """Finite-size oracle columns, one row per truncation spec; diverged where
+    the analytic CM does not exist or a factor of H is not finite.
 
     The analytic CM is the one of the stacked factorization, and it exists
-    where gs.physical says so, as in a sweep.  On the degenerate line
-    lambda_x = lambda_y > lambda_c the classical frame of the finite-size
-    solve is undefined, and where the factorization overflows (its gaps are
-    NaN) so is H, so no solve runs there.
+    where gs.physical says so, as in a sweep.  No solve runs where H is
+    undefined: on the degenerate line lambda_x = lambda_y > lambda_c (no
+    classical frame), where the factorization overflows (NaN gaps) or a
+    factor of H is not finite (OverflowError).  Such a row has empty solve
+    cells and no error, which records a solve that ran and failed.
     """
     base = model.ModelParams(omega=omega, omega0=omega0)
     p = base.with_couplings(lx_rel * base.lambda_c, ly_rel * base.lambda_c)
@@ -198,9 +199,9 @@ def run_oracle_compare(omega: float, omega0: float, lx_rel: float, ly_rel: float
     gs = model.stacked_ground_states(omega, omega0, x, y)
     analytic_cm = model.stacked_cms(x, y, gs)[0] if gs.physical[0] else None
     rows = []
-    for j in sizes:
+    for spec in specs:
         row = {
-            "lambda_x": lx_rel, "lambda_y": ly_rel, "j": j,
+            "lambda_x": lx_rel, "lambda_y": ly_rel, "j": spec.j,
             "e0_per_spin": math.nan, "e_gs_analytic": e_analytic,
             "abs_de": math.nan, "cm_max_dev": math.nan,
             "converged": None, "resolve_de": None, "diverged": analytic_cm is None,
@@ -210,8 +211,11 @@ def run_oracle_compare(omega: float, omega0: float, lx_rel: float, ly_rel: float
         if p.on_goldstone_line() or np.isnan(gs.nu).any():
             continue
         try:
-            res = oracle.exact_ground_state(p, oracle.TruncationSpec(j=j, n_max=n_max))
-        except Exception as exc:
+            res = oracle.exact_ground_state(p, spec)
+        except OverflowError:
+            row["diverged"] = True
+            continue
+        except NumericalFailureError as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
             continue
         row["e0_per_spin"] = res.energy_per_spin / omega
@@ -279,15 +283,13 @@ def _float_cells(columns: list[np.ndarray], limit: float = INF_THRESHOLD) -> lis
 
 
 def _csv_cells(column, limit: float = INF_THRESHOLD) -> list[str]:
-    """The CSV fields of _csv_cell(v, limit) for v in a 1-D array, a column at a time.
+    """The CSV fields of _csv_cell(v, limit) for v in a 1-D array that is not
+    float (float columns go to _float_cells), a column at a time.
 
-    A float array is the one-column case of _float_cells, and a bool array
-    maps to true/false; neither needs CSV quoting.  Any other column (the
-    oracle's None, bool and error cells) goes through _csv_cell and _csv_field
-    per cell.
+    A bool array maps to true/false, which needs no CSV quoting.  Any other
+    column (the oracle's None, bool and error cells) goes through _csv_cell
+    and _csv_field per cell.
     """
-    if column.dtype.kind == "f":
-        return _float_cells([column], limit)[0]
     if column.dtype.kind == "b":
         return list(map(("false", "true").__getitem__, column.tolist()))
     return [_csv_field(_csv_cell(v, limit)) for v in column.tolist()]
@@ -456,7 +458,7 @@ def main(argv=None) -> int:
                     raise ConfigError(f"--{name.replace('_', '-')} must be finite and "
                                       f"nonnegative, got {value!r}")
             table = run_oracle_compare(args.omega, args.omega0, args.lambda_x,
-                                       args.lambda_y, sizes, args.n_max)
+                                       args.lambda_y, specs)
             columns = list(_ORACLE_COLUMNS)
             config_echo = {
                 "command": args.command, "omega": args.omega, "omega0": args.omega0,

@@ -9,12 +9,12 @@ on grid arrays, and correlation_report on one labeled CovarianceMatrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import symplectic
-from .errors import NonPhysicalError, NotPureError, NumericalFailureError, UnknownModeError
+from .errors import NonPhysicalError, NotPureError, UnknownModeError
 
 #: Tolerance on det(2C) = 1 for pure-state checks.
 PURITY_TOL = 1e-7
@@ -61,17 +61,11 @@ class CovarianceMatrix:
         """Symplectic eigenvalues of 2C (>= 1 for physical states)."""
         return symplectic.symplectic_eigenvalues(2.0 * self.mat)
 
-    def is_physical(self, tol: float = 1e-9) -> bool:
-        try:
-            return bool(self.symplectic_spectrum()[-1] >= 1.0 - tol)
-        except NumericalFailureError:
-            return False
-
     def det2(self) -> float:
         return float(np.linalg.det(2.0 * self.mat))
 
-    def is_pure(self, tol: float = PURITY_TOL) -> bool:
-        return abs(self.det2() - 1.0) <= tol
+    def is_pure(self) -> bool:
+        return abs(self.det2() - 1.0) <= PURITY_TOL
 
 
 def renyi2_entropy(C: CovarianceMatrix) -> float:
@@ -131,37 +125,32 @@ class CorrelationReport:
 
     Entropies and mutual informations are in nats.  tri_x_yj is the genuine
     tripartite entanglement E(x;y:j) = S(j) - E(x:j) - E(y:j) and tri_j_yx
-    is E(j;y:x) = S(x) - E(x:j) - E(x:y).  When diverged is set the numeric
-    fields are NaN.
+    is E(j;y:x) = S(x) - E(x:j) - E(x:y).  Only a physical pure state has a
+    report; a sweep marks the points without one in its diverged column.
     """
 
-    s_x: float = math.nan
-    s_y: float = math.nan
-    s_j: float = math.nan
-    s_xy: float = math.nan
-    s_xj: float = math.nan
-    s_yj: float = math.nan
-    mi_xy_j: float = math.nan
-    mi_xj_y: float = math.nan
-    mi_yj_x: float = math.nan
-    mi_x_y: float = math.nan
-    mi_x_j: float = math.nan
-    mi_y_j: float = math.nan
-    eof_x_j: float = math.nan
-    eof_y_j: float = math.nan
-    eof_x_y: float = math.nan
-    tri_x_yj: float = math.nan
-    tri_j_yx: float = math.nan
-    diverged: bool = False
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+    s_x: float
+    s_y: float
+    s_j: float
+    s_xy: float
+    s_xj: float
+    s_yj: float
+    mi_xy_j: float
+    mi_xj_y: float
+    mi_yj_x: float
+    mi_x_y: float
+    mi_x_j: float
+    mi_y_j: float
+    eof_x_j: float
+    eof_y_j: float
+    eof_x_y: float
+    tri_x_yj: float
+    tri_j_yx: float
 
 
-def correlation_report(C: CovarianceMatrix | None, diverged: bool = False) -> CorrelationReport:
-    """Assemble the full correlation report for a pure 3-mode ground state."""
-    if diverged or C is None:
-        return CorrelationReport(diverged=True)
+def correlation_report(C: CovarianceMatrix) -> CorrelationReport:
+    """The full correlation report of a pure state over modes x, y, j; raises
+    UnknownModeError, NotPureError or NonPhysicalError where it has none."""
     if set(C.modes) != {"x", "y", "j"}:
         raise UnknownModeError(f"expected modes x, y, j; got {C.modes}")
     if not C.is_pure():

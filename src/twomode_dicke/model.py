@@ -179,7 +179,7 @@ class StackedGroundStates:
     nu is (n, 3), descending; det2 is det(2C) and det2_modes the (n, 3)
     single-mode det(2C_i) of modes x, y, j.  stable is False where the
     fluctuation matrix is not positive definite, nu_3 / lambda_c <
-    GAP_FLOOR, or the factorization overflows (nu is NaN there); det2 and
+    GAP_FLOOR, or L_V^T L_T or sigma overflows (nu is NaN there); det2 and
     det2_modes are meaningless there.
     """
 
@@ -256,6 +256,7 @@ def stacked_ground_states(omega: float, omega0: float, x, y) -> StackedGroundSta
     m[~finite] = l_v[~finite] = l_t[~finite] = np.eye(3)
     u, sigma, wt = np.linalg.svd(m)
     sigma[:, 2] = rho * rho * np.sqrt(piv_v * piv_t) / (sigma[:, 0] * sigma[:, 1])
+    finite &= np.isfinite(sigma).all(axis=1)  # so is one whose sigma_3 overflows
     sigma[~finite] = math.nan
     nu = math.sqrt(omega * omega0) * sigma
     stable = finite & (piv_v > 0.0) & (piv_t > 0.0) & (sigma[:, 2] >= symplectic.GAP_FLOOR)
@@ -328,10 +329,10 @@ class ScanPoint:
     d2: float
 
 
-def _jump_index(values: np.ndarray, threshold_factor: float = 10.0):
+def _jump_index(values: np.ndarray):
     """Index of an isolated jump in a sampled function, or None.
 
-    A jump is a single first difference far above the bulk (75th percentile)
+    A jump is one first difference over 10 times the bulk (75th percentile)
     of the others; smooth kinks spread over the grid spacing do not trigger.
     """
     good = np.isfinite(values)
@@ -342,7 +343,7 @@ def _jump_index(values: np.ndarray, threshold_factor: float = 10.0):
     floor = 1e-9 * scale
     bulk = np.percentile(diffs, 75.0) + floor
     imax = int(np.argmax(diffs))
-    if diffs[imax] <= threshold_factor * bulk:
+    if diffs[imax] <= 10.0 * bulk:
         return None
     # Map back to an index into the original (possibly nan-padded) array.
     return int(np.nonzero(good)[0][imax])

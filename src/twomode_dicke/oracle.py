@@ -97,12 +97,17 @@ class FiniteSizeResult:
     energy_per_spin: float
     cm: CovarianceMatrix
     means: np.ndarray
-    converged: bool
     #: |E(n_max + 2) - E(n_max)| per spin; None if that re-solve did not run.
     resolve_de: float | None
     #: ||H psi - E psi|| of the returned ground vector at n_max, the
     #: eigensolver's convergence evidence (in units of H, not per spin).
     residual: float
+
+    @property
+    def converged(self) -> bool:
+        """Whether the n_max + 2 re-solve ran and moved the energy by less than
+        CONVERGENCE_TOL; False with check_convergence off or over the budget."""
+        return self.resolve_de is not None and self.resolve_de * self.spec.j < CONVERGENCE_TOL
 
 
 def _boson_ops(n_max: int):
@@ -131,6 +136,7 @@ def _rotated_spin_ops(gs: ClassicalGroundState, j: float):
     return ct * jx + st * jz, ky, ct * jz - st * jx
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _hamiltonian(p: ModelParams, spec: TruncationSpec, gs: ClassicalGroundState):
     """Two-mode Dicke Hamiltonian conjugated into the classical frame of a
     normal or superradiant-x gs, as the function that applies it to vectors,
@@ -175,6 +181,8 @@ def _hamiltonian(p: ModelParams, spec: TruncationSpec, gs: ClassicalGroundState)
     # C-contiguous transposes: the stacked matmul with a transposed view is
     # about 10% slower
     spin_t, jx_t, jy_t = (p.omega0 * jz).T.copy(), jx.T.copy(), jy.T.copy()
+    if not all(np.isfinite(f).all() for f in (b_x, b_y, c_x, c_y, spin_t)):
+        raise OverflowError("a factor of the Hamiltonian is not finite")
 
     def on_x(op, t):
         return (op @ t.reshape(-1, nb, nb * ns)).reshape(t.shape)
@@ -310,7 +318,8 @@ def exact_ground_state(p: ModelParams, spec: TruncationSpec,
     branch described by the classical solution whenever the condensate is
     nonzero; a point with lambda_y > lambda_x is solved with its couplings
     swapped.
-    Raises BudgetExceededError when the truncated dimension is too large.
+    Raises BudgetExceededError when the truncated dimension is too large,
+    and OverflowError where a factor of H, at n_max or n_max + 2, is not finite.
     """
     if spec.dimension > DIMENSION_BUDGET:
         raise BudgetExceededError(
@@ -324,13 +333,12 @@ def exact_ground_state(p: ModelParams, spec: TruncationSpec,
     means, cm = _measure_cm(psi, spec, (frame.phase, mirrored))
 
     bigger = TruncationSpec(j=spec.j, n_max=spec.n_max + 2)
-    converged, resolve_de = not check_convergence, None
+    resolve_de = None
     if check_convergence and bigger.dimension <= DIMENSION_BUDGET:
         nb = spec.n_max + 1
         v0 = np.zeros((nb + 2, nb + 2, spec.dimension // (nb * nb)))
         v0[:nb, :nb] = psi.reshape(nb, nb, -1)
         energy2, _, _ = _ground_vector(*_hamiltonian(p, bigger, frame), v0.ravel())
-        converged = bool(abs(energy2 - energy) < CONVERGENCE_TOL)
         resolve_de = abs(energy2 - energy) / spec.j
 
     return FiniteSizeResult(
@@ -338,7 +346,6 @@ def exact_ground_state(p: ModelParams, spec: TruncationSpec,
         energy_per_spin=energy / spec.j,
         cm=CovarianceMatrix(("x", "y", "j"), cm),
         means=means,
-        converged=converged,
         resolve_de=resolve_de,
         residual=residual,
     )

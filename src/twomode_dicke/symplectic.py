@@ -40,12 +40,12 @@ def symplectic_form(n: int) -> np.ndarray:
     return np.kron(np.eye(n), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
-def _require_symmetric(K, rtol=SYMMETRY_RTOL):
+def _require_symmetric(K):
     K = np.asarray(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] % 2 != 0:
         raise NonSymmetricError(f"expected even-dimensional square matrix, got {K.shape}")
     scale = max(np.max(np.abs(K)), 1.0)
-    if np.max(np.abs(K - K.T)) > rtol * scale:
+    if np.max(np.abs(K - K.T)) > SYMMETRY_RTOL * scale:
         raise NonSymmetricError("matrix is not symmetric within tolerance")
     return 0.5 * (K + K.T)
 
@@ -80,7 +80,7 @@ class WilliamsonDecomposition:
         return np.diag(np.repeat(self.nu, 2))
 
 
-def williamson(K, gap_floor: float = GAP_FLOOR) -> WilliamsonDecomposition:
+def williamson(K) -> WilliamsonDecomposition:
     """Williamson decomposition of a symmetric positive-definite matrix.
 
     The construction diagonalizes the antisymmetric matrix
@@ -105,9 +105,9 @@ def williamson(K, gap_floor: float = GAP_FLOOR) -> WilliamsonDecomposition:
     if mu[0] <= 0.0:
         raise NumericalFailureError("iA has fewer than n positive eigenvalues")
     nu = 1.0 / mu
-    if nu[-1] < gap_floor:
+    if nu[-1] < GAP_FLOOR:
         raise NearSingularError(
-            f"symplectic eigenvalue {nu[-1]:.3e} below gap floor {gap_floor:.1e}"
+            f"symplectic eigenvalue {nu[-1]:.3e} below gap floor {GAP_FLOOR:.1e}"
         )
     O = np.empty((2 * n, 2 * n))
     O[:, 0::2] = np.sqrt(2.0) * v.real

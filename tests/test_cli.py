@@ -1,6 +1,7 @@
 """Sweep CLI: parsing, output formats, schema, determinism, mirror symmetry."""
 
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -24,6 +25,7 @@ from twomode_dicke import cli, gaussian_info, model, oracle
 from twomode_dicke.cli import (
     _csv_cell,
     _csv_cells,
+    _float_cells,
     _json_cell,
     _parse_quantities,
     _parse_range,
@@ -33,7 +35,7 @@ from twomode_dicke.cli import (
     schema,
     sweep_columns,
 )
-from twomode_dicke.errors import ConfigError
+from twomode_dicke.errors import ConfigError, NumericalFailureError
 from twomode_dicke.gaussian_info import CovarianceMatrix
 from twomode_dicke.symplectic import symplectic_eigenvalues, williamson
 
@@ -156,7 +158,7 @@ def williamson_row(omega, omega0, lx_rel, ly_rel):
     K = model.fluctuation_matrix(p)
     M = williamson(K).M
     cm = CovarianceMatrix(("x", "y", "j"), 0.5 * np.linalg.inv(M @ M.T))
-    return dict(gaussian_info.correlation_report(cm).to_dict(), goldstone_offset=offset,
+    return dict(dataclasses.asdict(gaussian_info.correlation_report(cm)), goldstone_offset=offset,
                 e_gs=model.ground_state_energy(p) / omega,
                 **dict(zip(("nu_1", "nu_2", "nu_3"), symplectic_eigenvalues(K).tolist())))
 
@@ -398,7 +400,7 @@ class TestColumnWriter:
     """write_output formats by column; _csv_cell / _json_cell are the reference."""
 
     def test_float_column(self):
-        cells = _csv_cells(np.array(EDGE_FLOATS))
+        (cells,) = _float_cells([np.array(EDGE_FLOATS)])
         assert cells == [_csv_cell(v) for v in EDGE_FLOATS]
         assert cells[:8] == ["", "1000000", "-1000000", "inf", "-inf", "inf", "-inf", "-0"]
 
@@ -555,12 +557,29 @@ class TestExtremeScales:
         assert [row["lambda_x"] for row in rows] == [0.0, 0.0, 5e299, 5e299, 1e300, 1e300]
         assert [row["lambda_y"] for row in rows] == [0.0, 2.0] * 3
 
-    def test_oracle_compare_writes_its_row(self, capsys):
-        # the factorization overflows, so no finite-size solve runs
-        code = main(["oracle-compare", "--lambda-x", "1e300", "--lambda-y", "0", "--j", "1",
-                     "--n-max", "2"])
+    def test_overflowing_sigma_3_is_diverged(self, capsys):
+        # pivot_V pivot_T overflows at (2, 0) while L_V^T L_T is finite
+        assert main(["sweep", "--omega", "1e-300", "--omega0", "1e8", "--x", "0:2:3",
+                     "--y", "0:0:1", "--quantities", "gaps,mi"]) == 0
+        row = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))[-1]
+        assert (row["lambda_x"], row["lambda_y"]) == ("2", "0")
+        assert row["nu_1"] == row["nu_2"] == row["nu_3"] == "" and row["diverged"] == "true"
+
+    @pytest.mark.parametrize("argv", [
+        # the factorization overflows
+        ["--lambda-x", "1e300", "--lambda-y", "0", "--j", "1"],
+        # sigma_3 overflows
+        ["--omega", "1e-300", "--omega0", "1e8", "--lambda-x", "2", "--lambda-y", "0", "--j", "20"],
+        # the factorization is finite, but a factor of H is not
+        ["--omega", "1e308", "--omega0", "1", "--lambda-x", "1.5", "--lambda-y", "0.5", "--j", "1"],
+        ["--omega", "1e4", "--omega0", "1e304", "--lambda-x", "50", "--lambda-y", "3", "--j", "20"],
+    ])
+    def test_oracle_compare_writes_its_row(self, argv, capsys):
+        # H leaves the floats, so no finite-size solve runs
+        code = main(["oracle-compare", *argv, "--n-max", "2"])
         (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
-        assert row["diverged"] == "true" and float(row["lambda_x"]) == 1e300
+        assert float(row["lambda_x"]) == float(argv[argv.index("--lambda-x") + 1])
+        assert row["diverged"] == "true"
         assert row["error"] == row["e0_per_spin"] == row["converged"] == ""
         assert code == 0
 
@@ -835,6 +854,24 @@ class TestOracleCompare:
             assert row["abs_de"] == pytest.approx(abs_de, rel=1e-12, abs=PINNED_ABS)
             assert row["cm_max_dev"] == pytest.approx(cm_max_dev, rel=1e-12, abs=PINNED_ABS)
             assert (row["converged"], row["diverged"]) == (converged, diverged)
+
+    def test_failed_solve_is_an_error_row(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise NumericalFailureError("no convergence")
+        monkeypatch.setattr(oracle, "exact_ground_state", fail)
+        assert main(["oracle-compare", "--lambda-x", "0.5", "--lambda-y", "0.3",
+                     "--j", "2", "--n-max", "2"]) == 3
+        (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        assert row["error"] == "NumericalFailureError: no convergence"
+        assert row["e0_per_spin"] == "" and row["diverged"] == "false"
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(oracle, "exact_ground_state", broken)
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["oracle-compare", "--lambda-x", "0.5", "--lambda-y", "0.3",
+                  "--j", "2", "--n-max", "2"])
 
     def test_python_dash_m_runs(self, tmp_path):
         out = tmp_path / "oracle.csv"

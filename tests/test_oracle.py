@@ -396,7 +396,8 @@ class TestNormalPhaseConvergence:
         p = ModelParams(1.0, 1.0, 0.5, 0.3)
         spec, bigger = TruncationSpec(j=5, n_max=4), TruncationSpec(j=5, n_max=6)
         res = exact_ground_state(p, spec)
-        assert exact_ground_state(p, bigger, check_convergence=False).resolve_de is None
+        unchecked = exact_ground_state(p, bigger, check_convergence=False)
+        assert unchecked.resolve_de is None and unchecked.converged is False
 
         # the documented computation: the n_max + 2 re-solve starts from the
         # n_max ground vector, zero-padded
