@@ -8,7 +8,6 @@ finite-size exact-diagonalization oracle for validation, and a sweep CLI.
 
 from .errors import (
     BudgetExceededError,
-    ConfigError,
     GoldstoneLineError,
     NearSingularError,
     NonPhysicalError,
@@ -53,7 +52,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceededError",
     "ClassicalGroundState",
-    "ConfigError",
     "CorrelationReport",
     "CovarianceMatrix",
     "ExcitationSpectrum",

@@ -9,7 +9,9 @@ table of columns (column name -> values over the grid) that ``write_output``
 formats block by block, each distinct float value of a block once;
 ``evaluate_point`` is the one-point sweep, and ``_csv_cell`` / ``_json_cell``
 the per-cell reference of the writer.  The argument parser is built once per
-process, on the first ``main`` call.
+process, on the first ``main`` call.  It owns input checking: each option's
+``type=`` checks its value, so bad input leaves through the parser's error
+(usage and ``error: argument --opt: ...`` on stderr, SystemExit(2)).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from importlib import resources
 import numpy as np
 
 from . import gaussian_info, model, oracle
-from .errors import ConfigError, NumericalFailureError
+from .errors import NumericalFailureError
 
 #: Grid points a sweep computes together, and rows the writer formats
 #: together; bounds the memory of the stacked arrays and of the formatted
@@ -65,34 +67,42 @@ def schema() -> dict:
     return json.loads(text)
 
 
-def _parse_range(text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"range must be min:max:count, got {text!r}")
-    try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise ConfigError(f"bad range {text!r}: {exc}") from exc
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError(f"range {text!r} must have finite bounds")
-    if count < 1 or lo < 0.0 or hi < lo:
-        raise ConfigError(f"range {text!r} must satisfy 0 <= min <= max, count >= 1")
-    return lo, hi, count
+def _checked(convert, ok, requirement: str):
+    """An argparse type: convert(text), rejected with ArgumentTypeError unless
+    it converts (no ValueError) and ok holds for the value."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            pass
+        else:
+            if ok(value):
+                return value
+        raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+    return parse
+
+
+def _range(text: str) -> tuple[float, float, int]:
+    lo, hi, count = text.split(":")
+    return float(lo), float(hi), int(count)
+
+
+_parse_range = _checked(_range, lambda r: 0.0 <= r[0] <= r[1] < math.inf and r[2] >= 1,
+                        "min:max:count with 0 <= min <= max finite and count >= 1")
+_frequency = _checked(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
+_coupling = _checked(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+_spin_lengths = _checked(
+    lambda text: [float(t) for t in text.split(",") if t.strip()],
+    lambda sizes: sizes and all(0.0 < j < math.inf and (2.0 * j).is_integer() for j in sizes),
+    "a comma-separated list of positive integer or half-integer spin lengths")
 
 
 def _parse_quantities(text: str) -> list[str]:
-    names = [t.strip() for t in text.split(",") if t.strip()]
-    if not names:
-        raise ConfigError("--quantities must name at least one group")
-    for name in names:
-        if name != "all" and name not in GROUP_COLUMNS:
-            raise ConfigError(
-                f"unknown quantity {name!r}; choose from "
-                f"{', '.join(list(GROUP_COLUMNS) + ['all'])}"
-            )
-    if "all" in names:
-        return list(GROUP_ORDER)
-    return [g for g in GROUP_ORDER if g in names]
+    names = {t.strip() for t in text.split(",")} - {""}
+    if not names or not names <= {*GROUP_COLUMNS, "all"}:
+        raise argparse.ArgumentTypeError(
+            f"must be a comma-separated subset of {','.join([*GROUP_ORDER, 'all'])}, got {text!r}")
+    return [g for g in GROUP_ORDER if g in names or "all" in names]
 
 
 def _grid(range_spec: tuple[float, float, int]) -> np.ndarray:
@@ -133,15 +143,13 @@ def _sweep_block(omega: float, omega0: float, lx_rel: np.ndarray, ly_rel: np.nda
                  goldstone_epsilon: float, groups: list[str]) -> dict:
     """Output columns for arrays of grid points; a row is diverged where the
     point has no physical pure Gaussian ground state (gs.physical)."""
-    lc = math.sqrt(omega * omega0)
-    lx, ly = lx_rel * lc, ly_rel * lc
-    offset = (np.abs(lx - ly) <= goldstone_epsilon * lc) & (np.maximum(lx, ly) > lc)
+    offset = (np.abs(lx_rel - ly_rel) <= goldstone_epsilon) & (np.maximum(lx_rel, ly_rel) > 1.0)
     cols = {"lambda_x": lx_rel, "lambda_y": ly_rel, "goldstone_offset": offset,
-            "diverged": np.zeros(lx.size, dtype=bool)}
+            "diverged": np.zeros(lx_rel.size, dtype=bool)}
     y = np.where(offset, ly_rel * (1.0 - goldstone_epsilon), ly_rel)
     if "energy" in groups:
         with np.errstate(over="ignore"):  # e_gs is -inf where it leaves the floats
-            cols["e_gs"] = model.ground_state_energies(omega, omega0, lx, y * lc) / omega
+            cols["e_gs"] = model.ground_state_energies(omega0, lx_rel, y) / omega
     report_groups = [g for g in ("mi", "eof", "tripartite") if g in groups]
     if "gaps" not in groups and not report_groups:
         return cols
@@ -335,8 +343,8 @@ def write_output(table: dict, columns: list[str], fmt: str, out,
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict, argparse.ArgumentParser]:
     """The command-line parser, its subparsers by command, and the one-option
-    --config pre-parser of _apply_config_file; built once per process, on the
-    first call."""
+    --config pre-parser of _parse_args; built once per process, on the first
+    call.  Each option's type= checks its value."""
     parser = argparse.ArgumentParser(
         prog="twomode-dicke",
         description="Parameter sweeps of the two-mode Dicke model "
@@ -346,128 +354,104 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict, argparse.ArgumentPar
 
     def add_common(sp):
         sp.add_argument("--config", help="JSON config file; CLI flags override its keys")
-        sp.add_argument("--omega", type=float, default=1.0)
-        sp.add_argument("--omega0", type=float, default=1.0)
+        sp.add_argument("--omega", type=_frequency, default=1.0)
+        sp.add_argument("--omega0", type=_frequency, default=1.0)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", help="output path (default: stdout)")
 
     def add_grid(sp):
-        sp.add_argument("--x", default="0:2:101", help="lambda_x range min:max:count")
-        sp.add_argument("--quantities", default="all",
+        sp.add_argument("--x", type=_parse_range, default="0:2:101",
+                        help="lambda_x range min:max:count")
+        sp.add_argument("--quantities", type=_parse_quantities, default="all",
                         help="comma-separated subset of gaps,energy,mi,eof,tripartite,all")
-        sp.add_argument("--goldstone-epsilon", type=float, default=1e-6)
+        sp.add_argument("--goldstone-epsilon", default=1e-6,
+                        type=_checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)"))
         sp.add_argument("--threads", type=int, default=1,
                         help="accepted and ignored: the grid is computed as stacked arrays")
 
     sweep = sub.add_parser("sweep", help="rectangular grid over (lambda_x, lambda_y)")
     add_common(sweep)
     add_grid(sweep)
-    sweep.add_argument("--y", default="0:2:101", help="lambda_y range min:max:count")
+    sweep.add_argument("--y", type=_parse_range, default="0:2:101",
+                       help="lambda_y range min:max:count")
 
     sl = sub.add_parser("slice", help="1D slice at fixed lambda_y")
     add_common(sl)
     add_grid(sl)
-    sl.add_argument("--y", type=float, required=True, help="fixed lambda_y (units of lambda_c)")
+    sl.add_argument("--y", type=lambda text: (_coupling(text),) * 2 + (1,), required=True,
+                    help="fixed lambda_y (units of lambda_c)")
 
     oc = sub.add_parser("oracle-compare", help="finite-size oracle vs analytic pipeline")
     add_common(oc)
-    oc.add_argument("--lambda-x", type=float, required=True)
-    oc.add_argument("--lambda-y", type=float, required=True)
-    oc.add_argument("--j", default="5,10,20", help="comma-separated spin lengths")
-    oc.add_argument("--n-max", type=int, default=10, help="Fock cutoff per boson")
+    oc.add_argument("--lambda-x", type=_coupling, required=True)
+    oc.add_argument("--lambda-y", type=_coupling, required=True)
+    oc.add_argument("--j", type=_spin_lengths, default="5,10,20",
+                    help="comma-separated spin lengths")
+    oc.add_argument("--n-max", type=_checked(int, lambda n: n >= 1, "an integer >= 1"),
+                    default=10, help="Fock cutoff per boson")
     find = argparse.ArgumentParser(add_help=False)
     find.add_argument("--config", nargs="?")
     return parser, sub.choices, find
 
 
-def _apply_config_file(argv: list[str]) -> argparse.Namespace:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse argv once, with the values of its --config file inserted as
     ``--key=value`` flags before the explicit ones: they are checked like typed
-    flags, lose to them, and may supply a required option."""
+    flags, lose to them, and may supply a required option.  Bad input exits 2
+    through the parser's error: a value its option's type rejects, a config
+    file that is not an object of string and number values of known keys, or
+    an oracle-compare spec over the oracle's dimension budget."""
     parser, commands, find = _build_parser()
     path = find.parse_known_args(argv[1:])[0].config if argv and argv[0] in commands else None
-    if not path:
-        return parser.parse_args(argv)
-    try:
-        with open(path) as fh:
-            overrides = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    if not isinstance(overrides, dict):
-        raise ConfigError("config file must hold a JSON object")
-    unknown = set(overrides) - ({a.dest for a in commands[argv[0]]._actions} - {"help", "config"})
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in overrides.items():
-        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-            raise ConfigError(f"config key {key!r} must be a string or a number, "
+    if path:
+        command = commands[argv[0]]
+        try:
+            with open(path) as fh:
+                overrides = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            command.error(f"argument --config: cannot read {path}: {exc}")
+        if not isinstance(overrides, dict):
+            command.error("argument --config: the file must hold a JSON object")
+        unknown = set(overrides) - ({a.dest for a in command._actions} - {"help", "config"})
+        if unknown:
+            command.error(f"argument --config: unknown keys {sorted(unknown)}")
+        for key, value in overrides.items():
+            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                command.error(f"argument --config: key {key!r} must be a string or a number, "
                               f"got {json.dumps(value)}")
-    flags = [f"--{key.replace('_', '-')}={value}" for key, value in overrides.items()]
-    return parser.parse_args(argv[:1] + flags + argv[1:])
+        argv = argv[:1] + [f"--{key.replace('_', '-')}={value}"
+                           for key, value in overrides.items()] + argv[1:]
+    args = parser.parse_args(argv)
+    if args.command == "oracle-compare":
+        for j in args.j:
+            dimension = oracle.TruncationSpec(j=j, n_max=args.n_max).dimension
+            if dimension > oracle.DIMENSION_BUDGET:
+                commands[args.command].error(
+                    f"--j {j:g} with --n-max {args.n_max} needs dimension {dimension}, "
+                    f"over the oracle's budget of {oracle.DIMENSION_BUDGET}")
+    return args
+
+
+#: The options each command echoes in the "config" object of JSON output, in order.
+_ECHOED = dict.fromkeys(
+    ["sweep", "slice"], ["omega", "omega0", "x", "y", "quantities", "goldstone_epsilon", "format"],
+) | {"oracle-compare": ["omega", "omega0", "lambda_x", "lambda_y", "j", "n_max", "format"]}
 
 
 def main(argv=None) -> int:
-    try:
-        args = _apply_config_file(list(sys.argv[1:] if argv is None else argv))
-
-        for name in ("omega", "omega0"):
-            value = getattr(args, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"--{name} must be finite and positive, got {value!r}")
-
-        if args.command in ("sweep", "slice"):
-            groups = _parse_quantities(args.quantities)
-            x_range = _parse_range(args.x)
-            if args.command == "slice":
-                if not (math.isfinite(args.y) and args.y >= 0.0):
-                    raise ConfigError("--y must be finite and nonnegative")
-                y_range = (args.y, args.y, 1)
-            else:
-                y_range = _parse_range(args.y)
-            if not 0.0 < args.goldstone_epsilon < 1.0:
-                raise ConfigError("--goldstone-epsilon must be in (0, 1)")
-            table = run_sweep(args.omega, args.omega0, x_range, y_range, groups,
-                              args.goldstone_epsilon)
-            columns = sweep_columns(groups)
-            config_echo = {
-                "command": args.command, "omega": args.omega, "omega0": args.omega0,
-                "x": list(x_range), "y": list(y_range), "quantities": groups,
-                "goldstone_epsilon": args.goldstone_epsilon, "format": args.format,
-            }
-        else:
-            try:
-                sizes = [float(t) for t in args.j.split(",") if t.strip()]
-            except ValueError as exc:
-                raise ConfigError(f"bad --j list: {exc}") from exc
-            if not sizes:
-                raise ConfigError("--j must list at least one spin length")
-            if not all(math.isfinite(v) for v in sizes):
-                raise ConfigError("--j must list finite spin lengths")
-            try:
-                specs = [oracle.TruncationSpec(j=j, n_max=args.n_max) for j in sizes]
-            except ValueError as exc:
-                raise ConfigError(f"bad --j or --n-max: {exc}") from exc
-            for spec in specs:
-                if spec.dimension > oracle.DIMENSION_BUDGET:
-                    raise ConfigError(
-                        f"--j {spec.j:g} with --n-max {spec.n_max} needs dimension "
-                        f"{spec.dimension}, over the oracle's budget of {oracle.DIMENSION_BUDGET}")
-            for name in ("lambda_x", "lambda_y"):
-                value = getattr(args, name)
-                if not (math.isfinite(value) and value >= 0.0):
-                    raise ConfigError(f"--{name.replace('_', '-')} must be finite and "
-                                      f"nonnegative, got {value!r}")
-            table = run_oracle_compare(args.omega, args.omega0, args.lambda_x,
-                                       args.lambda_y, specs)
-            columns = list(_ORACLE_COLUMNS)
-            config_echo = {
-                "command": args.command, "omega": args.omega, "omega0": args.omega0,
-                "lambda_x": args.lambda_x, "lambda_y": args.lambda_y,
-                "j": sizes, "n_max": args.n_max, "format": args.format,
-            }
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    """Run one command and return its exit code: 0, or 3 if a row records an
+    error.  Bad input raises SystemExit(2) from the parser, with its message
+    on stderr and nothing on stdout."""
+    args = _parse_args(list(sys.argv[1:] if argv is None else argv))
+    if args.command == "oracle-compare":
+        specs = [oracle.TruncationSpec(j=j, n_max=args.n_max) for j in args.j]
+        table = run_oracle_compare(args.omega, args.omega0, args.lambda_x, args.lambda_y, specs)
+        columns = list(_ORACLE_COLUMNS)
+    else:
+        table = run_sweep(args.omega, args.omega0, args.x, args.y, args.quantities,
+                          args.goldstone_epsilon)
+        columns = sweep_columns(args.quantities)
+    config_echo = {"command": args.command} | {k: getattr(args, k) for k in _ECHOED[args.command]}
 
     if args.out:
         with open(args.out, "w", newline="") as fh:

@@ -43,7 +43,3 @@ class GoldstoneLineError(TwoModeDickeError):
 
 class BudgetExceededError(TwoModeDickeError):
     """Requested truncation exceeds the configured Hilbert-space budget."""
-
-
-class ConfigError(TwoModeDickeError):
-    """Invalid sweep or CLI configuration."""

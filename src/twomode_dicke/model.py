@@ -111,14 +111,14 @@ def _superradiant_energy(omega0: float, x):
 
 def ground_state_energy(p: ModelParams) -> float:
     """Ground-state energy per spin; well defined by continuity on the degenerate line."""
-    return float(ground_state_energies(p.omega, p.omega0, p.lambda_x, p.lambda_y))
+    x, y = np.divide([p.lambda_x, p.lambda_y], p.lambda_c)
+    return float(ground_state_energies(p.omega0, x, y))
 
 
-def ground_state_energies(omega: float, omega0: float, lambda_x, lambda_y) -> np.ndarray:
-    """ground_state_energy for arrays of couplings."""
-    # At x = 1 the superradiant energy is -omega0, that of the normal phase.
-    x = np.maximum(np.maximum(lambda_x, lambda_y) / math.sqrt(omega * omega0), 1.0)
-    return _superradiant_energy(omega0, x)
+def ground_state_energies(omega0: float, x, y) -> np.ndarray:
+    """ground_state_energy for arrays of couplings x, y in units of lambda_c."""
+    # At max(x, y) = 1 the superradiant energy is -omega0, that of the normal phase.
+    return _superradiant_energy(omega0, np.maximum(np.maximum(x, y), 1.0))
 
 
 def fluctuation_matrix(p: ModelParams) -> np.ndarray:
@@ -364,7 +364,8 @@ def gs_energy_derivative_scan(p: ModelParams, axis: str, grid):
         raise ValueError("axis must be 'x' or 'y'")
 
     lambda_x, lambda_y = (grid, p.lambda_y) if axis == "x" else (p.lambda_x, grid)
-    energy = ground_state_energies(p.omega, p.omega0, lambda_x, lambda_y)
+    energy = ground_state_energies(p.omega0, np.divide(lambda_x, p.lambda_c),
+                                   np.divide(lambda_y, p.lambda_c))
     h = np.diff(grid)
     d1_mid = np.diff(energy) / h                      # at midpoints
     d2_grid = np.full(grid.size, np.nan)

@@ -35,6 +35,7 @@ collective-spin quadratures of the rotated frame.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,7 +253,11 @@ def _ground_vector(apply, diagonal: np.ndarray,
     ||r|| <= RESIDUAL_TOL eps max|diag H| and returns theta, x and ||r||;
     with V orthonormal, theta is the Rayleigh quotient of x.
     """
-    scale = _EPS * np.max(np.abs(diagonal))
+    top = float(np.max(np.abs(diagonal)))
+    scale = _EPS * top
+    # ||r|| is taken of r times this power of two, exactly, so that the squares
+    # of its entries neither overflow (max|diag H| above ~1e154) nor underflow
+    unit = math.ldexp(1.0, -math.frexp(top)[1])
     m = min(DAVIDSON_BASIS, diagonal.size)
     V, AV = np.empty((m, diagonal.size)), np.empty((m, diagonal.size))
     if v0 is None:
@@ -266,7 +271,7 @@ def _ground_vector(apply, diagonal: np.ndarray,
         theta, Y = np.linalg.eigh(V[:k] @ AV[:k].T)
         x, ax = Y[:, 0] @ V[:k], Y[:, 0] @ AV[:k]
         r = ax - theta[0] * x
-        residual = float(np.linalg.norm(r))
+        residual = float(np.linalg.norm(r * unit)) / unit
         if residual <= RESIDUAL_TOL * scale:
             return float(theta[0]), x / np.linalg.norm(x), residual
         if k == m:

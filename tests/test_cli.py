@@ -1,5 +1,6 @@
 """Sweep CLI: parsing, output formats, schema, determinism, mirror symmetry."""
 
+import argparse
 import csv
 import dataclasses
 import functools
@@ -35,7 +36,7 @@ from twomode_dicke.cli import (
     schema,
     sweep_columns,
 )
-from twomode_dicke.errors import ConfigError, NumericalFailureError
+from twomode_dicke.errors import NumericalFailureError
 from twomode_dicke.gaussian_info import CovarianceMatrix
 from twomode_dicke.symplectic import symplectic_eigenvalues, williamson
 
@@ -169,13 +170,13 @@ class TestParsing:
 
     def test_range_errors(self):
         for bad in ("0:2", "a:2:5", "1:0.5:5", "-1:2:5", "0:2:0"):
-            with pytest.raises(ConfigError):
+            with pytest.raises(argparse.ArgumentTypeError):
                 _parse_range(bad)
 
     def test_quantities(self):
         assert _parse_quantities("all") == ["gaps", "energy", "mi", "eof", "tripartite"]
         assert _parse_quantities("eof,gaps") == ["gaps", "eof"]
-        with pytest.raises(ConfigError):
+        with pytest.raises(argparse.ArgumentTypeError):
             _parse_quantities("bogus")
 
     def test_columns_stable(self):
@@ -466,31 +467,33 @@ class TestParserOncePerProcess:
         cfg.write_text(json.dumps({"y": 0.3}))
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"format": "xml"}))
+        # (exit code, command line); the parser rejects the bad config value
         commands = [
-            ["sweep", "--x", "0:2:3", "--y", "0:2:3"],
-            ["slice", "--x", "0:2:3", "--y", "0.5"],
-            ["oracle-compare", "--lambda-x", "1.5", "--lambda-y", "0.5",
-             "--j", "2", "--n-max", "2"],
-            ["slice", "--config", str(cfg), "--x", "0:1:3"],
-            ["sweep", "--config", str(bad), "--x", "0:1:2", "--y", "0:1:2"],
-            ["sweep", "--x", "0:2:3", "--y", "0:2:3"],
+            (0, ["sweep", "--x", "0:2:3", "--y", "0:2:3"]),
+            (0, ["slice", "--x", "0:2:3", "--y", "0.5"]),
+            (0, ["oracle-compare", "--lambda-x", "1.5", "--lambda-y", "0.5",
+                 "--j", "2", "--n-max", "2"]),
+            (0, ["slice", "--config", str(cfg), "--x", "0:1:3"]),
+            (2, ["sweep", "--config", str(bad), "--x", "0:1:2", "--y", "0:1:2"]),
+            (0, ["sweep", "--x", "0:2:3", "--y", "0:2:3"]),
         ]
 
-        def run(argv):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse rejects the bad config value this way
-                code = exc.code
+        def run(code, argv):
+            if code == 2:
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == 2
+            else:
+                assert main(argv) == code
             captured = capsys.readouterr()
-            return code, captured.out, captured.err
+            return captured.out, captured.err
 
         fresh = []
-        for argv in commands:
+        for code, argv in commands:
             cli._build_parser.cache_clear()
-            fresh.append(run(argv))
+            fresh.append(run(code, argv))
         cli._build_parser.cache_clear()
-        cached = [run(argv) for argv in commands]
-        assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 2, 0]
+        cached = [run(code, argv) for code, argv in commands]
         assert cached == fresh
         info = cli._build_parser.cache_info()
         assert (info.misses, info.hits) == (1, len(commands) - 1)
@@ -504,7 +507,8 @@ SCALED_GRID = ((0.0, 2.0, 9), (0.0, 2.0, 9))
 
 @pytest.mark.filterwarnings("error")
 class TestExtremeScales:
-    @pytest.mark.parametrize("scale", [1e-150, 1e-80, 1e80, 1e150])
+    # lambda_c = sqrt(omega omega0) leaves the floats at 1e-200 and 1e200
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-150, 1e-80, 1e80, 1e150, 1e200, 1e300])
     def test_energy_is_scale_invariant(self, scale):
         ref = run_sweep(1.0, 1.0, *SCALED_GRID, ["energy"], EPSILON)["e_gs"]
         e_gs = run_sweep(scale, scale, *SCALED_GRID, ["energy"], EPSILON)["e_gs"]
@@ -639,10 +643,6 @@ class TestConfigFile:
         "slice": ({"y": 0.3}, ["--x", "0:1:3"]),
     }
 
-    @staticmethod
-    def _flags(values):
-        return [a for k, v in values.items() for a in (f"--{k.replace('_', '-')}", str(v))]
-
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("command", list(REQUIRED))
     def test_required_option_from_config(self, command, fmt, tmp_path, capsys):
@@ -650,7 +650,7 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(values))
         rest = rest + ["--format", fmt]
-        assert main([command] + self._flags(values) + rest) == 0
+        assert main([command] + flags_of(values) + rest) == 0
         by_flag = capsys.readouterr().out
         assert main([command, "--config", str(cfg)] + rest) == 0
         assert capsys.readouterr().out == by_flag
@@ -661,7 +661,7 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(values))
         key = list(values)[-1]
-        flags = self._flags(values | {key: 0.1})
+        flags = flags_of(values | {key: 0.1})
         assert main([command] + flags + rest) == 0
         by_flag = capsys.readouterr().out
         assert main([command, "--config", str(cfg)] + flags[-2:] + rest) == 0
@@ -680,77 +680,106 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert "required" in err and f"--{list(values)[0].replace('_', '-')}" in err
 
-    def test_unknown_config_key(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bogus": 1}))
-        assert main(["sweep", "--config", str(cfg)]) == 2
 
-    def test_missing_config_file(self):
-        assert main(["sweep", "--config", "/nonexistent.json"]) == 2
+def flags_of(values: dict) -> list[str]:
+    """The command-line flags that give the options of ``values`` (keys as in a config file)."""
+    return [a for k, v in values.items() for a in (f"--{k.replace('_', '-')}", str(v))]
 
-    @pytest.mark.parametrize("config", [
-        '{"omega": [1]}',
-        '{"quantities": ["mi"]}',
-        '{"goldstone_epsilon": [0.1]}',
-        '{"format": "xml"}',
-        '{"n_max": 2.5}',
-        '{"omega": true}',
-    ])
-    def test_bad_config_values_exit_2(self, config, tmp_path, capsys):
-        # checked like the same value typed on the command line
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(config)
-        command = "oracle-compare" if "n_max" in config else "sweep"
-        try:
-            code = main([command, "--config", str(cfg)] + TestErrors.SMALL[command])
-        except SystemExit as exc:  # argparse rejects a bad type or choice this way
-            code = exc.code
-        assert code == 2
-        assert capsys.readouterr().out == ""
+
+def json_value(text: str):
+    """text as a config file value: a JSON number where it reads as one, else a string."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
+#: Small runs, so that input that is wrongly accepted runs quickly.
+SMALL = {"sweep": {"x": "0:1:2", "y": "0:1:2"},
+         "slice": {"x": "0:1:2", "y": "0.5"},
+         "oracle-compare": {"lambda_x": "0", "lambda_y": "0", "j": "2", "n_max": "2"}}
+
+#: Option values rejected both as flags and as the values of a config file
+#: (numbers there as JSON numbers); stderr names the first option.
+BAD_VALUES = [
+    "sweep --x nope --threads 1",
+    "sweep --quantities nope --threads 1",
+    "sweep --x nan:1:3",
+    "sweep --x 0:inf:3",
+    "sweep --y 0:nan:3",
+    "sweep --omega nan",
+    "sweep --omega inf",
+    "sweep --omega0 nan",
+    "sweep --omega0 inf",
+    "sweep --goldstone-epsilon nan",
+    "slice --y nan",
+    "slice --y inf",
+    "slice --x 0:nan:2",
+    "oracle-compare --lambda-x nan",
+    "oracle-compare --lambda-y inf",
+    "oracle-compare --omega nan",
+    "oracle-compare --omega0 inf",
+    "oracle-compare --omega -1",
+    "oracle-compare --lambda-x -1",
+    "oracle-compare --j 2,nan",
+    "oracle-compare --j 0",
+    "oracle-compare --j -1",
+    "oracle-compare --j 1.3",
+    "oracle-compare --n-max 0",
+    "oracle-compare --j 5000 --n-max 10",
+]
+
+#: Config files rejected for their form or for a value: (command, file text,
+#: what stderr names).
+BAD_CONFIGS = [
+    ("sweep", '{"bogus": 1}', "bogus"),
+    ("sweep", "[1]", "--config"),
+    ("sweep", '{"omega": [1]}', "omega"),
+    ("sweep", '{"quantities": ["mi"]}', "quantities"),
+    ("sweep", '{"goldstone_epsilon": [0.1]}', "goldstone_epsilon"),
+    ("sweep", '{"format": "xml"}', "--format"),
+    ("oracle-compare", '{"n_max": 2.5}', "--n-max"),
+    ("sweep", '{"omega": true}', "omega"),
+]
+
+
+def _rejected_inputs():
+    """(command, option values given as flags, config file text or None, what
+    stderr names) for each rejected input."""
+    cases = []
+    for line in BAD_VALUES:
+        command, *words = line.split()
+        values = {w[2:].replace("-", "_"): v for w, v in zip(words[::2], words[1::2])}
+        cases.append(pytest.param(command, values, None, words[0], id=line))
+        config = json.dumps({k: json_value(v) for k, v in values.items()})
+        cases.append(pytest.param(command, {}, config, words[0], id=f"{command} {config}"))
+    cases += [pytest.param(command, {}, config, named, id=f"{command} {config}")
+              for command, config, named in BAD_CONFIGS]
+    cases.append(pytest.param("sweep", {"config": "/nonexistent.json"}, None, "--config",
+                              id="sweep --config /nonexistent.json"))
+    return cases
 
 
 class TestErrors:
-    def test_bad_range_exits_2(self):
-        assert main(["sweep", "--x", "nope", "--threads", "1"]) == 2
-
-    def test_bad_quantities_exits_2(self):
-        assert main(["sweep", "--quantities", "nope", "--threads", "1"]) == 2
-
-    #: Small grids, so that a flag that is wrongly accepted runs quickly.
-    SMALL = {"sweep": ["--x", "0:1:2", "--y", "0:1:2"],
-             "slice": ["--x", "0:1:2", "--y", "0.5"],
-             "oracle-compare": ["--lambda-x", "0", "--lambda-y", "0", "--j", "2", "--n-max", "2"]}
-
-    @pytest.mark.parametrize("case", [
-        "sweep --x nan:1:3",
-        "sweep --x 0:inf:3",
-        "sweep --y 0:nan:3",
-        "sweep --omega nan",
-        "sweep --omega inf",
-        "sweep --omega0 nan",
-        "sweep --omega0 inf",
-        "sweep --goldstone-epsilon nan",
-        "slice --y nan",
-        "slice --y inf",
-        "slice --x 0:nan:2",
-        "oracle-compare --lambda-x nan",
-        "oracle-compare --lambda-y inf",
-        "oracle-compare --omega nan",
-        "oracle-compare --omega0 inf",
-        "oracle-compare --omega -1",
-        "oracle-compare --lambda-x -1",
-        "oracle-compare --j 2,nan",
-        "oracle-compare --j 0",
-        "oracle-compare --j -1",
-        "oracle-compare --j 1.3",
-        "oracle-compare --n-max 0",
-        "oracle-compare --j 5000 --n-max 10",
-    ])
-    def test_bad_numbers_exit_2(self, case, capsys):
-        command, *flags = case.split()
-        assert main([command] + self.SMALL[command] + flags) == 2
+    @pytest.mark.parametrize("command, values, config, named", _rejected_inputs())
+    def test_rejected_input_exits_2(self, command, values, config, named, tmp_path, capsys):
+        """The parser rejects bad input: SystemExit(2), nothing on stdout and its
+        message, naming the option, on stderr.  A config file sets the options
+        of the small run that it names."""
+        argv = [command]
+        small = SMALL[command]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(config)
+            argv += ["--config", str(cfg)]
+            keys = json.loads(config)
+            small = {k: v for k, v in small.items() if not (isinstance(keys, dict) and k in keys)}
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flags_of(small) + flags_of(values))
+        assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.out == ""
+        assert "error: " in captured.err and named in captured.err, captured.err
 
     def test_row_errors_exit_3(self, monkeypatch, capsys):
         def fake_sweep(*args, **kwargs):

@@ -268,6 +268,18 @@ class TestDavidson:
         assert abs(energy) <= 1e-14
         assert abs(abs(psi[0]) - 1.0) <= 1e-14
 
+    @pytest.mark.parametrize("exponent", [-600, 600])
+    def test_scaled_operator(self, exponent):
+        # the squares of the residual's entries leave the floats at 2**600 times
+        # H (and their sum underflows at 2**-600), unless the norm is scaled
+        apply, diagonal = operator("superradiant-x", 5, 10)
+        reference, _, _ = oracle._ground_vector(apply, diagonal)
+        factor = 2.0 ** exponent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            energy, _, _ = oracle._ground_vector(lambda v: factor * apply(v), factor * diagonal)
+        assert abs(energy / factor - reference) <= 1e-13 * abs(reference)
+
     def test_gives_up_after_max_iterations(self, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_ITERATIONS", 1)
         with pytest.raises(NumericalFailureError):
