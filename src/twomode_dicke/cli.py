@@ -193,19 +193,19 @@ def run_oracle_compare(omega: float, omega0: float, lx_rel: float, ly_rel: float
     """Finite-size oracle columns, one row per truncation spec; diverged where
     the analytic CM does not exist or a factor of H is not finite.
 
-    The analytic CM is the one of the stacked factorization, and it exists
-    where gs.physical says so, as in a sweep.  No solve runs where H is
-    undefined: on the degenerate line lambda_x = lambda_y > lambda_c (no
-    classical frame), where the factorization overflows (NaN gaps) or a
-    factor of H is not finite (OverflowError).  Such a row has empty solve
-    cells and no error, which records a solve that ran and failed.
+    The analytic CM is the stacked factorization's, which exists where
+    gs.physical says so, as in a sweep.  The solve runs at the point scaled by
+    1 / omega0, of the same H / lambda_c.  No solve runs where H is undefined:
+    on the degenerate line lambda_x = lambda_y > lambda_c (no classical
+    frame), where the factorization overflows (NaN gaps) or a factor of H is
+    not finite (OverflowError).  Such a row has empty solve cells and no
+    error, which records a solve that ran and failed.
     """
-    base = model.ModelParams(omega=omega, omega0=omega0)
-    p = base.with_couplings(lx_rel * base.lambda_c, ly_rel * base.lambda_c)
-    e_analytic = model.ground_state_energy(p) / omega
+    e_analytic = float(model.ground_state_energies(omega0, lx_rel, ly_rel)) / omega
     x, y = np.array([lx_rel]), np.array([ly_rel])
     gs = model.stacked_ground_states(omega, omega0, x, y)
     analytic_cm = model.stacked_cms(x, y, gs)[0] if gs.physical[0] else None
+    rho = math.sqrt(omega / omega0)
     rows = []
     for spec in specs:
         row = {
@@ -216,20 +216,21 @@ def run_oracle_compare(omega: float, omega0: float, lx_rel: float, ly_rel: float
             "error": None,
         }
         rows.append(row)
-        if p.on_goldstone_line() or np.isnan(gs.nu).any():
+        if lx_rel == ly_rel > 1.0 or np.isnan(gs.nu).any():
             continue
         try:
-            res = oracle.exact_ground_state(p, spec)
+            res = oracle.exact_ground_state(
+                model.ModelParams(omega / omega0, 1.0, lx_rel * rho, ly_rel * rho), spec)
         except OverflowError:
             row["diverged"] = True
             continue
         except NumericalFailureError as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
             continue
-        row["e0_per_spin"] = res.energy_per_spin / omega
-        row["abs_de"] = abs(res.energy_per_spin / omega - e_analytic)
+        row["e0_per_spin"] = res.energy_per_spin
+        row["abs_de"] = abs(res.energy_per_spin - e_analytic)
         row["converged"] = res.converged
-        row["resolve_de"] = None if res.resolve_de is None else res.resolve_de / omega
+        row["resolve_de"] = res.resolve_de
         if analytic_cm is not None:
             row["cm_max_dev"] = float(np.max(np.abs(res.cm.mat - analytic_cm)))
     return {c: np.array([row[c] for row in rows], dtype=object) for c in _ORACLE_COLUMNS}

@@ -49,13 +49,10 @@ class ModelParams:
     def with_couplings(self, lambda_x: float, lambda_y: float) -> "ModelParams":
         return replace(self, lambda_x=lambda_x, lambda_y=lambda_y)
 
-    def on_goldstone_line(self) -> bool:
-        return self.lambda_x == self.lambda_y and self.lambda_x > self.lambda_c
-
 
 @dataclass(frozen=True)
 class ClassicalGroundState:
-    """Classical minimum; cos_theta = -(lambda_c / lambda)**2 is exact, theta its arccos."""
+    """Classical minimum; theta is the arccos of cos(theta) = -(lambda_c / lambda)**2."""
 
     phase: Phase
     alpha_x: float
@@ -63,7 +60,6 @@ class ClassicalGroundState:
     theta: float
     phi: float
     energy: float
-    cos_theta: float = -1.0
 
 
 @dataclass(frozen=True)
@@ -88,12 +84,11 @@ def classical_ground_state(p: ModelParams) -> ClassicalGroundState:
             "approach the line as a limit"
         )
     if lx > ly:
-        ct = -(lc / lx) ** 2
         alpha = -(lx / p.omega) * math.sqrt(1.0 - (lc / lx) ** 4)
         return ClassicalGroundState(
             phase=Phase.SUPERRADIANT_X, alpha_x=alpha, alpha_y=0.0,
-            theta=math.acos(ct), phi=0.0,
-            energy=_superradiant_energy(p.omega0, lx / lc), cos_theta=ct,
+            theta=math.acos(-(lc / lx) ** 2), phi=0.0,
+            energy=_superradiant_energy(p.omega0, lx / lc),
         )
     # the x <-> y mirror image of the superradiant-x minimum, its spin turned by pi/2 about z
     mirror = classical_ground_state(p.with_couplings(ly, lx))

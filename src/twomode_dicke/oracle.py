@@ -1,6 +1,9 @@
 """Finite-size exact diagonalization of the two-mode Dicke Hamiltonian.
 
 Serves as an independent numerical check of the thermodynamic-limit results.
+H is solved in units of lambda_c = sqrt(omega omega0), as the sweep is: H /
+lambda_c depends on rho = sqrt(omega / omega0) and the couplings in units of
+lambda_c alone, so scaling omega and omega0 together changes no solve.
 The Hamiltonian is built directly in the frame of the classical ground state:
 each boson is displaced by its condensate amplitude (an exact operator
 substitution a -> a + sqrt(j) alpha) and the spin operators are rotated by the
@@ -42,18 +45,17 @@ import numpy as np
 
 from .errors import BudgetExceededError, NumericalFailureError
 from .gaussian_info import CovarianceMatrix
-from .model import (_STACKED_FRAMES, ClassicalGroundState, ModelParams,
-                    classical_ground_state, from_stacked_frame)
+from .model import _STACKED_FRAMES, ModelParams, Phase, from_stacked_frame
 
 #: Largest Hilbert-space dimension the oracle will diagonalize.
 DIMENSION_BUDGET = 200_000
 
-#: Strength of the symmetry-breaking field that pins the finite-size ground
-#: state onto the classical branch when the condensate is small.
+#: Strength, in units of lambda_c, of the symmetry-breaking field that pins
+#: the finite-size ground state onto the classical branch of a condensate.
 SYMMETRY_BREAKING_FIELD = 1e-4
 
-#: The ground energy must move less than this under n_max -> n_max + 2
-#: for the truncation to count as converged.
+#: The ground energy, in units of omega, must move less than this under
+#: n_max -> n_max + 2 for the truncation to count as converged.
 CONVERGENCE_TOL = 1e-8
 
 #: Largest basis of the Davidson solver.
@@ -92,7 +94,8 @@ class TruncationSpec:
 
 @dataclass(frozen=True)
 class FiniteSizeResult:
-    """Ground state of the truncated finite-j Hamiltonian, in the classical frame."""
+    """Ground state of the truncated finite-j Hamiltonian, in the classical frame;
+    energies per spin are in units of omega, as the CLI writes them."""
 
     spec: TruncationSpec
     energy_per_spin: float
@@ -101,7 +104,7 @@ class FiniteSizeResult:
     #: |E(n_max + 2) - E(n_max)| per spin; None if that re-solve did not run.
     resolve_de: float | None
     #: ||H psi - E psi|| of the returned ground vector at n_max, the
-    #: eigensolver's convergence evidence (in units of H, not per spin).
+    #: eigensolver's convergence evidence (in units of lambda_c, not per spin).
     residual: float
 
     @property
@@ -124,24 +127,24 @@ def _spin_ops(j: float):
     return 0.5 * (jp + jp.T), 0.5 * (jp - jp.T), np.diag(m)
 
 
-def _rotated_spin_ops(gs: ClassicalGroundState, j: float):
+def _rotated_spin_ops(ct: float, j: float):
     """U^dag J_a U = sum_b R_ab J_b for U = e^{-i theta Jy}, R = R_y(theta), with
     i U^dag Jy U = Ky in place of U^dag Jy U, so all three operators are real.
 
-    The entries of R are exact: cos(theta) as the classical ground state
-    computed it, and sin(theta) >= 0 for theta in [pi/2, pi].
+    The entries of R are exact: ct = cos(theta) of the classical minimum, and
+    sin(theta) >= 0 for theta in [pi/2, pi].
     """
-    ct = gs.cos_theta
     st = np.sqrt((1.0 - ct) * (1.0 + ct))
     jx, ky, jz = _spin_ops(j)
     return ct * jx + st * jz, ky, ct * jz - st * jx
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _hamiltonian(p: ModelParams, spec: TruncationSpec, gs: ClassicalGroundState):
-    """Two-mode Dicke Hamiltonian conjugated into the classical frame of a
-    normal or superradiant-x gs, as the function that applies it to vectors,
-    and its diagonal.
+def _hamiltonian(rho: float, a: float, b: float, spec: TruncationSpec):
+    """H / lambda_c at rho = sqrt(omega / omega0) and canonical couplings a >= b
+    in units of lambda_c, in the classical frame of the normal (a <= 1) or
+    superradiant-x minimum.  A boson costs rho n, the spin Jz / rho, and the
+    minimum has alpha = -(a / rho) sqrt(1 - a^-4) and cos(theta) = -a^-2 for a > 1.
 
     The displacement of mode x is applied as the exact substitution
     a -> a + sqrt(j) alpha, the spin rotation as the exact 3x3 rotation of J;
@@ -162,26 +165,29 @@ def _hamiltonian(p: ModelParams, spec: TruncationSpec, gs: ClassicalGroundState)
     """
     nb = spec.n_max + 1
     ns = int(round(2.0 * spec.j)) + 1
+    superradiant = a > 1.0
+    ct = -(1.0 / a) ** 2 if superradiant else -1.0
+    alpha = -(a / rho) * math.sqrt(1.0 - (1.0 / a) ** 4) if superradiant else 0.0
     # pin the Z2-degenerate branch by a weak field on the condensed mode
-    h_x = SYMMETRY_BREAKING_FIELD if gs.alpha_x != 0.0 else 0.0
+    h_x = SYMMETRY_BREAKING_FIELD if superradiant else 0.0
     # Condensate amplitude: <a> = sqrt(j/2) * alpha in this normalization.
-    dx = np.sqrt(spec.j / 2.0) * gs.alpha_x
+    dx = np.sqrt(spec.j / 2.0) * alpha
 
-    a, ad = _boson_ops(spec.n_max)
+    down, up = _boson_ops(spec.n_max)
     ib = np.eye(nb)
-    x = a + ad
+    x = down + up
     number = np.diag(np.arange(float(nb)))
     x_x = x + 2.0 * dx * ib
-    x_y = a - ad  # D^dag (a + a^dag) D = i (a - a^dag)
-    jx, jy, jz = _rotated_spin_ops(gs, spec.j)
+    x_y = down - up  # D^dag (a + a^dag) D = i (a - a^dag)
+    jx, jy, jz = _rotated_spin_ops(ct, spec.j)
 
     g = 1.0 / np.sqrt(2.0 * spec.j)
-    b_x = p.omega * (number + dx * x + dx * dx * ib) + h_x * x_x
-    b_y = p.omega * number
-    c_x, c_y = p.lambda_x * g * x_x, p.lambda_y * g * x_y
+    b_x = rho * (number + dx * x + dx * dx * ib) + h_x * x_x
+    b_y = rho * number
+    c_x, c_y = a * g * x_x, b * g * x_y
     # C-contiguous transposes: the stacked matmul with a transposed view is
     # about 10% slower
-    spin_t, jx_t, jy_t = (p.omega0 * jz).T.copy(), jx.T.copy(), jy.T.copy()
+    spin_t, jx_t, jy_t = (jz / rho).T.copy(), jx.T.copy(), jy.T.copy()
     if not all(np.isfinite(f).all() for f in (b_x, b_y, c_x, c_y, spin_t)):
         raise OverflowError("a factor of the Hamiltonian is not finite")
 
@@ -319,10 +325,9 @@ def exact_ground_state(p: ModelParams, spec: TruncationSpec,
                        check_convergence: bool = True) -> FiniteSizeResult:
     """Diagonalize the truncated Hamiltonian and measure the classical-frame CM.
 
-    A small symmetry-breaking field pins the finite-size ground state onto the
-    branch described by the classical solution whenever the condensate is
-    nonzero; a point with lambda_y > lambda_x is solved with its couplings
-    swapped.
+    H / lambda_c is solved at the canonical couplings a >= b of p in units of
+    lambda_c = rho omega0: a point with lambda_y > lambda_x is solved as its
+    mirror image.
     Raises BudgetExceededError when the truncated dimension is too large,
     and OverflowError where a factor of H, at n_max or n_max + 2, is not finite.
     """
@@ -330,12 +335,11 @@ def exact_ground_state(p: ModelParams, spec: TruncationSpec,
         raise BudgetExceededError(
             f"dimension {spec.dimension} exceeds budget {DIMENSION_BUDGET}"
         )
-    mirrored = p.lambda_y > p.lambda_x
-    if mirrored:
-        p = p.with_couplings(p.lambda_y, p.lambda_x)
-    frame = classical_ground_state(p)
-    energy, psi, residual = _ground_vector(*_hamiltonian(p, spec, frame))
-    means, cm = _measure_cm(psi, spec, (frame.phase, mirrored))
+    rho = math.sqrt(p.omega / p.omega0)
+    b, a = sorted((p.lambda_x / (rho * p.omega0), p.lambda_y / (rho * p.omega0)))
+    frame = (Phase.SUPERRADIANT_X if a > 1.0 else Phase.NORMAL, p.lambda_y > p.lambda_x)
+    energy, psi, residual = _ground_vector(*_hamiltonian(rho, a, b, spec))
+    means, cm = _measure_cm(psi, spec, frame)
 
     bigger = TruncationSpec(j=spec.j, n_max=spec.n_max + 2)
     resolve_de = None
@@ -343,12 +347,12 @@ def exact_ground_state(p: ModelParams, spec: TruncationSpec,
         nb = spec.n_max + 1
         v0 = np.zeros((nb + 2, nb + 2, spec.dimension // (nb * nb)))
         v0[:nb, :nb] = psi.reshape(nb, nb, -1)
-        energy2, _, _ = _ground_vector(*_hamiltonian(p, bigger, frame), v0.ravel())
-        resolve_de = abs(energy2 - energy) / spec.j
+        energy2, _, _ = _ground_vector(*_hamiltonian(rho, a, b, bigger), v0.ravel())
+        resolve_de = abs(energy2 - energy) / spec.j / rho
 
     return FiniteSizeResult(
         spec=spec,
-        energy_per_spin=energy / spec.j,
+        energy_per_spin=energy / spec.j / rho,
         cm=CovarianceMatrix(("x", "y", "j"), cm),
         means=means,
         resolve_de=resolve_de,

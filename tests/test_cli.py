@@ -1,6 +1,7 @@
 """Sweep CLI: parsing, output formats, schema, determinism, mirror symmetry."""
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -504,6 +505,29 @@ class TestParserOncePerProcess:
 SCALES = [1e-11, 1e-100, 1e100]
 SCALED_GRID = ((0.0, 2.0, 9), (0.0, 2.0, 9))
 
+#: Seeded points in units of lambda_c, one per phase, and the exponents k of
+#: the scales s = 4^k, |k| <= 250, under which (omega, omega0) -> s (omega,
+#: omega0) changes no output byte but the gaps' (which are in the unit of
+#: omega itself).
+_RNG = np.random.default_rng(4)
+SCALE_FREE_POINTS = {
+    "normal": _RNG.uniform(0.0, 0.95, 2).tolist(),
+    "superradiant-x": [_RNG.uniform(1.05, 3.0), _RNG.uniform(0.0, 1.0)],
+    "superradiant-y": [_RNG.uniform(0.0, 1.0), _RNG.uniform(1.05, 3.0)],
+}
+SCALE_EXPONENTS = [-250, -163, -8, -1, 1, 29, 250]
+GAP_COLUMNS = cli.GROUP_COLUMNS["gaps"]
+
+
+def scaled_output(ratio, k, argv):
+    """CSV rows of argv run at omega = ratio 4^k and omega0 = 4^k, gap columns dropped."""
+    scale = math.ldexp(1.0, 2 * k)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([*argv, "--omega", repr(ratio * scale), "--omega0", repr(scale)]) == 0
+    return [{c: v for c, v in row.items() if c not in GAP_COLUMNS}
+            for row in csv.DictReader(io.StringIO(out.getvalue()))]
+
 
 @pytest.mark.filterwarnings("error")
 class TestExtremeScales:
@@ -569,23 +593,65 @@ class TestExtremeScales:
         assert (row["lambda_x"], row["lambda_y"]) == ("2", "0")
         assert row["nu_1"] == row["nu_2"] == row["nu_3"] == "" and row["diverged"] == "true"
 
-    @pytest.mark.parametrize("argv", [
-        # the factorization overflows
-        ["--lambda-x", "1e300", "--lambda-y", "0", "--j", "1"],
-        # sigma_3 overflows
-        ["--omega", "1e-300", "--omega0", "1e8", "--lambda-x", "2", "--lambda-y", "0", "--j", "20"],
-        # the factorization is finite, but a factor of H is not
-        ["--omega", "1e308", "--omega0", "1", "--lambda-x", "1.5", "--lambda-y", "0.5", "--j", "1"],
-        ["--omega", "1e4", "--omega0", "1e304", "--lambda-x", "50", "--lambda-y", "3", "--j", "20"],
+    @pytest.mark.parametrize("argv, solved", [
+        # the factorization overflows, so no finite-size solve runs
+        (["--lambda-x", "1e300", "--lambda-y", "0", "--j", "1"], False),
+        # sigma_3 overflows, so no finite-size solve runs
+        (["--omega", "1e-300", "--omega0", "1e8", "--lambda-x", "2", "--lambda-y", "0",
+          "--j", "20"], False),
+        # the absolute H leaves the floats here, but H in units of lambda_c is
+        # finite: the solve runs, and only the analytic CM is missing
+        (["--omega", "1e308", "--omega0", "1", "--lambda-x", "1.5", "--lambda-y", "0.5",
+          "--j", "1"], True),
+        (["--omega", "1e4", "--omega0", "1e304", "--lambda-x", "50", "--lambda-y", "3",
+          "--j", "20"], True),
     ])
-    def test_oracle_compare_writes_its_row(self, argv, capsys):
-        # H leaves the floats, so no finite-size solve runs
+    def test_oracle_compare_writes_its_row(self, argv, solved, capsys):
         code = main(["oracle-compare", *argv, "--n-max", "2"])
         (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
         assert float(row["lambda_x"]) == float(argv[argv.index("--lambda-x") + 1])
-        assert row["diverged"] == "true"
-        assert row["error"] == row["e0_per_spin"] == row["converged"] == ""
+        assert row["diverged"] == "true" and row["error"] == ""
+        assert (row["e0_per_spin"] != "", row["converged"] != "") == (solved, solved)
         assert code == 0
+
+    @pytest.mark.parametrize("k", SCALE_EXPONENTS)
+    @pytest.mark.parametrize("ratio", [0.01, 1.0, 37.0])
+    def test_output_is_scale_free(self, ratio, k):
+        grid = ["sweep", "--x", "0:3:13", "--y", "0:3:13", "--quantities", "all"]
+        assert scaled_output(ratio, k, grid) == scaled_output(ratio, 0, grid)
+        for phase, (lx, ly) in SCALE_FREE_POINTS.items():
+            argv = ["oracle-compare", "--lambda-x", repr(lx), "--lambda-y", repr(ly),
+                    "--j", "1,2.5", "--n-max", "3"]
+            rows = scaled_output(ratio, k, argv)
+            assert rows == scaled_output(ratio, 0, argv), phase
+            assert all(row["e0_per_spin"] != "" and row["error"] == "" for row in rows), phase
+        # the gaps are in the unit of omega itself: scaled exactly by 4^k
+        ref = run_sweep(ratio, 1.0, (0.0, 3.0, 13), (0.0, 3.0, 13), ["gaps"], EPSILON)
+        scale = math.ldexp(1.0, 2 * k)
+        table = run_sweep(ratio * scale, scale, (0.0, 3.0, 13), (0.0, 3.0, 13), ["gaps"], EPSILON)
+        for col in GAP_COLUMNS:
+            np.testing.assert_array_equal(table[col], scale * ref[col], err_msg=col)
+
+    def oracle_rows(self, capsys, *argv):
+        assert main(["oracle-compare", *argv, "--lambda-x", "1.5", "--lambda-y", "0.5",
+                     "--j", "1", "--n-max", "2"]) == 0
+        return list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+
+    def test_oracle_compare_where_lambda_c_is_tiny(self, capsys):
+        # lambda_c = 1e-200: the solve is that of omega = omega0 = 1
+        (row,) = self.oracle_rows(capsys, "--omega", "1e-200", "--omega0", "1e-200")
+        (ref,) = self.oracle_rows(capsys)
+        for col in ("e0_per_spin", "cm_max_dev", "converged", "resolve_de", "diverged", "error"):
+            assert row[col] == ref[col], col
+        assert float(row["e_gs_analytic"]) == pytest.approx(float(ref["e_gs_analytic"]),
+                                                            rel=1e-15)
+
+    @pytest.mark.parametrize("omega, omega0", [("1e-28", "1e-68"), ("1", "1e-40")])
+    def test_oracle_compare_at_omega_over_omega0_1e40(self, omega, omega0, capsys):
+        (row,) = self.oracle_rows(capsys, "--omega", omega, "--omega0", omega0)
+        assert row["error"] == "" and row["e0_per_spin"] != ""
+        e0, e_gs = float(row["e0_per_spin"]), float(row["e_gs_analytic"])
+        assert abs(e0 - e_gs) < 1e-3 * abs(e_gs)
 
 
 class TestSlice:
@@ -792,7 +858,9 @@ class TestErrors:
 
 #: oracle-compare --j 2,5 --n-max 6 rows (e0_per_spin, abs_de, cm_max_dev,
 #: converged, diverged) at (omega, omega0, lambda_x, lambda_y), as computed
-#: with the complex Hamiltonian and ARPACK's complex Arnoldi driver.
+#: with the complex Hamiltonian and ARPACK's complex Arnoldi driver, with the
+#: absolute field 1e-4.  converged is the rule resolve_de j < CONVERGENCE_TOL
+#: with resolve_de in units of omega, as written.
 PINNED_ORACLE_ROWS = [
     ((1.0, 1.0, 0.5, 0.3), [
         (-1.0222562124978352, 0.02225621249783516, 0.015911325538459864, True, False),
@@ -808,15 +876,15 @@ PINNED_ORACLE_ROWS = [
     ]),
     ((0.1, 1.0, 0.5, 0.3), [
         (-10.040896889399813, 0.04089688939981251, 0.003343258000475191, True, False),
-        (-10.016406162314867, 0.016406162314867245, 0.0013559467784719503, True, False),
+        (-10.016406162314867, 0.016406162314867245, 0.0013559467784719503, False, False),
     ]),
     ((0.1, 1.0, 1.5, 0.5), [
         (-13.516199044597, 0.04397682237477696, 0.005541788354428534, False, False),
-        (-13.49054579024151, 0.01832356801928725, 0.0020701383539041274, True, False),
+        (-13.49054579024151, 0.01832356801928725, 0.0020701383539041274, False, False),
     ]),
     ((0.1, 1.0, 0.5, 1.5), [
         (-13.516199044596991, 0.043976822374768076, 0.0055417883544292, False, False),
-        (-13.490545790241558, 0.018323568019335212, 0.0020701383539052376, True, False),
+        (-13.490545790241558, 0.018323568019335212, 0.0020701383539052376, False, False),
     ]),
     ((1.0, 0.1, 0.5, 0.3), [
         (-0.10395098524662603, 0.003950985246626029, 0.018096943097348328, True, False),
@@ -849,18 +917,29 @@ class TestOracleCompare:
         assert [r["j"] for r in doc["rows"]] == [2.0, 4.0]
         devs = [r["abs_de"] for r in doc["rows"]]
         assert devs[1] < devs[0]
-        for r in doc["rows"]:
-            assert r["resolve_de"] >= 0.0
-            assert r["converged"] == (r["resolve_de"] * r["j"] < oracle.CONVERGENCE_TOL)
+        # converged is the rule on resolve_de as written, in units of omega
+        for omega in ("1", "0.1", "10"):
+            assert main(["oracle-compare", "--omega", omega, "--lambda-x", "0.5",
+                         "--lambda-y", "0.3", "--j", "2,5", "--n-max", "6",
+                         "--format", "json"]) == 0
+            for r in json.loads(capsys.readouterr().out)["rows"]:
+                assert r["resolve_de"] >= 0.0
+                assert r["converged"] == (r["resolve_de"] * r["j"] < oracle.CONVERGENCE_TOL)
 
     def test_resolve_de_in_units_of_omega(self, capsys):
         code = main(["oracle-compare", "--omega", "0.5", "--lambda-x", "1.5", "--lambda-y", "0.5",
                      "--j", "2", "--n-max", "4", "--format", "json"])
         assert code == 0
         row = json.loads(capsys.readouterr().out)["rows"][0]
-        p = model.ModelParams(0.5, 1.0).with_couplings(1.5 * math.sqrt(0.5), 0.5 * math.sqrt(0.5))
-        res = oracle.exact_ground_state(p, oracle.TruncationSpec(j=2, n_max=4))
-        assert row["resolve_de"] == res.resolve_de / 0.5
+        # the result's energies are in units of omega: those of the point
+        # scaled by 2, where omega = 1 and they are absolute
+        spec = oracle.TruncationSpec(j=2, n_max=4)
+        for scale in (1.0, 2.0):
+            p = model.ModelParams(0.5 * scale, scale, 1.5 * math.sqrt(0.5) * scale,
+                                  0.5 * math.sqrt(0.5) * scale)
+            res = oracle.exact_ground_state(p, spec)
+            assert (row["resolve_de"], row["e0_per_spin"]) == (res.resolve_de,
+                                                               res.energy_per_spin)
 
     def test_resolve_de_empty_without_resolve(self, monkeypatch, capsys):
         monkeypatch.setattr(oracle, "DIMENSION_BUDGET", oracle.TruncationSpec(j=2, n_max=2).dimension)
@@ -870,8 +949,10 @@ class TestOracleCompare:
         assert row["resolve_de"] == "" and row["converged"] == "false"
 
     @pytest.mark.parametrize("point,rows", PINNED_ORACLE_ROWS)
-    def test_rows_match_pinned_values(self, point, rows, capsys):
+    def test_rows_match_pinned_values(self, point, rows, monkeypatch, capsys):
         omega, omega0, lx, ly = point
+        # the absolute field of the pinned rows, in the units of lambda_c the oracle solves in
+        monkeypatch.setattr(oracle, "SYMMETRY_BREAKING_FIELD", 1e-4 / math.sqrt(omega * omega0))
         code = main(["oracle-compare", "--omega", repr(omega), "--omega0", repr(omega0),
                      "--lambda-x", repr(lx), "--lambda-y", repr(ly), "--j", "2,5",
                      "--n-max", "6", "--format", "json"])

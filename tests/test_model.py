@@ -21,11 +21,6 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(lambda_x=-0.1)
 
-    def test_goldstone_line_predicate(self):
-        assert ModelParams(1.0, 1.0, 1.5, 1.5).on_goldstone_line()
-        assert not ModelParams(1.0, 1.0, 0.5, 0.5).on_goldstone_line()
-        assert not ModelParams(1.0, 1.0, 1.5, 1.4).on_goldstone_line()
-
 
 class TestClassicalGroundState:
     def test_normal_phase(self):

@@ -1,5 +1,6 @@
 """Finite-size exact diagonalization oracle."""
 
+import math
 import warnings
 
 import numpy as np
@@ -87,12 +88,14 @@ def dense_spin_ops(j):
 
 
 def dense_classical_frame_hamiltonian(p, spec):
-    """The complex classical-frame Hamiltonian, built densely with np.kron and expm.
+    """The complex classical-frame Hamiltonian in units of lambda_c, built
+    densely with np.kron and expm from the absolute H of p.
 
     Each boson is displaced by sqrt(j/2) alpha, the spin rotated by
     U = e^{-i phi Jz} e^{-i theta Jy}, and a field SYMMETRY_BREAKING_FIELD
-    couples to the quadrature of each condensed boson.  In the superradiant-y
-    phase this is the phi = pi/2 frame, which the oracle never builds.
+    lambda_c couples to the quadrature of each condensed boson.  In the
+    superradiant-y phase this is the phi = pi/2 frame, which the oracle never
+    builds.
     """
     gs = model.classical_ground_state(p)
     nb = spec.n_max + 1
@@ -108,21 +111,20 @@ def dense_classical_frame_hamiltonian(p, spec):
                                          (gs.alpha_y, p.lambda_y, ry, 1)):
         d = np.sqrt(spec.j / 2.0) * alpha
         shifted = a + d * ib
-        field = oracle.SYMMETRY_BREAKING_FIELD if alpha != 0.0 else 0.0
+        field = oracle.SYMMETRY_BREAKING_FIELD * p.lambda_c if alpha != 0.0 else 0.0
         ops = [ib, ib]
         ops[place] = shifted.T @ shifted
         H = H + p.omega * np.kron(np.kron(*ops), ispin)
         ops[place] = shifted + shifted.T
         H = H + np.kron(np.kron(*ops), coupling * g * spin + field * ispin)
-    return H
+    return H / p.lambda_c
 
 
-def solve_frame(p):
-    """The couplings and classical ground state a solve at p works in: a point
-    with lambda_y > lambda_x is solved at its swapped couplings."""
-    if p.lambda_y > p.lambda_x:
-        p = p.with_couplings(p.lambda_y, p.lambda_x)
-    return p, model.classical_ground_state(p)
+def canonical(p):
+    """rho = sqrt(omega / omega0) and the canonical couplings a >= b, in units
+    of lambda_c, that a solve at p works at."""
+    x, y = p.lambda_x / p.lambda_c, p.lambda_y / p.lambda_c
+    return math.sqrt(p.omega / p.omega0), max(x, y), min(x, y)
 
 
 def real_dense_reference(p, spec):
@@ -164,8 +166,7 @@ def fock_block(bigger, n_max):
 
 def operator(phase, j, n_max):
     """``(apply, diagonal)`` of the classical-frame Hamiltonian a solve at a phase point uses."""
-    p, gs = solve_frame(PHASE_POINTS[phase])
-    return oracle._hamiltonian(p, TruncationSpec(j=j, n_max=n_max), gs)
+    return oracle._hamiltonian(*canonical(PHASE_POINTS[phase]), TruncationSpec(j=j, n_max=n_max))
 
 
 def dense_operator(phase, j, n_max):
@@ -187,8 +188,7 @@ class TestMatrixFreeOperator:
         # and Jx -> -Jx
         expected = ((ry, -1j * rx, rz) if gs.phase is model.Phase.SUPERRADIANT_Y
                     else (rx, 1j * ry, rz))
-        for rotated, ref in zip(oracle._rotated_spin_ops(solve_frame(PHASE_POINTS[phase])[1], j),
-                                expected):
+        for rotated, ref in zip(oracle._rotated_spin_ops(math.cos(gs.theta), j), expected):
             assert rotated.dtype == np.float64
             np.testing.assert_allclose(rotated, ref, rtol=0, atol=1e-12)
 
@@ -241,8 +241,7 @@ class TestMatrixFreeOperator:
         base = ModelParams(omega=omega, omega0=omega0)
         p = base.with_couplings(*(base.lambda_c * np.array(SOLVER_POINTS[point])))
         spec = TruncationSpec(j=j, n_max=n_max)
-        frame, gs = solve_frame(p)
-        apply, diagonal = oracle._hamiltonian(frame, spec, gs)
+        apply, diagonal = oracle._hamiltonian(*canonical(p), spec)
         # a superradiant-y point is checked against the phi = pi/2 frame it is not solved in
         dense = (dense_classical_frame_hamiltonian(p, spec) if point == "superradiant-y"
                  else materialize(apply, diagonal.size))
@@ -413,8 +412,7 @@ class TestNormalPhaseConvergence:
 
         # the documented computation: the n_max + 2 re-solve starts from the
         # n_max ground vector, zero-padded
-        gs = model.classical_ground_state(p)
-        small, big = oracle._hamiltonian(p, spec, gs), oracle._hamiltonian(p, bigger, gs)
+        small, big = (oracle._hamiltonian(*canonical(p), s) for s in (spec, bigger))
         energy, psi, _ = oracle._ground_vector(*small)
         v0 = np.zeros(bigger.dimension)
         v0[fock_block(bigger, 4)] = psi
@@ -507,13 +505,15 @@ class TestSuperradiantPhase:
     @pytest.mark.parametrize("j", [0.5, 2.5, 5])
     @pytest.mark.parametrize("omega, omega0", FREQUENCIES)
     def test_superradiant_y_energy_matches_dense_frame(self, omega, omega0, j, n_max):
-        # the mirrored solve against eigvalsh of H built densely in the phi = pi/2 frame
+        # the mirrored solve against eigvalsh of H / lambda_c built densely in the
+        # phi = pi/2 frame; the energy per spin is in units of omega = rho lambda_c
         base = ModelParams(omega, omega0)
         p = base.with_couplings(0.5 * base.lambda_c, 1.5 * base.lambda_c)
         spec = TruncationSpec(j=j, n_max=n_max)
         assert model.classical_ground_state(p).phase is model.Phase.SUPERRADIANT_Y
         reference = np.linalg.eigvalsh(dense_classical_frame_hamiltonian(p, spec))[0]
-        energy = exact_ground_state(p, spec, check_convergence=False).energy_per_spin * j
+        res = exact_ground_state(p, spec, check_convergence=False)
+        energy = res.energy_per_spin * j * math.sqrt(omega / omega0)
         assert abs(energy - reference) <= 1e-12 * abs(reference)
 
 
