@@ -4,9 +4,12 @@ Couplings on the command line and in all output are expressed in units of the
 critical coupling lambda_c = sqrt(omega * omega0); energies per spin are in
 units of omega, and the gaps nu_i = lambda_c sigma_i in the unit of omega
 itself.  Output is deterministic: grid rows are row-major in lambda_x, then
-lambda_y.  A sweep computes its grid as stacked arrays, block by block, into a
-table of columns (column name -> values over the grid) that ``write_output``
-formats block by block, each distinct float value of a block once;
+lambda_y.  Every float is written as itself, to 17 significant digits: only an
+infinite value is written ``inf`` or ``-inf``, and NaN is the empty CSV field
+or JSON null.  A sweep computes its grid as stacked arrays, block by block,
+into a table of columns (column name -> values over the grid) that
+``write_output`` formats block by block, each distinct float value of a block
+once;
 ``evaluate_point`` is the one-point sweep, and ``_csv_cell`` / ``_json_cell``
 the per-cell reference of the writer.  The argument parser is built once per
 process, on the first ``main`` call.  It owns input checking: each option's
@@ -34,10 +37,6 @@ from .errors import NumericalFailureError
 #: together; bounds the memory of the stacked arrays and of the formatted
 #: cells whatever the grid size.
 BLOCK_POINTS = 2048
-
-#: Values with magnitude above this are emitted as the literal token "inf",
-#: except in the coordinate columns (see _limit).
-INF_THRESHOLD = 1e6
 
 #: Quantity groups selectable with --quantities, in stable output order.
 GROUP_COLUMNS = {
@@ -236,31 +235,19 @@ def run_oracle_compare(omega: float, omega0: float, lx_rel: float, ly_rel: float
     return {c: np.array([row[c] for row in rows], dtype=object) for c in _ORACLE_COLUMNS}
 
 
-def _limit(column: str) -> float:
-    """The magnitude above which a float of the column is written as the token
-    "inf": INF_THRESHOLD, but the coordinates of a row are written unclipped."""
-    return sys.float_info.max if column in ("lambda_x", "lambda_y", "j") else INF_THRESHOLD
-
-
-def _csv_cell(value, limit: float = INF_THRESHOLD) -> str:
+def _csv_cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if math.isnan(value):
-            return ""
-        if value > limit:
-            return "inf"
-        if value < -limit:
-            return "-inf"
-        return format(value, ".17g")
+        return "" if math.isnan(value) else format(value, ".17g")
     return str(value)
 
 
-def _json_cell(value, limit: float = INF_THRESHOLD):
-    if isinstance(value, float) and not abs(value) <= limit:
-        return None if math.isnan(value) else _csv_cell(value, limit)
+def _json_cell(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return None if math.isnan(value) else _csv_cell(value)
     return value
 
 
@@ -271,14 +258,13 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _float_cells(columns: list[np.ndarray], limit: float = INF_THRESHOLD) -> list[list[str]]:
-    """The CSV fields of _csv_cell(v, limit) for v in equal-length 1-D float arrays, together.
+def _float_cells(columns: list[np.ndarray]) -> list[list[str]]:
+    """The CSV fields of _csv_cell(v) for v in equal-length 1-D float arrays, together.
 
     Each distinct value, told apart by its bits so that -0.0 and 0.0 stay
-    distinct, is formatted once to 17 significant digits, and only the
-    distinct values that are NaN or beyond limit go through _csv_cell; the
-    strings are then scattered back to their cells.  Float cells never need
-    CSV quoting.
+    distinct, is formatted once to 17 significant digits (NaN as the empty
+    field); the strings are then scattered back to their cells.  Float cells
+    never need CSV quoting.
     """
     if not columns:
         return []
@@ -286,14 +272,14 @@ def _float_cells(columns: list[np.ndarray], limit: float = INF_THRESHOLD) -> lis
     keys, inverse = np.unique(bits, return_inverse=True)
     distinct = keys.view(np.float64)
     text = list(map("%.17g".__mod__, distinct.tolist()))
-    for i in np.flatnonzero(~(np.abs(distinct) <= limit)).tolist():
-        text[i] = _csv_cell(float(distinct[i]), limit)
+    for i in np.flatnonzero(np.isnan(distinct)).tolist():
+        text[i] = ""
     return np.array(text, dtype=object)[inverse].reshape(len(columns), -1).tolist()
 
 
-def _csv_cells(column, limit: float = INF_THRESHOLD) -> list[str]:
-    """The CSV fields of _csv_cell(v, limit) for v in a 1-D array that is not
-    float (float columns go to _float_cells), a column at a time.
+def _csv_cells(column) -> list[str]:
+    """The CSV fields of _csv_cell(v) for v in a 1-D array that is not float
+    (float columns go to _float_cells), a column at a time.
 
     A bool array maps to true/false, which needs no CSV quoting.  Any other
     column (the oracle's None, bool and error cells) goes through _csv_cell
@@ -301,7 +287,7 @@ def _csv_cells(column, limit: float = INF_THRESHOLD) -> list[str]:
     """
     if column.dtype.kind == "b":
         return list(map(("false", "true").__getitem__, column.tolist()))
-    return [_csv_field(_csv_cell(v, limit)) for v in column.tolist()]
+    return [_csv_field(_csv_cell(v)) for v in column.tolist()]
 
 
 def write_output(table: dict, columns: list[str], fmt: str, out,
@@ -310,28 +296,23 @@ def write_output(table: dict, columns: list[str], fmt: str, out,
 
     A column the table lacks is empty in every row.  CSV is formatted and
     written BLOCK_POINTS rows at a time, with the bytes csv.writer gives for
-    the rows of _csv_cell(value, _limit(column)); the float columns of a
-    block that share a limit are formatted together by _float_cells, so a
-    value repeated within them is formatted once.
+    the rows of _csv_cell(value); the float columns of a block are formatted
+    together by _float_cells, so a value repeated within them is formatted
+    once.
     """
     n_rows = len(next(iter(table.values())))
     if fmt == "csv":
         out.write(",".join(columns) + "\n")
-        floats = {}
-        for c in columns:
-            if c in table and table[c].dtype.kind == "f":
-                floats.setdefault(_limit(c), []).append(c)
+        floats = [c for c in columns if c in table and table[c].dtype.kind == "f"]
         for start in range(0, n_rows, BLOCK_POINTS):
             block = slice(start, min(start + BLOCK_POINTS, n_rows))
-            formatted = {}
-            for limit, group in floats.items():
-                formatted.update(zip(group, _float_cells([table[c][block] for c in group], limit)))
+            formatted = dict(zip(floats, _float_cells([table[c][block] for c in floats])))
             empty = [""] * (block.stop - block.start)
-            cells = [formatted[c] if c in formatted else _csv_cells(table[c][block], _limit(c))
+            cells = [formatted[c] if c in formatted else _csv_cells(table[c][block])
                      if c in table else empty for c in columns]
             out.write("\n".join(map(",".join, zip(*cells))) + "\n")
     else:
-        cells = [[_json_cell(v, _limit(c)) for v in table[c].tolist()] if c in table
+        cells = [[_json_cell(v) for v in table[c].tolist()] if c in table
                  else [None] * n_rows for c in columns]
         doc = {
             "config": config_echo,

@@ -171,15 +171,14 @@ def _one_point(p: ModelParams):
 class StackedGroundStates:
     """Ground-state data of n grid points, as arrays.
 
-    nu is (n, 3), descending; det2 is det(2C) and det2_modes the (n, 3)
-    single-mode det(2C_i) of modes x, y, j.  stable is False where the
-    fluctuation matrix is not positive definite, nu_3 / lambda_c <
-    GAP_FLOOR, or L_V^T L_T or sigma overflows (nu is NaN there); det2 and
-    det2_modes are meaningless there.
+    nu is (n, 3), descending, and det2_modes the (n, 3) single-mode
+    det(2C_i) of modes x, y, j.  stable is False where the fluctuation
+    matrix is not positive definite, nu_3 / lambda_c < GAP_FLOOR, or
+    L_V^T L_T or sigma overflows (nu is NaN there); det2_modes is
+    meaningless there.
     """
 
     nu: np.ndarray
-    det2: np.ndarray
     det2_modes: np.ndarray
     stable: np.ndarray
     #: (n, 3, 3) blocks of 2C over the V and T coordinates of the factorization,
@@ -191,12 +190,12 @@ class StackedGroundStates:
     def physical(self) -> np.ndarray:
         """Where the points have a physical, pure Gaussian ground state.
 
-        Rounding next to a singular point can leave a stable point's 2C
-        impure or unphysical, so besides stable this asks for |det(2C) - 1|
-        <= PURITY_TOL and every single-mode det(2C_i) >= 1 - PURITY_TOL.
+        2C is pure by construction: det(2C) = det(F_q)^2 det(F_p)^2 = 1, as
+        F_q F_p^T = I.  Rounding far out in the couplings can leave a stable
+        point's single-mode 2C_i unphysical, so besides stable this asks for
+        every det(2C_i) >= 1 - PURITY_TOL.
         """
-        return (self.stable & (np.abs(self.det2 - 1.0) <= PURITY_TOL)
-                & np.all(self.det2_modes >= 1.0 - PURITY_TOL, axis=1))
+        return self.stable & np.all(self.det2_modes >= 1.0 - PURITY_TOL, axis=1)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -219,9 +218,11 @@ def stacked_ground_states(omega: float, omega0: float, x, y) -> StackedGroundSta
         2C_pp = L_V U sigma^-1 U^T L_V^T,  2C_qp = 0,
 
     so det(2C_i) = (2C_qq)_ii (2C_pp)_ii is a product of sums of squares.
-    The Cholesky pivots are written in factored form, e.g. (1 - a)(1 + a) / rho,
-    and sigma_3 is taken from det(L_V^T L_T) = rho^2 sqrt(pivot_V pivot_T),
-    so both stay accurate next to the critical and degenerate lines.
+    lambda_c is formed as rho omega0, since omega omega0 may leave the floats
+    where lambda_c does not.  The Cholesky pivots are written in factored
+    form, e.g. (1 - a)(1 + a) / rho, and sigma_3 is taken from det(L_V^T L_T)
+    = rho^2 sqrt(pivot_V pivot_T), so both stay accurate next to the critical
+    and degenerate lines.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -253,7 +254,7 @@ def stacked_ground_states(omega: float, omega0: float, x, y) -> StackedGroundSta
     sigma[:, 2] = rho * rho * np.sqrt(piv_v * piv_t) / (sigma[:, 0] * sigma[:, 1])
     finite &= np.isfinite(sigma).all(axis=1)  # so is one whose sigma_3 overflows
     sigma[~finite] = math.nan
-    nu = math.sqrt(omega * omega0) * sigma
+    nu = rho * omega0 * sigma
     stable = finite & (piv_v > 0.0) & (piv_t > 0.0) & (sigma[:, 2] >= symplectic.GAP_FLOOR)
     scale = 1.0 / np.sqrt(np.where(stable[:, None], sigma, 1.0))[:, None, :]
     f_q = l_t @ wt.transpose(0, 2, 1) * scale
@@ -264,7 +265,6 @@ def stacked_ground_states(omega: float, omega0: float, x, y) -> StackedGroundSta
     det2_modes[y > x, :2] = det2_modes[y > x, 1::-1]
     return StackedGroundStates(
         nu=nu,
-        det2=np.linalg.det(c_qq) * np.linalg.det(c_pp),
         det2_modes=det2_modes,
         stable=stable,
         c_qq=c_qq,

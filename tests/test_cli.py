@@ -56,14 +56,6 @@ REPORT_COLUMNS = [c for g in ("mi", "eof", "tripartite") for c in cli.GROUP_COLU
 WIDE_REPORT_ATOL = 5e-8
 NEAR_CRITICAL = 1e-6
 EPSILON = 1e-6
-#: The columns that give a row's coordinates: written unclipped, where every
-#: other float column writes magnitudes above INF_THRESHOLD as "inf".
-UNCLIPPED = ("lambda_x", "lambda_y", "j")
-
-
-def limit(column):
-    return sys.float_info.max if column in UNCLIPPED else cli.INF_THRESHOLD
-
 
 def table_rows(table):
     """The rows of a sweep table, as evaluate_point gives them (a sweep records no error)."""
@@ -73,7 +65,7 @@ def table_rows(table):
 
 def reference_output(table, columns, fmt, config_echo) -> str:
     """What write_output must write: csv.writer or json over rows of
-    _csv_cell / _json_cell, with each column's limit."""
+    _csv_cell / _json_cell."""
     values = {c: column.tolist() for c, column in table.items()}
     rows = [dict(zip(values, cells)) for cells in zip(*values.values())]
     buf = io.StringIO()
@@ -81,10 +73,10 @@ def reference_output(table, columns, fmt, config_echo) -> str:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_csv_cell(row.get(c), limit(c)) for c in columns])
+            writer.writerow([_csv_cell(row.get(c)) for c in columns])
     else:
         doc = {"config": config_echo,
-               "rows": [{c: _json_cell(row.get(c), limit(c)) for c in columns} for row in rows]}
+               "rows": [{c: _json_cell(row.get(c)) for c in columns} for row in rows]}
         json.dump(doc, buf, indent=2)
         buf.write("\n")
     return buf.getvalue()
@@ -337,9 +329,14 @@ class TestRunSweep:
 
 class TestOutput:
     def test_csv_cells(self):
-        assert _csv_cell(2e6) == "inf"
-        assert _csv_cell(-2e6) == "-inf"
+        # every finite value is written as itself; only an infinite one as inf
+        assert _csv_cell(2e6) == "2000000"
+        assert _csv_cell(-2e6) == "-2000000"
+        assert _csv_cell(-2.125e8) == "-212500000"
+        assert _csv_cell(1e300) == "1.0000000000000001e+300"
         assert _csv_cell(999999.0) == "999999"
+        assert _csv_cell(math.inf) == "inf"
+        assert _csv_cell(-math.inf) == "-inf"
         assert _csv_cell(math.nan) == ""
         assert _csv_cell(None) == ""
         assert _csv_cell(True) == "true"
@@ -404,14 +401,15 @@ class TestColumnWriter:
     def test_float_column(self):
         (cells,) = _float_cells([np.array(EDGE_FLOATS)])
         assert cells == [_csv_cell(v) for v in EDGE_FLOATS]
-        assert cells[:8] == ["", "1000000", "-1000000", "inf", "-inf", "inf", "-inf", "-0"]
+        assert cells[:8] == ["", "1000000", "-1000000", "1000000.0000000001",
+                             "-1000000.0000000001", "inf", "-inf", "-0"]
 
     def test_bool_column(self):
         assert _csv_cells(np.array([True, False, True])) == ["true", "false", "true"]
 
     def test_other_column_is_quoted_as_csv_writer_does(self):
         cells = _csv_cells(np.array(EDGE_OTHER, dtype=object))
-        assert cells[:6] == ["", "true", "false", "0.5", "", "inf"]
+        assert cells[:6] == ["", "true", "false", "0.5", "", "2000000"]
         assert cells[6] == '"ValueError: bad j, got \'x\'"'
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerow([_csv_cell(v) for v in EDGE_OTHER])
@@ -439,8 +437,8 @@ class TestBlockWriter:
     def test_distinct_values_across_columns_and_blocks(self, monkeypatch):
         # -0.0 and 0.0 in one column and across columns (a writer that merges
         # values by == rather than by bits writes one as the other), values
-        # equal across columns, the +-1e6 edges, and a constant column whose
-        # run spans both blocks.
+        # equal across columns, huge and infinite values, and a constant
+        # column whose run spans both blocks.
         monkeypatch.setattr(cli, "BLOCK_POINTS", 4)
         third, inside, beyond = 1.0 / 3.0, 1e6, math.nextafter(1e6, math.inf)
         table = {
@@ -450,7 +448,7 @@ class TestBlockWriter:
             "flag": np.arange(8) % 2 == 0,
             "note": np.array([None, "x", None, "y, z", None, None, "w", None], dtype=object),
             "d": np.array([-0.0, -0.0, math.nan, math.nan, 2.5, 2.5, -2.5, 2.5]),
-            # a coordinate column shares values beyond 1e6 with the clipped "b"
+            # a coordinate column shares huge values with "b"
             "lambda_x": np.array([beyond, 1e300, third, math.inf, -beyond, -0.0, math.nan, 0.0]),
         }
         columns = ["c", "a", "flag", "missing", "b", "note", "d", "lambda_x"]
@@ -459,7 +457,8 @@ class TestBlockWriter:
         expected = reference_output(table, columns, "csv", {"command": "test"})
         assert_same_text(out.getvalue(), expected)
         assert expected.splitlines()[1] == "0.33333333333333331,-0,true,,0,,-0,1000000.0000000001"
-        assert expected.splitlines()[3].endswith(",inf,,,0.33333333333333331")
+        assert expected.splitlines()[3].endswith(",1000000.0000000001,,,0.33333333333333331")
+        assert expected.splitlines()[6].endswith(",inf,,2.5,-0")
 
 
 class TestParserOncePerProcess:
@@ -502,20 +501,22 @@ class TestParserOncePerProcess:
 
 #: omega = omega0 = scale multiplies lambda_c and every gap by scale and
 #: changes nothing else.
-SCALES = [1e-11, 1e-100, 1e100]
+SCALES = [1e-11, 1e-100, 1e100, 1e-200, 1e200]
 SCALED_GRID = ((0.0, 2.0, 9), (0.0, 2.0, 9))
 
-#: Seeded points in units of lambda_c, one per phase, and the exponents k of
-#: the scales s = 4^k, |k| <= 250, under which (omega, omega0) -> s (omega,
-#: omega0) changes no output byte but the gaps' (which are in the unit of
-#: omega itself).
+#: Seeded points in units of lambda_c, one per phase and one on the critical
+#: line lambda_x = lambda_c (sigma_3 = 0), and the exponents k of the scales
+#: s = 4^k, |k| <= 500, under which (omega, omega0) -> s (omega, omega0)
+#: changes no output byte but the gaps' (which are in the unit of omega
+#: itself).
 _RNG = np.random.default_rng(4)
 SCALE_FREE_POINTS = {
     "normal": _RNG.uniform(0.0, 0.95, 2).tolist(),
     "superradiant-x": [_RNG.uniform(1.05, 3.0), _RNG.uniform(0.0, 1.0)],
     "superradiant-y": [_RNG.uniform(0.0, 1.0), _RNG.uniform(1.05, 3.0)],
+    "critical": [1.0, _RNG.uniform(0.0, 0.95)],
 }
-SCALE_EXPONENTS = [-250, -163, -8, -1, 1, 29, 250]
+SCALE_EXPONENTS = [-500, -300, -250, -163, -8, -1, 1, 29, 250, 300, 500]
 GAP_COLUMNS = cli.GROUP_COLUMNS["gaps"]
 
 
@@ -676,21 +677,22 @@ class TestSweepBytes:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_sweep_output_matches_reference(self, fmt, tmp_path):
         # omega0 / omega = 1e3 with couplings up to 100 lambda_c: the energy
-        # leaves [-1e6, 1e6]; lambda_x = 1 is critical, x = y > 1 offset.
+        # reaches -5e6, written as itself; lambda_x = 1 is critical, x = y > 1
+        # offset.
         # 101 x 21 points span two blocks.
         omega, omega0, x_range, y_range = 1.0, 1e3, (0.0, 100.0, 101), (0.0, 100.0, 21)
         groups = list(cli.GROUP_ORDER)
         table = run_sweep(omega, omega0, x_range, y_range, groups, 1e-6)
         assert table["lambda_x"].size > cli.BLOCK_POINTS
         assert table["diverged"].any() and table["goldstone_offset"].any()
-        assert (table["e_gs"] < -cli.INF_THRESHOLD).any()
+        assert (table["e_gs"] < -1e6).any() and np.isfinite(table["e_gs"]).all()
         out = tmp_path / f"sweep.{fmt}"
         assert main(["sweep", "--omega", "1", "--omega0", "1000", "--x", "0:100:101",
                      "--y", "0:100:21", "--format", fmt, "--out", str(out)]) == 0
         text = out.read_text()
         config = json.loads(text)["config"] if fmt == "json" else None
         expected = reference_output(table, sweep_columns(groups), fmt, config)
-        assert "-inf" in expected
+        assert "inf" not in expected
         assert_same_text(text, expected)
 
 

@@ -7,6 +7,7 @@ groups and warnings turned into errors.
 
 import warnings
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -81,3 +82,19 @@ def test_decoupled_mode_leaves_pure_pair(omega, omega0, ly):
         return
     assert_physical(row)
     assert abs(row["eof_y_j"] - row["s_y"]) <= 1e-10
+
+
+@pytest.mark.parametrize("omega, omega0, lx, ly", [
+    # S_x ~ 1.85e-6 carries 6.6e-10 relative error, and E(y:j), clamped to
+    # S_y where its true value is 1.35e-9 lower, leaves tri_x_yj at -1.35e-9;
+    # an 80-digit evaluation gives +3.98e-12
+    pytest.param(45.73665833208309, 0.010956493143734267, 7.52069396717365, 3.3452708920188607,
+                 marks=pytest.mark.xfail(strict=True, reason="tri_x_yj below the monogamy "
+                                         "slack from the rounding of S_x")),
+    # sigma_1 ~ sigma_2: tri_x_yj is +2.7e-11 here
+    (82.0446793788478, 0.013511590682720507, 2.9234920507859243, 2.8213732635357602),
+])
+def test_rows_physical_at_pinned_points(omega, omega0, lx, ly):
+    row = row_at(omega, omega0, lx, ly)
+    assert not row["diverged"]
+    assert_physical(row)
