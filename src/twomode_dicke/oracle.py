@@ -29,7 +29,9 @@ H is close to diagonal in the Fock (x) Dicke basis, so its lowest eigenpair
 is found by Davidson's method preconditioned by diag H, which comes from the
 factors' diagonals; the solve starts from the basis state of smallest
 diagonal, the classical-frame vacuum.  The convergence check re-solves at
-n_max + 2, starting from the n_max ground vector, zero-padded.
+n_max + 2, starting from the n_max ground vector, zero-padded; as only its
+energy is used, it stops once that energy is resolved to about one rounding
+unit, which takes about half the matvecs of a full solve.
 
 Hilbert space ordering is boson-x (x) boson-y (x) spin; quadratures are
 reported in the usual (q_x, p_x, q_y, p_y, Q, P) order with Q, P the
@@ -68,7 +70,9 @@ MAX_ITERATIONS = 2000
 #: max|diag H|.  That residual cannot fall below the rounding of applying H:
 #: over 355 solves run for 500 matvecs (omega / omega0 from 0.01 to 100, all
 #: phases and critical edges, j <= 20, n_max <= 10) the least residual was
-#: <= 16 and the stagnated level <= 53.  The energy error is <= ||r||^2 / gap.
+#: <= 16 and the stagnated level <= 53.  The energy error is <= ||r||^2 / gap,
+#: so the n_max + 2 re-solve, whose energy alone is used, may stop before
+#: this: at ||r||^2 <= eps |E| gap (see _ground_vector's ``energy_only``).
 RESIDUAL_TOL = 64
 
 _EPS = np.finfo(float).eps
@@ -243,21 +247,34 @@ def _fresh_direction(V: np.ndarray) -> np.ndarray:
     return w / _orthogonalize(V, w)
 
 
-def _ground_vector(apply, diagonal: np.ndarray,
-                   v0: np.ndarray | None = None) -> tuple[float, np.ndarray, float]:
+def _ground_vector(apply, diagonal: np.ndarray, v0: np.ndarray | None = None, *,
+                   energy_only: bool = False) -> tuple[float, np.ndarray, float]:
     """Lowest eigenvalue, unit eigenvector and residual norm of the real
     symmetric operator ``apply`` whose diagonal is ``diagonal``.
 
     Davidson's method (J. Comput. Phys. 17, 87 (1975)).  The basis V and its
-    image H V grow by one vector per matvec, up to DAVIDSON_BASIS rows; a full
-    basis restarts from the two lowest Ritz vectors and their images.  The
-    lowest Ritz pair (theta, x) gives r = H x - theta x and the correction
+    image H V grow by one vector per matvec, up to DAVIDSON_BASIS rows, and
+    the projection G = V H V^T by one lower-triangle row, G[k, :k+1] =
+    H V[:k+1] . V[k]; a full basis restarts from the two lowest Ritz vectors
+    and their images, and their 2x2 block of G is formed anew.  The lowest
+    Ritz pair (theta, x) gives r = H x - theta x and the correction
     r / (diag H - theta), its denominator floored at eps max|diag H|, which
     is orthogonalized against V; one that lies in the span of V (as on a
     diagonal H) is replaced by a fresh direction.  The start vector is v0,
     or the basis state of smallest diagonal.  The solve stops once
     ||r|| <= RESIDUAL_TOL eps max|diag H| and returns theta, x and ||r||;
     with V orthonormal, theta is the Rayleigh quotient of x.
+
+    The error of theta is about ||r||^2 / (lambda_1 - theta).  With
+    ``energy_only``, for a caller that uses theta alone, the solve also stops
+    once ||r||^2 <= eps |theta| (theta_1 - theta), theta_1 the second Ritz
+    value, which puts theta near one rounding unit of the eigenvalue.  By
+    interlacing theta_1 >= lambda_1 overestimates the gap, and no cheap lower
+    bound on lambda_1 exists (Temple's and Lehmann's bounds take one as
+    input), so the rule is checked against full solves: over 324 warm
+    re-solves (all phases and near the critical and Goldstone lines,
+    omega / omega0 from 0.1 to 10, j <= 20, n_max <= 10) theta stayed within
+    8.7 eps max|diag H| of a full solve's, the rounding of applying H.
     """
     top = float(np.max(np.abs(diagonal)))
     scale = _EPS * top
@@ -266,28 +283,36 @@ def _ground_vector(apply, diagonal: np.ndarray,
     unit = math.ldexp(1.0, -math.frexp(top)[1])
     m = min(DAVIDSON_BASIS, diagonal.size)
     V, AV = np.empty((m, diagonal.size)), np.empty((m, diagonal.size))
+    G = np.empty((m, m))
     if v0 is None:
         V[0] = 0.0
         V[0, np.argmin(diagonal)] = 1.0
     else:
         V[0] = v0 / np.linalg.norm(v0)
     AV[0] = apply(V[0])
+    G[0, 0] = AV[0] @ V[0]
     k = 1
     for _ in range(MAX_ITERATIONS):
-        theta, Y = np.linalg.eigh(V[:k] @ AV[:k].T)
+        theta, Y = np.linalg.eigh(G[:k, :k], UPLO="L")
         x, ax = Y[:, 0] @ V[:k], Y[:, 0] @ AV[:k]
         r = ax - theta[0] * x
-        residual = float(np.linalg.norm(r * unit)) / unit
-        if residual <= RESIDUAL_TOL * scale:
+        r_unit = float(np.linalg.norm(r * unit))
+        residual = r_unit / unit
+        # the energy rule, with every length in units of 1 / unit as ||r|| is
+        resolved = energy_only and k > 1 and (
+            r_unit ** 2 <= _EPS * abs(theta[0] * unit) * ((theta[1] - theta[0]) * unit))
+        if residual <= RESIDUAL_TOL * scale or resolved:
             return float(theta[0]), x / np.linalg.norm(x), residual
         if k == m:
             V[:2], AV[:2] = Y[:, :2].T @ V, Y[:, :2].T @ AV
+            G[:2, :2] = V[:2] @ AV[:2].T
             k = 2
         shift = diagonal - theta[0]
         t = r / np.copysign(np.maximum(np.abs(shift), scale), shift)
         norm = _orthogonalize(V[:k], t)
         V[k] = t / norm if norm > 0.0 else _fresh_direction(V[:k])
         AV[k] = apply(V[k])
+        G[k, :k + 1] = AV[:k + 1] @ V[k]
         k += 1
     raise NumericalFailureError(
         f"Davidson eigensolver did not converge in {MAX_ITERATIONS} iterations")
@@ -347,7 +372,8 @@ def exact_ground_state(p: ModelParams, spec: TruncationSpec,
         nb = spec.n_max + 1
         v0 = np.zeros((nb + 2, nb + 2, spec.dimension // (nb * nb)))
         v0[:nb, :nb] = psi.reshape(nb, nb, -1)
-        energy2, _, _ = _ground_vector(*_hamiltonian(rho, a, b, bigger), v0.ravel())
+        energy2, _, _ = _ground_vector(*_hamiltonian(rho, a, b, bigger), v0.ravel(),
+                                       energy_only=True)
         resolve_de = abs(energy2 - energy) / spec.j / rho
 
     return FiniteSizeResult(

@@ -633,6 +633,15 @@ class TestExtremeScales:
         for col in GAP_COLUMNS:
             np.testing.assert_array_equal(table[col], scale * ref[col], err_msg=col)
 
+    def test_oracle_compare_resolves_at_omega_over_omega0_1e_minus_8(self, capsys):
+        # the warm n_max + 2 re-solve stagnated here just above its residual
+        # bound and raised; it now stops once its energy is resolved
+        assert main(["oracle-compare", "--omega", "1e-8", "--lambda-x", "0.5", "--lambda-y", "0.3",
+                     "--j", "20", "--n-max", "6"]) == 0
+        (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        assert row["error"] == "" and row["diverged"] == "false"
+        assert float(row["resolve_de"]) <= 4 * math.ulp(float(row["e0_per_spin"]))
+
     def oracle_rows(self, capsys, *argv):
         assert main(["oracle-compare", *argv, "--lambda-x", "1.5", "--lambda-y", "0.5",
                      "--j", "1", "--n-max", "2"]) == 0

@@ -284,6 +284,21 @@ class TestDavidson:
         with pytest.raises(NumericalFailureError):
             oracle._ground_vector(*operator("superradiant-x", 5, 10))
 
+    @pytest.mark.parametrize("phase", ["normal", "superradiant-x"])
+    def test_restart_every_step_matches_dense_spectrum(self, phase, monkeypatch):
+        # a basis of 3 restarts after every matvec from the third on, so each
+        # step rebuilds the 2x2 block of the projection
+        monkeypatch.setattr(oracle, "DAVIDSON_BASIS", 3)
+        apply, diagonal = operator(phase, 5, 4)
+        reference = np.linalg.eigvalsh(materialize(apply, diagonal.size))[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            energy, psi, residual = oracle._ground_vector(apply, diagonal)
+        scale = np.finfo(float).eps * np.max(np.abs(diagonal))
+        assert abs(energy - reference) <= 1e-12 * abs(reference)
+        assert residual <= oracle.RESIDUAL_TOL * scale
+        assert abs(np.linalg.norm(apply(psi) - energy * psi) - residual) <= 16 * scale
+
     @pytest.mark.parametrize("phase", sorted(PHASE_POINTS))
     def test_result_reports_the_residual(self, phase):
         p, spec = PHASE_POINTS[phase], TruncationSpec(j=5, n_max=8)
@@ -298,6 +313,23 @@ class TestDavidson:
         assert abs(np.linalg.norm(apply(psi) - energy * psi) - res.residual) <= 16 * scale
 
 
+def counted(apply):
+    """``apply`` and a list whose one entry counts its calls."""
+    count = [0]
+
+    def counted_apply(v):
+        count[0] += 1
+        return apply(v)
+
+    return counted_apply, count
+
+
+def energy_only_bound(diagonal):
+    """How far the energy-only re-solve may lie from a full solve: the
+    rounding of applying H, which sets the full solve's own energy error."""
+    return 16 * np.finfo(float).eps * np.max(np.abs(diagonal))
+
+
 class TestWarmResolve:
     @pytest.mark.parametrize("j", [5, 20])
     @pytest.mark.parametrize("phase", ["normal", "superradiant-x", "superradiant-y"])
@@ -305,17 +337,19 @@ class TestWarmResolve:
         solves = []
         ground_vector = oracle._ground_vector
 
-        def recording_ground_vector(apply, diagonal, v0=None):
-            out = ground_vector(apply, diagonal, v0)
-            solves.append((apply, diagonal, v0, out))
+        def recording_ground_vector(apply, diagonal, v0=None, *, energy_only=False):
+            out = ground_vector(apply, diagonal, v0, energy_only=energy_only)
+            solves.append((apply, diagonal, v0, energy_only, out))
             return out
 
         monkeypatch.setattr(oracle, "_ground_vector", recording_ground_vector)
         res = exact_ground_state(PHASE_POINTS[phase], TruncationSpec(j=j, n_max=8))
-        (_, _, v_first, (e_first, psi, _)), (apply_big, diagonal, v0, (e_warm, _, _)) = solves
+        ((_, _, v_first, first_energy_only, (e_first, psi, _)),
+         (apply_big, diagonal, v0, warm_energy_only, (e_warm, _, _))) = solves
 
-        # the re-solve starts from the first ground vector, zero-padded
-        assert v_first is None
+        # the re-solve starts from the first ground vector, zero-padded, and
+        # only it stops once its energy is resolved
+        assert v_first is None and not first_energy_only and warm_energy_only
         block = fock_block(TruncationSpec(j=j, n_max=10), 8)
         np.testing.assert_array_equal(v0[block], psi)
         assert not np.delete(v0, block).any()
@@ -323,21 +357,36 @@ class TestWarmResolve:
 
         matvecs = []
 
-        def counted_solve(start):
-            count = [0]
-
-            def counted_apply(v):
-                count[0] += 1
-                return apply_big(v)
-
-            energy, _, _ = ground_vector(counted_apply, diagonal, start)
+        def counted_solve(start, energy_only=False):
+            apply, count = counted(apply_big)
+            energy, _, _ = ground_vector(apply, diagonal, start, energy_only=energy_only)
             matvecs.append(count[0])
             return energy
 
         cold = counted_solve(None)
-        assert counted_solve(v0) == e_warm
+        full = counted_solve(v0)
+        assert counted_solve(v0, energy_only=True) == e_warm
+        assert abs(e_warm - full) <= energy_only_bound(diagonal)
         assert abs(e_warm - cold) <= 1e-12 * abs(cold)
         assert matvecs[1] < matvecs[0]
+
+    @pytest.mark.parametrize("j", [5, 10, 20])
+    def test_energy_only_resolve_halves_the_matvecs(self, j):
+        # the oracle workload's point (1.5, 0.5) and cutoff n_max = 10
+        _, psi, _ = oracle._ground_vector(*operator("superradiant-x", j, 10))
+        bigger = TruncationSpec(j=j, n_max=12)
+        v0 = np.zeros(bigger.dimension)
+        v0[fock_block(bigger, 10)] = psi
+        apply, diagonal = operator("superradiant-x", j, 12)
+        energies, matvecs = [], []
+        for energy_only in (False, True):
+            counted_apply, count = counted(apply)
+            energy, _, _ = oracle._ground_vector(counted_apply, diagonal, v0,
+                                                 energy_only=energy_only)
+            energies.append(energy)
+            matvecs.append(count[0])
+        assert abs(energies[1] - energies[0]) <= energy_only_bound(diagonal)
+        assert 2 * matvecs[1] <= matvecs[0]
 
 
 class TestDecoupledPoint:
@@ -411,15 +460,17 @@ class TestNormalPhaseConvergence:
         assert unchecked.resolve_de is None and unchecked.converged is False
 
         # the documented computation: the n_max + 2 re-solve starts from the
-        # n_max ground vector, zero-padded
+        # n_max ground vector, zero-padded, and stops once its energy is resolved
         small, big = (oracle._hamiltonian(*canonical(p), s) for s in (spec, bigger))
         energy, psi, _ = oracle._ground_vector(*small)
         v0 = np.zeros(bigger.dimension)
         v0[fock_block(bigger, 4)] = psi
-        energy2, _, _ = oracle._ground_vector(*big, v0)
+        energy2, _, _ = oracle._ground_vector(*big, v0, energy_only=True)
         assert res.energy_per_spin == energy / 5
         assert res.resolve_de == abs(energy2 - energy) / 5
         assert res.converged == (res.resolve_de * 5 < oracle.CONVERGENCE_TOL)
+        full, _, _ = oracle._ground_vector(*big, v0)
+        assert abs(energy2 - full) <= energy_only_bound(big[1])
 
         for e, (apply, diagonal) in ((energy, small), (energy2, big)):
             reference = np.linalg.eigvalsh(materialize(apply, diagonal.size))[0]
