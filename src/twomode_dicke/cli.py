@@ -141,7 +141,7 @@ def evaluate_point(omega: float, omega0: float, lx_rel: float, ly_rel: float,
 def _sweep_block(omega: float, omega0: float, lx_rel: np.ndarray, ly_rel: np.ndarray,
                  goldstone_epsilon: float, groups: list[str]) -> dict:
     """Output columns for arrays of grid points; a row is diverged where the
-    point has no physical pure Gaussian ground state (gs.physical)."""
+    point is not gs.stable, which leaves its report cells NaN."""
     offset = (np.abs(lx_rel - ly_rel) <= goldstone_epsilon) & (np.maximum(lx_rel, ly_rel) > 1.0)
     cols = {"lambda_x": lx_rel, "lambda_y": ly_rel, "goldstone_offset": offset,
             "diverged": np.zeros(lx_rel.size, dtype=bool)}
@@ -157,13 +157,9 @@ def _sweep_block(omega: float, omega0: float, lx_rel: np.ndarray, ly_rel: np.nda
         cols["nu_1"], cols["nu_2"], cols["nu_3"] = gs.nu.T
     if not report_groups:
         return cols
-    ok = gs.physical
-    s = np.maximum(0.5 * np.log(np.where(ok[:, None], gs.det2_modes, 1.0)), 0.0)
-    report = gaussian_info.report_columns(*s.T)
-    for g in report_groups:
-        for col in GROUP_COLUMNS[g]:
-            cols[col] = np.where(ok, report[col], math.nan)
-    cols["diverged"] = ~ok
+    report = gaussian_info.report_columns(*gs.entropies.T)
+    cols.update((col, report[col]) for g in report_groups for col in GROUP_COLUMNS[g])
+    cols["diverged"] = ~gs.stable
     return cols
 
 
@@ -193,7 +189,7 @@ def run_oracle_compare(omega: float, omega0: float, lx_rel: float, ly_rel: float
     the analytic CM does not exist or a factor of H is not finite.
 
     The analytic CM is the stacked factorization's, which exists where
-    gs.physical says so, as in a sweep.  The solve runs at the point scaled by
+    gs.stable says so, as in a sweep.  The solve runs at the point scaled by
     1 / omega0, of the same H / lambda_c.  No solve runs where H is undefined:
     on the degenerate line lambda_x = lambda_y > lambda_c (no classical
     frame), where the factorization overflows (NaN gaps) or a factor of H is
@@ -203,7 +199,7 @@ def run_oracle_compare(omega: float, omega0: float, lx_rel: float, ly_rel: float
     e_analytic = float(model.ground_state_energies(omega0, lx_rel, ly_rel)) / omega
     x, y = np.array([lx_rel]), np.array([ly_rel])
     gs = model.stacked_ground_states(omega, omega0, x, y)
-    analytic_cm = model.stacked_cms(x, y, gs)[0] if gs.physical[0] else None
+    analytic_cm = model.stacked_cms(x, y, gs)[0] if gs.stable[0] else None
     rho = math.sqrt(omega / omega0)
     rows = []
     for spec in specs:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import symplectic
 from .errors import GoldstoneLineError, NearSingularError
-from .gaussian_info import PURITY_TOL, CovarianceMatrix
+from .gaussian_info import CovarianceMatrix
 
 
 class Phase(Enum):
@@ -44,7 +44,8 @@ class ModelParams:
 
     @property
     def lambda_c(self) -> float:
-        return math.sqrt(self.omega * self.omega0)
+        """sqrt(omega omega0) as rho omega0: omega omega0 may leave the floats."""
+        return math.sqrt(self.omega / self.omega0) * self.omega0
 
     def with_couplings(self, lambda_x: float, lambda_y: float) -> "ModelParams":
         return replace(self, lambda_x=lambda_x, lambda_y=lambda_y)
@@ -119,20 +120,21 @@ def ground_state_energies(omega0: float, x, y) -> np.ndarray:
 def fluctuation_matrix(p: ModelParams) -> np.ndarray:
     """Quadratic-fluctuation matrix K of the stable phase (6x6, symmetric)."""
     gs = classical_ground_state(p)
-    w, lc = p.omega, p.lambda_c
+    w, w0, lc = p.omega, p.omega0, p.lambda_c
     lx, ly = p.lambda_x, p.lambda_y
+    # lambda_c^2 / omega = omega0, lambda^2 / omega = (lambda / lambda_c)^2 omega0: no squares
     K = np.diag([w, w, w, w, 0.0, 0.0])
     if gs.phase is Phase.NORMAL:
-        K[4, 4] = K[5, 5] = lc**2 / w
+        K[4, 4] = K[5, 5] = w0
         K[0, 4] = K[4, 0] = lx
         K[2, 5] = K[5, 2] = ly
     elif gs.phase is Phase.SUPERRADIANT_X:
-        K[4, 4] = K[5, 5] = lx**2 / w
-        K[0, 4] = K[4, 0] = -lc**2 / lx
+        K[4, 4] = K[5, 5] = (lx / lc) ** 2 * w0
+        K[0, 4] = K[4, 0] = -lc / (lx / lc)
         K[2, 5] = K[5, 2] = ly
     else:
-        K[4, 4] = K[5, 5] = ly**2 / w
-        K[2, 4] = K[4, 2] = lc**2 / ly
+        K[4, 4] = K[5, 5] = (ly / lc) ** 2 * w0
+        K[2, 4] = K[4, 2] = lc / (ly / lc)
         K[0, 5] = K[5, 0] = lx
     return K
 
@@ -150,12 +152,11 @@ def excitation_gaps(p: ModelParams) -> ExcitationSpectrum:
 def ground_state_cm(p: ModelParams) -> CovarianceMatrix:
     """Ground-state covariance matrix over modes (x, y, j): stacked_cms at one point.
 
-    Raises NearSingularError where the point has no physical pure Gaussian
-    ground state (StackedGroundStates.physical), e.g. at a critical coupling
-    or on the degenerate line.
+    Raises NearSingularError where the point is not StackedGroundStates.stable,
+    e.g. at a critical coupling or on the degenerate line.
     """
     x, y, gs = _one_point(p)
-    if not gs.physical[0]:
+    if not gs.stable[0]:
         raise NearSingularError(
             f"no pure Gaussian ground state at lambda / lambda_c = ({x[0]!r}, {y[0]!r})")
     return CovarianceMatrix(("x", "y", "j"), stacked_cms(x, y, gs)[0])
@@ -171,36 +172,25 @@ def _one_point(p: ModelParams):
 class StackedGroundStates:
     """Ground-state data of n grid points, as arrays.
 
-    nu is (n, 3), descending, and det2_modes the (n, 3) single-mode
-    det(2C_i) of modes x, y, j.  stable is False where the fluctuation
-    matrix is not positive definite, nu_3 / lambda_c < GAP_FLOOR, or
-    L_V^T L_T or sigma overflows (nu is NaN there); det2_modes is
-    meaningless there.
+    nu is (n, 3), descending, and entropies the (n, 3) Renyi-2 entropies
+    S_i = ln det(2C_i) / 2 >= 0 of modes x, y, j.  stable is False where the
+    fluctuation matrix is not positive definite, nu_3 / lambda_c < GAP_FLOOR,
+    or L_V^T L_T or sigma overflows (nu is NaN there), and the entropies are
+    NaN there; elsewhere 2C is pure: det(2C) = det(F_q)^2 det(F_p)^2 = 1.
     """
 
     nu: np.ndarray
-    det2_modes: np.ndarray
+    entropies: np.ndarray
     stable: np.ndarray
     #: (n, 3, 3) blocks of 2C over the V and T coordinates of the factorization,
     #: in the canonical layout: the larger coupling's boson, the other, j.
     c_qq: np.ndarray
     c_pp: np.ndarray
 
-    @property
-    def physical(self) -> np.ndarray:
-        """Where the points have a physical, pure Gaussian ground state.
-
-        2C is pure by construction: det(2C) = det(F_q)^2 det(F_p)^2 = 1, as
-        F_q F_p^T = I.  Rounding far out in the couplings can leave a stable
-        point's single-mode 2C_i unphysical, so besides stable this asks for
-        every det(2C_i) >= 1 - PURITY_TOL.
-        """
-        return self.stable & np.all(self.det2_modes >= 1.0 - PURITY_TOL, axis=1)
-
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def stacked_ground_states(omega: float, omega0: float, x, y) -> StackedGroundStates:
-    """Gaps and covariance determinants at 1-D arrays of couplings in units of lambda_c.
+    """Gaps and single-mode entropies at 1-D arrays of couplings in units of lambda_c.
 
     Each point is factored at its canonical couplings a = max(x, y), b =
     min(x, y): a point with y > x as its exact x <-> y mirror image, modes
@@ -214,15 +204,15 @@ def stacked_ground_states(omega: float, omega0: float, x, y) -> StackedGroundSta
     since (q, p) -> (-q, -p) on one mode flips them.  With Cholesky factors
     V = L_V L_V^T, T = L_T L_T^T and the SVD L_V^T L_T = U diag(sigma) W^T:
 
-        nu = lambda_c sigma,  2C_qq = L_T W sigma^-1 W^T L_T^T,
-        2C_pp = L_V U sigma^-1 U^T L_V^T,  2C_qp = 0,
+        nu = lambda_c sigma,  2C_qq = L_T W sigma^-1 W^T L_T^T = A,
+        2C_pp = L_V U sigma^-1 U^T L_V^T = A^-1,  2C_qp = 0,
 
-    so det(2C_i) = (2C_qq)_ii (2C_pp)_ii is a product of sums of squares.
-    lambda_c is formed as rho omega0, since omega omega0 may leave the floats
-    where lambda_c does not.  The Cholesky pivots are written in factored
-    form, e.g. (1 - a)(1 + a) / rho, and sigma_3 is taken from det(L_V^T L_T)
-    = rho^2 sqrt(pivot_V pivot_T), so both stay accurate next to the critical
-    and degenerate lines.
+    so det(2C_i) = A_ii (A^-1)_ii, and S_i comes from its cofactor form
+    (_single_mode_entropies).  lambda_c is formed as rho omega0, since omega
+    omega0 may leave the floats where lambda_c does not.  The Cholesky pivots
+    are written in factored form, e.g. (1 - a)(1 + a) / rho, and sigma_3 is
+    taken from det(L_V^T L_T) = rho^2 sqrt(pivot_V pivot_T), so both stay
+    accurate next to the critical and degenerate lines.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -261,15 +251,52 @@ def stacked_ground_states(omega: float, omega0: float, x, y) -> StackedGroundSta
     f_p = l_v @ u * scale
     c_qq = f_q @ f_q.transpose(0, 2, 1)
     c_pp = f_p @ f_p.transpose(0, 2, 1)
-    det2_modes = c_qq.diagonal(0, 1, 2) * c_pp.diagonal(0, 1, 2)
-    det2_modes[y > x, :2] = det2_modes[y > x, 1::-1]
+    entropies = _single_mode_entropies(rho, np.where(normal, 1.0, a * a) / rho, g_v[:, 0], b,
+                                       piv_v, piv_t, sigma)
+    entropies[~stable] = math.nan
+    entropies[y > x, :2] = entropies[y > x, 1::-1]
     return StackedGroundStates(
         nu=nu,
-        det2_modes=det2_modes,
+        entropies=entropies,
         stable=stable,
         c_qq=c_qq,
         c_pp=c_pp,
     )
+
+
+def _single_mode_entropies(rho, kappa, g, h, piv_v, piv_t, sigma) -> np.ndarray:
+    """S_i = log1p(t_i) / 2 of the canonical modes (a, b, j), from the gaps alone.
+
+    t_i = det(2C_i) - 1 = a_i^T adj(A_-i) a_i / det A is the cofactor
+    expansion of det A, A = 2C_qq, along row i, with no 1 subtracted; a_i is
+    column i of A without its diagonal, A_-i the block of the other two modes.
+    A = (T V)^(1/2) V^-1 solves A V A = T for V = [[rho, 0, g], [0, rho, 0],
+    [g, 0, kappa]] and T = [[rho, 0, 0], [0, rho, h], [0, h, kappa]] of
+    stacked_ground_states; the square root as the quadratic in T V through
+    the sigma_k^2 gives
+
+        A = (e_3 s_1 V^-1 + (s_1^2 - e_2) T - T V T) / prod_{k<l} (sigma_k + sigma_l),
+
+    s_1, e_2, e_3 the elementary symmetric functions of sigma.  With trace(T V)
+    = sum sigma_k^2 each entry below is a sum of terms of one sign, so A keeps
+    full relative accuracy, as the singular vectors do not; A is homogeneous of
+    degree 0 in its inputs, taken in units of sigma_1 so that nothing overflows.
+    """
+    det_a = np.sqrt(piv_t / piv_v)
+    r, kap, g, h, p_v, p_t, s = (v / sigma[:, 0] for v in (rho, kappa, g, h, piv_v, piv_t, sigma.T))
+    s_1, e_2 = s[0] + s[1] + s[2], s[0] * s[1] + (s[0] + s[1]) * s[2]
+    A = np.empty(sigma.shape + (3,))
+    A[:, 0, 0] = r * (s_1 * kap * det_a + r * r + kap * kap + e_2)
+    A[:, 1, 1] = r * (s_1 * np.sqrt(p_v * p_t) + r * r + e_2 + kap * p_t)
+    A[:, 2, 2] = r * r * (s_1 * det_a + kap + p_t) + kap * e_2
+    A[:, 0, 1] = A[:, 1, 0] = -r * g * h
+    A[:, 0, 2] = A[:, 2, 0] = -r * g * (s_1 * det_a + kap)
+    A[:, 1, 2] = A[:, 2, 1] = h * (r * r + e_2)
+    A /= ((s[0] + s[1]) * (s[1] + s[2]) * (s[0] + s[2]))[:, None, None]
+    i, j, k = np.arange(3), np.array([1, 0, 0]), np.array([2, 2, 1])  # the other modes j < k
+    a_ij, a_ik, a_jk = A[:, i, j], A[:, i, k], A[:, j, k]
+    t = a_ij * a_ij * A[:, k, k] - 2.0 * a_ij * a_ik * a_jk + a_ik * a_ik * A[:, j, j]
+    return 0.5 * np.log1p(t / det_a[:, None])
 
 
 #: Per frame (phase of the canonical point, mirrored: y > x), the signed

@@ -361,7 +361,7 @@ def exact_ground_state(p: ModelParams, spec: TruncationSpec,
             f"dimension {spec.dimension} exceeds budget {DIMENSION_BUDGET}"
         )
     rho = math.sqrt(p.omega / p.omega0)
-    b, a = sorted((p.lambda_x / (rho * p.omega0), p.lambda_y / (rho * p.omega0)))
+    b, a = sorted((p.lambda_x / p.lambda_c, p.lambda_y / p.lambda_c))
     frame = (Phase.SUPERRADIANT_X if a > 1.0 else Phase.NORMAL, p.lambda_y > p.lambda_x)
     energy, psi, residual = _ground_vector(*_hamiltonian(rho, a, b, spec))
     means, cm = _measure_cm(psi, spec, frame)

@@ -37,7 +37,7 @@ from twomode_dicke.cli import (
     schema,
     sweep_columns,
 )
-from twomode_dicke.errors import NumericalFailureError
+from twomode_dicke.errors import NearSingularError, NumericalFailureError
 from twomode_dicke.gaussian_info import CovarianceMatrix
 from twomode_dicke.symplectic import symplectic_eigenvalues, williamson
 
@@ -614,6 +614,43 @@ class TestExtremeScales:
         assert row["diverged"] == "true" and row["error"] == ""
         assert (row["e0_per_spin"] != "", row["converged"] != "") == (solved, solved)
         assert code == 0
+
+    def test_oracle_overflow_is_a_diverged_row(self, capsys):
+        # j = 20 solves; at j = 300 the condensate term dx^2 of the Hamiltonian
+        # overflows, so no solve runs and the row is diverged without an error
+        assert main(["oracle-compare", "--omega", "1e-306", "--omega0", "1", "--lambda-x", "1.5",
+                     "--lambda-y", "0.5", "--j", "20,300", "--n-max", "1"]) == 0
+        solved, overflow = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        assert solved["j"] == "20" and solved["e0_per_spin"] != "" and solved["error"] == ""
+        assert overflow["j"] == "300" and overflow["diverged"] == "true"
+        assert overflow["error"] == ""
+        for col in ("e0_per_spin", "abs_de", "cm_max_dev", "converged", "resolve_de"):
+            assert overflow[col] == "", col
+
+    @pytest.mark.parametrize("k", SCALE_EXPONENTS)
+    @pytest.mark.parametrize("ratio", [0.01, 1.0, 37.0])
+    def test_library_is_scale_free(self, ratio, k):
+        # (omega, omega0, lambda_x, lambda_y) -> 4^k (...): lambda_c = rho omega0
+        # scales exactly, so the per-point functions scale or stay put bitwise
+        scale = math.ldexp(1.0, 2 * k)
+        base = model.ModelParams(ratio, 1.0)
+        for phase, (lx, ly) in SCALE_FREE_POINTS.items():
+            p = base.with_couplings(lx * base.lambda_c, ly * base.lambda_c)
+            q = model.ModelParams(*(scale * v for v in (p.omega, p.omega0, p.lambda_x, p.lambda_y)))
+            gs, gs_q = model.classical_ground_state(p), model.classical_ground_state(q)
+            assert gs_q == dataclasses.replace(gs, energy=scale * gs.energy), phase
+            assert model.ground_state_energy(q) == scale * model.ground_state_energy(p), phase
+            nu = model.excitation_gaps(p).nu
+            assert model.excitation_gaps(q).nu == tuple(scale * v for v in nu), phase
+            np.testing.assert_array_equal(model.fluctuation_matrix(q),
+                                          scale * model.fluctuation_matrix(p), err_msg=phase)
+            if phase == "critical":
+                for point in (p, q):
+                    with pytest.raises(NearSingularError):
+                        model.ground_state_cm(point)
+            else:
+                np.testing.assert_array_equal(model.ground_state_cm(q).mat,
+                                              model.ground_state_cm(p).mat, err_msg=phase)
 
     @pytest.mark.parametrize("k", SCALE_EXPONENTS)
     @pytest.mark.parametrize("ratio", [0.01, 1.0, 37.0])

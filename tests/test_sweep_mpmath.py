@@ -16,6 +16,8 @@ import math
 import mpmath as mp
 import pytest
 
+from test_eof_mpmath import eof_reference
+
 from twomode_dicke import cli, model
 
 EPSILON = 1e-6
@@ -133,3 +135,30 @@ def test_goldstone_line_gaps_exact(omega, omega0, coupling):
     assert nu[2] == 0.0
     for got, ref in zip(nu[:2], nu_ref[:2]):
         assert abs(got - ref) <= NU_RTOL * ref, (got, ref)
+
+
+#: Points with small single-mode entropies, down to S_x = 1.85e-6 at the
+#: first.  The first two are inside the property-test domain, the second with
+#: sigma_1 ~ sigma_2; then omega / omega0 = 100 and omega = omega0.
+SMALL_ENTROPY_POINTS = [
+    (45.73665833208309, 0.010956493143734267, 7.52069396717365, 3.3452708920188607),
+    (82.0446793788478, 0.013511590682720507, 2.9234920507859243, 2.8213732635357602),
+    (100.0, 1.0, 4.35, 0.05), (100.0, 1.0, 8.75, 0.1),
+    (1.0, 1.0, 5.0, 0.1), (1.0, 1.0, 1.1, 0.5), (1.0, 1.0, 0.5, 0.03),
+]
+
+
+@pytest.mark.parametrize("omega, omega0, x, y", SMALL_ENTROPY_POINTS)
+def test_residuals_match_reference(omega, omega0, x, y):
+    # the monogamy residuals from the 60-digit S and the 50-digit EoF closed form
+    table = cli.run_sweep(omega, omega0, (x, x, 1), (y, y, 1), ["mi", "tripartite"], EPSILON)
+    row = {c: column.item() for c, column in table.items()}
+    s_x, s_y, s_j = s_ref = reference(omega, omega0, x, y)[0]
+    for col, ref in zip(("s_x", "s_y", "s_j"), s_ref):
+        assert abs(row[col] - ref) <= 1e-12 * ref, (col, row[col], ref)
+    with mp.workdps(60):
+        e_xj, e_yj, e_xy = (mp.mpf(eof_reference(*s))
+                            for s in ((s_x, s_j, s_y), (s_y, s_j, s_x), (s_x, s_y, s_j)))
+        tri_ref = {"tri_x_yj": s_j - e_xj - e_yj, "tri_j_yx": s_x - e_xj - e_xy}
+    for col, ref in tri_ref.items():
+        assert abs(row[col] - float(ref)) <= 1e-14, (col, row[col], float(ref))
