@@ -7,11 +7,13 @@ itself.  Output is deterministic: grid rows are row-major in lambda_x, then
 lambda_y.  Every float is written as itself, to 17 significant digits: only an
 infinite value is written ``inf`` or ``-inf``, and NaN is the empty CSV field
 or JSON null.  A sweep computes its grid as stacked arrays, block by block,
-into a table of columns (column name -> values over the grid) that
-``write_output`` formats block by block, each distinct float value of a block
-once;
+factoring each mirror pair of points (x, y), (y, x) once, into a table of
+columns (column name -> values over the grid) that ``write_output`` formats
+block by block: the distinct float values of a block together, each once, by
+``_float_text.g17``, which gives the bytes of ``"%.17g"`` itself.
 ``evaluate_point`` is the one-point sweep, and ``_csv_cell`` / ``_json_cell``
-the per-cell reference of the writer.  The argument parser is built once per
+the per-cell reference of the writer.  JSON output echoes the configuration
+and the package and NumPy versions.  The argument parser is built once per
 process, on the first ``main`` call.  It owns input checking: each option's
 ``type=`` checks its value, so bad input leaves through the parser's error
 (usage and ``error: argument --opt: ...`` on stderr, SystemExit(2)).
@@ -30,7 +32,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import gaussian_info, model, oracle
+from . import __version__, _float_text, gaussian_info, model, oracle
 from .errors import NumericalFailureError
 
 #: Grid points a sweep computes together, and rows the writer formats
@@ -141,7 +143,12 @@ def evaluate_point(omega: float, omega0: float, lx_rel: float, ly_rel: float,
 def _sweep_block(omega: float, omega0: float, lx_rel: np.ndarray, ly_rel: np.ndarray,
                  goldstone_epsilon: float, groups: list[str]) -> dict:
     """Output columns for arrays of grid points; a row is diverged where the
-    point is not gs.stable, which leaves its report cells NaN."""
+    point is not gs.stable, which leaves its report cells NaN.
+
+    Each canonical pair (max(x, y), min(x, y)) is factored once, and its gaps,
+    stability and entropies are gathered back to its rows, S_x and S_y
+    swapped where y > x: the columns are bitwise those of one-point sweeps.
+    """
     offset = (np.abs(lx_rel - ly_rel) <= goldstone_epsilon) & (np.maximum(lx_rel, ly_rel) > 1.0)
     cols = {"lambda_x": lx_rel, "lambda_y": ly_rel, "goldstone_offset": offset,
             "diverged": np.zeros(lx_rel.size, dtype=bool)}
@@ -152,14 +159,22 @@ def _sweep_block(omega: float, omega0: float, lx_rel: np.ndarray, ly_rel: np.nda
     report_groups = [g for g in ("mi", "eof", "tripartite") if g in groups]
     if "gaps" not in groups and not report_groups:
         return cols
-    gs = model.stacked_ground_states(omega, omega0, lx_rel, y)
+    # a point and its mirror twin share the factorization; pairs are told apart by their bits
+    canonical = np.stack((np.maximum(lx_rel, y), np.minimum(lx_rel, y)), axis=1)
+    _, first, inverse = np.unique(canonical.view(np.uint64), axis=0,
+                                  return_index=True, return_inverse=True)
+    inverse = inverse.ravel()  # its shape differs across NumPy 2.x releases
+    gs = model.stacked_ground_states(omega, omega0, *canonical[first].T)
     if "gaps" in groups:
-        cols["nu_1"], cols["nu_2"], cols["nu_3"] = gs.nu.T
+        cols["nu_1"], cols["nu_2"], cols["nu_3"] = gs.nu[inverse].T
     if not report_groups:
         return cols
-    report = gaussian_info.report_columns(*gs.entropies.T)
+    entropies = gs.entropies[inverse]
+    mirrored = y > lx_rel
+    entropies[mirrored, :2] = entropies[mirrored, 1::-1]
+    report = gaussian_info.report_columns(*entropies.T)
     cols.update((col, report[col]) for g in report_groups for col in GROUP_COLUMNS[g])
-    cols["diverged"] = ~gs.stable
+    cols["diverged"] = ~gs.stable[inverse]
     return cols
 
 
@@ -259,17 +274,15 @@ def _float_cells(columns: list[np.ndarray]) -> list[list[str]]:
 
     Each distinct value, told apart by its bits so that -0.0 and 0.0 stay
     distinct, is formatted once to 17 significant digits (NaN as the empty
-    field); the strings are then scattered back to their cells.  Float cells
-    never need CSV quoting.
+    field) by _float_text.g17, which formats all of them as arrays and hands
+    the cells it cannot certify to "%.17g" itself; the strings are then
+    scattered back to their cells.  Float cells never need CSV quoting.
     """
     if not columns:
         return []
     bits = np.concatenate(columns, dtype=np.float64).view(np.uint64)
     keys, inverse = np.unique(bits, return_inverse=True)
-    distinct = keys.view(np.float64)
-    text = list(map("%.17g".__mod__, distinct.tolist()))
-    for i in np.flatnonzero(np.isnan(distinct)).tolist():
-        text[i] = ""
+    text = _float_text.g17(keys.view(np.float64))
     return np.array(text, dtype=object)[inverse].reshape(len(columns), -1).tolist()
 
 
@@ -294,7 +307,8 @@ def write_output(table: dict, columns: list[str], fmt: str, out,
     written BLOCK_POINTS rows at a time, with the bytes csv.writer gives for
     the rows of _csv_cell(value); the float columns of a block are formatted
     together by _float_cells, so a value repeated within them is formatted
-    once.
+    once, and the distinct values all at once.  JSON writes config_echo as
+    its "config" object.
     """
     n_rows = len(next(iter(table.values())))
     if fmt == "csv":
@@ -430,6 +444,7 @@ def main(argv=None) -> int:
                           args.goldstone_epsilon)
         columns = sweep_columns(args.quantities)
     config_echo = {"command": args.command} | {k: getattr(args, k) for k in _ECHOED[args.command]}
+    config_echo["versions"] = {"twomode_dicke": __version__, "numpy": np.__version__}
 
     if args.out:
         with open(args.out, "w", newline="") as fh:

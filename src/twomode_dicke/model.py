@@ -177,15 +177,21 @@ class StackedGroundStates:
     fluctuation matrix is not positive definite, nu_3 / lambda_c < GAP_FLOOR,
     or L_V^T L_T or sigma overflows (nu is NaN there), and the entropies are
     NaN there; elsewhere 2C is pure: det(2C) = det(F_q)^2 det(F_p)^2 = 1.
+    The remaining fields are the factors of the fluctuation matrix, from which
+    stacked_cms forms the covariance matrices; nothing else reads them.
     """
 
     nu: np.ndarray
     entropies: np.ndarray
     stable: np.ndarray
-    #: (n, 3, 3) blocks of 2C over the V and T coordinates of the factorization,
-    #: in the canonical layout: the larger coupling's boson, the other, j.
-    c_qq: np.ndarray
-    c_pp: np.ndarray
+    #: (n, 3, 3) Cholesky factors of V and T, in the canonical layout (the
+    #: larger coupling's boson, the other, j), and the singular vectors
+    #: L_V^T L_T = U diag(sigma) W^T; (n, 3) sigma = nu / lambda_c.
+    l_v: np.ndarray
+    l_t: np.ndarray
+    u: np.ndarray
+    wt: np.ndarray
+    sigma: np.ndarray
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -212,7 +218,9 @@ def stacked_ground_states(omega: float, omega0: float, x, y) -> StackedGroundSta
     omega0 may leave the floats where lambda_c does not.  The Cholesky pivots
     are written in factored form, e.g. (1 - a)(1 + a) / rho, and sigma_3 is
     taken from det(L_V^T L_T) = rho^2 sqrt(pivot_V pivot_T), so both stay
-    accurate next to the critical and degenerate lines.
+    accurate next to the critical and degenerate lines.  The CM blocks are
+    not formed here: the result keeps L_V, L_T, U, W^T and sigma, from which
+    stacked_cms forms them.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -246,22 +254,12 @@ def stacked_ground_states(omega: float, omega0: float, x, y) -> StackedGroundSta
     sigma[~finite] = math.nan
     nu = rho * omega0 * sigma
     stable = finite & (piv_v > 0.0) & (piv_t > 0.0) & (sigma[:, 2] >= symplectic.GAP_FLOOR)
-    scale = 1.0 / np.sqrt(np.where(stable[:, None], sigma, 1.0))[:, None, :]
-    f_q = l_t @ wt.transpose(0, 2, 1) * scale
-    f_p = l_v @ u * scale
-    c_qq = f_q @ f_q.transpose(0, 2, 1)
-    c_pp = f_p @ f_p.transpose(0, 2, 1)
     entropies = _single_mode_entropies(rho, np.where(normal, 1.0, a * a) / rho, g_v[:, 0], b,
                                        piv_v, piv_t, sigma)
     entropies[~stable] = math.nan
     entropies[y > x, :2] = entropies[y > x, 1::-1]
-    return StackedGroundStates(
-        nu=nu,
-        entropies=entropies,
-        stable=stable,
-        c_qq=c_qq,
-        c_pp=c_pp,
-    )
+    return StackedGroundStates(nu=nu, entropies=entropies, stable=stable,
+                               l_v=l_v, l_t=l_t, u=u, wt=wt, sigma=sigma)
 
 
 def _single_mode_entropies(rho, kappa, g, h, piv_v, piv_t, sigma) -> np.ndarray:
@@ -327,19 +325,27 @@ def from_stacked_frame(frame: tuple, c_qq: np.ndarray, c_pp: np.ndarray) -> np.n
     return cm
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def stacked_cms(x, y, gs: StackedGroundStates) -> np.ndarray:
     """Ground-state covariance matrices C, (n, 6, 6) over modes (x, y, j), of the
     points of stacked_ground_states(omega, omega0, x, y).
 
-    C is (2C_qq (+) 2C_pp) / 2 in the coordinates of the factorization, mapped
-    back by from_stacked_frame in each point's frame.  Where gs.stable is
-    False the values are meaningless.
+    C is (2C_qq (+) 2C_pp) / 2 in the coordinates of the factorization, with
+    2C_qq = F_q F_q^T and 2C_pp = F_p F_p^T formed here from the factors gs
+    keeps, F_q = L_T W sigma^-1/2 and F_p = L_V U sigma^-1/2, and mapped back
+    by from_stacked_frame in each point's frame.  Where gs.stable is False the
+    values are meaningless.
     """
+    scale = 1.0 / np.sqrt(np.where(gs.stable[:, None], gs.sigma, 1.0))[:, None, :]
+    f_q = gs.l_t @ gs.wt.transpose(0, 2, 1) * scale
+    f_p = gs.l_v @ gs.u * scale
+    c_qq = f_q @ f_q.transpose(0, 2, 1)
+    c_pp = f_p @ f_p.transpose(0, 2, 1)
     normal, mirrored = np.maximum(x, y) <= 1.0, np.greater(y, x)
-    cm = np.empty(gs.c_qq.shape[:1] + (6, 6))
+    cm = np.empty(c_qq.shape[:1] + (6, 6))
     for frame in _STACKED_FRAMES:
         mask = (normal == (frame[0] is Phase.NORMAL)) & (mirrored == frame[1])
-        cm[mask] = from_stacked_frame(frame, 0.5 * gs.c_qq[mask], 0.5 * gs.c_pp[mask])
+        cm[mask] = from_stacked_frame(frame, 0.5 * c_qq[mask], 0.5 * c_pp[mask])
     return cm
 
 

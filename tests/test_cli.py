@@ -23,7 +23,8 @@ from test_sweep_mpmath import reference, reference_gaps
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from twomode_dicke import cli, gaussian_info, model, oracle
+import twomode_dicke
+from twomode_dicke import _float_text, cli, gaussian_info, model, oracle
 from twomode_dicke.cli import (
     _csv_cell,
     _csv_cells,
@@ -289,15 +290,51 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="finite"):
             run_sweep(omega, omega0, (x_lo, x_hi, 2), (y_lo, y_hi, 2), list(cli.GROUP_ORDER), eps)
 
-    def test_blocks_do_not_change_rows(self, monkeypatch):
-        args = (0.5, 2.0, (0.0, 3.0, 7), (0.0, 3.0, 5), list(cli.GROUP_ORDER), 1e-6)
-        whole = table_rows(run_sweep(*args))
+    @pytest.mark.parametrize("args, twins", [
+        # a non-square grid
+        ((0.5, 2.0, (0.0, 3.0, 7), (0.0, 3.0, 5), list(cli.GROUP_ORDER), 1e-6), 6),
+        # a slice: no point has its twin on it
+        ((4.0, 0.25, (0.0, 3.0, 13), (1.5, 1.5, 1), ["gaps", "mi"], 1e-6), 0),
+        # Goldstone-offset rows: eps = 0.25 offsets every point above 1 within
+        # 0.25 of the diagonal, and (x, y (1 - eps)) no longer pairs with its
+        # twin; the critical row and column are diverged
+        ((1.0, 1.0, (0.0, 2.0, 9), (0.0, 2.0, 9), list(cli.GROUP_ORDER), 0.25), 64),
+        # no point has its twin on the grid
+        ((0.1, 10.0, (0.1, 0.9, 5), (1.1, 30.0, 4), list(cli.GROUP_ORDER), 1e-6), 0),
+    ], ids=["non-square", "slice", "goldstone-offset", "no-twins"])
+    def test_blocks_do_not_change_rows(self, args, twins, monkeypatch):
+        # A sweep factors each mirror pair (x, y), (y, x) once, at (max, min),
+        # and gathers it back to both rows: its columns are bitwise those of
+        # one-point sweeps, whatever the blocks, and its gaps and entropies
+        # those of stacked_ground_states over every point of the grid.
+        def assert_same_bits(a, b, column):
+            assert a.dtype == b.dtype, column
+            if a.dtype.kind != "f":
+                assert np.array_equal(a, b), column
+                return
+            nan = np.isnan(a)
+            assert np.array_equal(nan, np.isnan(b)), column
+            assert np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64)), column
+
+        omega, omega0, x_range, y_range, groups, eps = args
+        whole = run_sweep(*args)
+        points = list(zip(whole["lambda_x"].tolist(), whole["lambda_y"].tolist()))
+        y_used = np.where(whole["goldstone_offset"], whole["lambda_y"] * (1.0 - eps),
+                          whole["lambda_y"])
+        pairs = set(zip(whole["lambda_x"].tolist(), y_used.tolist()))
+        assert sum((y, x) in pairs and x != y for x, y in pairs) == twins
+        gs = model.stacked_ground_states(omega, omega0, whole["lambda_x"], y_used)
+        for c, column in zip(("nu_1", "nu_2", "nu_3", "s_x", "s_y", "s_j"),
+                             [*gs.nu.T, *gs.entropies.T]):
+            if c in whole:
+                assert_same_bits(whole[c], column, c)
         monkeypatch.setattr(cli, "BLOCK_POINTS", 4)
-        blocked = table_rows(run_sweep(*args))
-        assert len(blocked) == len(whole) == 35
-        for a, b in zip(blocked, whole):
-            assert a.keys() == b.keys()
-            assert all(a[k] == b[k] or (a[k] != a[k] and b[k] != b[k]) for k in a)
+        blocked = run_sweep(*args)
+        single = [run_sweep(omega, omega0, (x, x, 1), (y, y, 1), groups, eps) for x, y in points]
+        assert whole.keys() == blocked.keys() == single[0].keys()
+        for c in whole:
+            assert_same_bits(whole[c], blocked[c], c)
+            assert_same_bits(whole[c], np.concatenate([table[c] for table in single]), c)
 
     def test_mirror_symmetry(self):
         groups = ["gaps", "energy", "mi", "eof", "tripartite"]
@@ -361,6 +398,21 @@ class TestOutput:
         assert len(doc["rows"]) == 9
         assert doc["config"]["command"] == "sweep"
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--x", "0:1.8:3", "--y", "0:1.8:3"],
+        ["slice", "--y", "0.3", "--x", "0:1:2"],
+        ["oracle-compare", "--lambda-x", "1.5", "--lambda-y", "0.5", "--j", "2", "--n-max", "2"],
+    ], ids=["sweep", "slice", "oracle-compare"])
+    def test_json_config_echoes_versions(self, argv, capsys):
+        assert main(argv + ["--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        jsonschema.validate(doc, schema())
+        assert list(doc["config"])[-1] == "versions"
+        assert doc["config"]["versions"] == {"twomode_dicke": twomode_dicke.__version__,
+                                             "numpy": np.__version__}
+        assert main(argv) == 0
+        assert "versions" not in capsys.readouterr().out
+
     def test_diverged_row_serialized_as_null(self, capsys):
         code = main(["slice", "--y", "0.3", "--x", "1:1:1",
                      "--threads", "1", "--format", "json"])
@@ -403,6 +455,46 @@ class TestColumnWriter:
         assert cells == [_csv_cell(v) for v in EDGE_FLOATS]
         assert cells[:8] == ["", "1000000", "-1000000", "1000000.0000000001",
                              "-1000000.0000000001", "inf", "-inf", "-0"]
+
+    def test_float_kernel_matches_percent_17g(self):
+        # The array-wide formatter of _float_cells against _csv_cell, which is
+        # format(v, ".17g"): random bit patterns (NaN and inf among them), the
+        # named edges, and exact 17-digit ties m / 2^t (m odd, m 5^t of 18
+        # digits) with their neighbours, which the kernel cannot certify and
+        # hands to "%.17g".
+        rng = np.random.default_rng(23)
+        random_bits = rng.integers(0, 2**64, size=1_000_000, dtype=np.uint64).view(np.float64)
+        powers = 10.0 ** np.arange(-323, 309)
+        with np.errstate(over="ignore"):
+            edges = np.concatenate([
+                powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+                0.5 * powers, 5.0 * powers, 9.5 * powers,
+                [5e-324, np.finfo(float).max, 0.0, -0.0, np.inf, -np.inf, np.nan]])
+        ties = []
+        for t in rng.integers(1, 26, size=20_000).tolist():
+            low, high = -(-10**17 // 5**t), min(10**18 // 5**t, 2**53)
+            if low < high:
+                m = (low + int(rng.integers(0, high - low))) | 1
+                if m * 5**t < 10**18:
+                    ties.append(m / 2**t)
+        ties = np.array(ties)
+        assert ties.size > 10_000
+        named = np.array([4000000000000001 / 4, 4000000000000003 / 4])
+        assert _float_text.g17(named) == ["1000000000000000.2", "1000000000000000.8"]
+        values = np.concatenate([random_bits, edges, -edges, ties, np.nextafter(ties, 0.0),
+                                 np.nextafter(ties, np.inf), -ties, named])
+        for start in range(0, values.size, 1 << 16):
+            chunk = values[start:start + (1 << 16)]
+            assert _float_text.g17(chunk) == [_csv_cell(v) for v in chunk.tolist()]
+
+    def test_float_cells_without_a_fast_cell(self):
+        # every cell formatted by "%.17g" itself, and an empty block
+        slow = [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, 1e-300, -1e300,
+                np.finfo(float).max]
+        assert _float_cells([np.array(slow), np.array(slow[::-1])]) == [
+            [_csv_cell(v) for v in slow], [_csv_cell(v) for v in slow[::-1]]]
+        assert _float_cells([np.array([])]) == [[]]
+        assert _float_text.g17(np.array([])) == []
 
     def test_bool_column(self):
         assert _csv_cells(np.array([True, False, True])) == ["true", "false", "true"]
