@@ -1,8 +1,9 @@
 """Correlation structure and excitation spectrum of the two-mode Dicke model.
 
 Thermodynamic-limit pipeline (classical ground state -> quadratic
-fluctuations -> one Cholesky/SVD factorization over positions and momenta ->
-gaps and ground-state covariance matrix -> Gaussian correlation measures), a
+fluctuations -> the singular values of one factorization over positions and
+momenta as gaps -> both ground-state covariance-matrix blocks from one closed
+form in them, 2C_qq 2C_pp = I -> Gaussian correlation measures), a
 finite-size exact-diagonalization oracle for validation, and a sweep CLI.
 """
 

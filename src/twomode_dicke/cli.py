@@ -203,8 +203,8 @@ def run_oracle_compare(omega: float, omega0: float, lx_rel: float, ly_rel: float
     """Finite-size oracle columns, one row per truncation spec; diverged where
     the analytic CM does not exist or a factor of H is not finite.
 
-    The analytic CM is the stacked factorization's, which exists where
-    gs.stable says so, as in a sweep.  The solve runs at the point scaled by
+    The analytic CM is model.stacked_cms's, which exists where gs.stable
+    says so, as in a sweep.  The solve runs at the point scaled by
     1 / omega0, of the same H / lambda_c.  No solve runs where H is undefined:
     on the degenerate line lambda_x = lambda_y > lambda_c (no classical
     frame), where the factorization overflows (NaN gaps) or a factor of H is

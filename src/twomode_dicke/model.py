@@ -1,11 +1,11 @@
 """Two-mode Dicke model in the thermodynamic limit.
 
 Classical ground state, phase identification, quadratic fluctuation matrices,
-excitation gaps and the ground-state covariance matrix.  Gaps and covariance
-matrices come from one exact factorization of the fluctuation matrix,
-stacked_ground_states, of which excitation_gaps and ground_state_cm are the
-one-point case.  Quadrature ordering is (q_x, p_x, q_y, p_y, Q, P) with Q, P
-the collective-spin quadratures.
+excitation gaps and the ground-state covariance matrix, all from
+stacked_ground_states (excitation_gaps and ground_state_cm are its one-point
+case): gaps from one exact factorization of the fluctuation matrix, both
+covariance-matrix blocks from one closed form in them.  Quadrature ordering
+is (q_x, p_x, q_y, p_y, Q, P) with Q, P the collective-spin quadratures.
 """
 
 from __future__ import annotations
@@ -37,9 +37,10 @@ class ModelParams:
     lambda_y: float = 0.0
 
     def __post_init__(self):
-        if self.omega <= 0.0 or self.omega0 <= 0.0:
+        # written so that NaN fails; inf passes, and _hamiltonian raises OverflowError on it
+        if not (self.omega > 0.0 and self.omega0 > 0.0):
             raise ValueError("omega and omega0 must be positive")
-        if self.lambda_x < 0.0 or self.lambda_y < 0.0:
+        if not (self.lambda_x >= 0.0 and self.lambda_y >= 0.0):
             raise ValueError("couplings must be nonnegative")
 
     @property
@@ -176,27 +177,23 @@ class StackedGroundStates:
     S_i = ln det(2C_i) / 2 >= 0 of modes x, y, j.  stable is False where the
     fluctuation matrix is not positive definite, nu_3 / lambda_c < GAP_FLOOR,
     or L_V^T L_T or sigma overflows (nu is NaN there), and the entropies are
-    NaN there; elsewhere 2C is pure: det(2C) = det(F_q)^2 det(F_p)^2 = 1.
-    The remaining fields are the factors of the fluctuation matrix, from which
-    stacked_cms forms the covariance matrices; nothing else reads them.
+    NaN there; elsewhere 2C is pure, as 2C_qq 2C_pp = I.  two_c_qq and
+    two_c_pp are the (n, 3, 3) blocks 2C_qq and 2C_pp over the V and T
+    coordinates in the canonical layout (the larger coupling's boson, the
+    other, j), from which stacked_cms forms the covariance matrices.
     """
 
     nu: np.ndarray
     entropies: np.ndarray
     stable: np.ndarray
-    #: (n, 3, 3) Cholesky factors of V and T, in the canonical layout (the
-    #: larger coupling's boson, the other, j), and the singular vectors
-    #: L_V^T L_T = U diag(sigma) W^T; (n, 3) sigma = nu / lambda_c.
-    l_v: np.ndarray
-    l_t: np.ndarray
-    u: np.ndarray
-    wt: np.ndarray
-    sigma: np.ndarray
+    two_c_qq: np.ndarray
+    two_c_pp: np.ndarray
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def stacked_ground_states(omega: float, omega0: float, x, y) -> StackedGroundStates:
-    """Gaps and single-mode entropies at 1-D arrays of couplings in units of lambda_c.
+    """Gaps, single-mode entropies and covariance-matrix blocks at 1-D arrays
+    of couplings in units of lambda_c.
 
     Each point is factored at its canonical couplings a = max(x, y), b =
     min(x, y): a point with y > x as its exact x <-> y mirror image, modes
@@ -207,71 +204,70 @@ def stacked_ground_states(omega: float, omega0: float, x, y) -> StackedGroundSta
     over positions and momenta: V (+) T, each diag(rho, rho, kappa) plus the
     spin's coupling to one boson, the larger coupling's in V, the other's in
     T, with rho = sqrt(omega / omega0); the signs of the couplings drop out,
-    since (q, p) -> (-q, -p) on one mode flips them.  With Cholesky factors
-    V = L_V L_V^T, T = L_T L_T^T and the SVD L_V^T L_T = U diag(sigma) W^T:
+    since (q, p) -> (-q, -p) on one mode flips them.  The gaps are nu =
+    lambda_c sigma, sigma the singular values of L_V^T L_T for the Cholesky
+    factors V = L_V L_V^T, T = L_T L_T^T.  Both blocks come from the closed
+    form of _two_c_qq in sigma, rho and the pivots:
 
-        nu = lambda_c sigma,  2C_qq = L_T W sigma^-1 W^T L_T^T = A,
-        2C_pp = L_V U sigma^-1 U^T L_V^T = A^-1,  2C_qp = 0,
+        2C_qq = A solves A V A = T,  2C_pp = A^-1 solves B T B = V,  2C_qp = 0,
 
-    so det(2C_i) = A_ii (A^-1)_ii, and S_i comes from its cofactor form
-    (_single_mode_entropies).  lambda_c is formed as rho omega0, since omega
-    omega0 may leave the floats where lambda_c does not.  The Cholesky pivots
-    are written in factored form, e.g. (1 - a)(1 + a) / rho, and sigma_3 is
-    taken from det(L_V^T L_T) = rho^2 sqrt(pivot_V pivot_T), so both stay
-    accurate next to the critical and degenerate lines.  The CM blocks are
-    not formed here: the result keeps L_V, L_T, U, W^T and sigma, from which
-    stacked_cms forms them.
+    the second the first with V and T, and so the bosons, swapped; S_i comes
+    from A (_single_mode_entropies).  lambda_c is formed as rho omega0, since
+    omega omega0 may leave the floats where lambda_c does not.  The Cholesky
+    pivots are written in factored form, e.g. (1 - a)(1 + a) / rho, and
+    sigma_3 is taken from det(L_V^T L_T) = rho^2 sqrt(pivot_V pivot_T), so
+    both stay accurate next to the critical and degenerate lines.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     rho = math.sqrt(omega / omega0)
     a, b = np.maximum(x, y), np.minimum(x, y)
     normal = a <= 1.0
-    # Boson-spin couplings in V (to Q) and T (to P), columns (a, b), and pivots.
-    g_v, g_t = np.zeros((x.size, 2)), np.zeros((x.size, 2))
-    g_v[:, 0] = np.where(normal, a, 1.0 / a)
-    g_t[:, 1] = b
+    # Boson a couples to Q in V with g, boson b to P in T with b; the pivots.
+    g = np.where(normal, a, 1.0 / a)
+    kappa = np.where(normal, 1.0, a * a) / rho
     piv_v = np.where(normal, (1.0 - a) * (1.0 + a) / rho,
                      (a - 1.0) * (a + 1.0) * (a * a + 1.0) / (a * a * rho))
     piv_t = np.where(normal, (1.0 - b) * (1.0 + b) / rho, (a - b) * (a + b) / rho)
 
-    def cholesky(g, piv):
+    def cholesky(boson, coupling, piv):
         L = np.zeros((x.size, 3, 3))
         L[:, 0, 0] = L[:, 1, 1] = math.sqrt(rho)
-        L[:, 2, :2] = g / math.sqrt(rho)
+        L[:, 2, boson] = coupling / math.sqrt(rho)
         L[:, 2, 2] = np.sqrt(piv)
         return L
 
-    l_v, l_t = cholesky(g_v, piv_v), cholesky(g_t, piv_t)
     # An overflowing pivot or rho leaves L_V^T L_T non-finite: such a point is
     # unstable, with NaN gaps, and the SVD gets the identity in its place.
-    m = l_v.transpose(0, 2, 1) @ l_t
+    m = cholesky(0, g, piv_v).transpose(0, 2, 1) @ cholesky(1, b, piv_t)
     finite = np.isfinite(m).all(axis=(1, 2))
-    m[~finite] = l_v[~finite] = l_t[~finite] = np.eye(3)
-    u, sigma, wt = np.linalg.svd(m)
+    m[~finite] = np.eye(3)
+    # Only sigma is read.  svd(m, compute_uv=False) would give sigma_1 and
+    # sigma_2 different last bits, and so change every sweep's output bytes.
+    sigma = np.linalg.svd(m)[1]
     sigma[:, 2] = rho * rho * np.sqrt(piv_v * piv_t) / (sigma[:, 0] * sigma[:, 1])
     finite &= np.isfinite(sigma).all(axis=1)  # so is one whose sigma_3 overflows
     sigma[~finite] = math.nan
     nu = rho * omega0 * sigma
     stable = finite & (piv_v > 0.0) & (piv_t > 0.0) & (sigma[:, 2] >= symplectic.GAP_FLOOR)
-    entropies = _single_mode_entropies(rho, np.where(normal, 1.0, a * a) / rho, g_v[:, 0], b,
-                                       piv_v, piv_t, sigma)
+    two_c_qq = _two_c_qq(rho, kappa, g, b, piv_v, piv_t, sigma)
+    # B T B = V is A V A = T with V, T and so the bosons swapped; swap them back
+    two_c_pp = _two_c_qq(rho, kappa, b, g, piv_t, piv_v, sigma)[:, [[1], [0], [2]], [1, 0, 2]]
+    entropies = _single_mode_entropies(two_c_qq, np.sqrt(piv_t / piv_v))
     entropies[~stable] = math.nan
     entropies[y > x, :2] = entropies[y > x, 1::-1]
     return StackedGroundStates(nu=nu, entropies=entropies, stable=stable,
-                               l_v=l_v, l_t=l_t, u=u, wt=wt, sigma=sigma)
+                               two_c_qq=two_c_qq, two_c_pp=two_c_pp)
 
 
-def _single_mode_entropies(rho, kappa, g, h, piv_v, piv_t, sigma) -> np.ndarray:
-    """S_i = log1p(t_i) / 2 of the canonical modes (a, b, j), from the gaps alone.
+def _two_c_qq(rho, kappa, g, h, piv_v, piv_t, sigma) -> np.ndarray:
+    """A = 2C_qq of the canonical modes (a, b, j), (n, 3, 3), from the gaps alone.
 
-    t_i = det(2C_i) - 1 = a_i^T adj(A_-i) a_i / det A is the cofactor
-    expansion of det A, A = 2C_qq, along row i, with no 1 subtracted; a_i is
-    column i of A without its diagonal, A_-i the block of the other two modes.
     A = (T V)^(1/2) V^-1 solves A V A = T for V = [[rho, 0, g], [0, rho, 0],
     [g, 0, kappa]] and T = [[rho, 0, 0], [0, rho, h], [0, h, kappa]] of
-    stacked_ground_states; the square root as the quadratic in T V through
-    the sigma_k^2 gives
+    stacked_ground_states, pivots piv_v = kappa - g^2 / rho and piv_t =
+    kappa - h^2 / rho; the square root as the quadratic in T V through the
+    sigma_k^2 gives
 
         A = (e_3 s_1 V^-1 + (s_1^2 - e_2) T - T V T) / prod_{k<l} (sigma_k + sigma_l),
 
@@ -291,6 +287,18 @@ def _single_mode_entropies(rho, kappa, g, h, piv_v, piv_t, sigma) -> np.ndarray:
     A[:, 0, 2] = A[:, 2, 0] = -r * g * (s_1 * det_a + kap)
     A[:, 1, 2] = A[:, 2, 1] = h * (r * r + e_2)
     A /= ((s[0] + s[1]) * (s[1] + s[2]) * (s[0] + s[2]))[:, None, None]
+    return A
+
+
+def _single_mode_entropies(A, det_a) -> np.ndarray:
+    """S_i = log1p(t_i) / 2 of the canonical modes (a, b, j) from A = 2C_qq
+    of _two_c_qq and det A = sqrt(piv_t / piv_v).
+
+    t_i = det(2C_i) - 1 = A_ii (A^-1)_ii - 1 = a_i^T adj(A_-i) a_i / det A
+    is the cofactor expansion of det A along row i, with no 1 subtracted;
+    a_i is column i of A without its diagonal, A_-i the block of the other
+    two modes.
+    """
     i, j, k = np.arange(3), np.array([1, 0, 0]), np.array([2, 2, 1])  # the other modes j < k
     a_ij, a_ik, a_jk = A[:, i, j], A[:, i, k], A[:, j, k]
     t = a_ij * a_ij * A[:, k, k] - 2.0 * a_ij * a_ik * a_jk + a_ik * a_ik * A[:, j, j]
@@ -325,27 +333,17 @@ def from_stacked_frame(frame: tuple, c_qq: np.ndarray, c_pp: np.ndarray) -> np.n
     return cm
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def stacked_cms(x, y, gs: StackedGroundStates) -> np.ndarray:
     """Ground-state covariance matrices C, (n, 6, 6) over modes (x, y, j), of the
-    points of stacked_ground_states(omega, omega0, x, y).
-
-    C is (2C_qq (+) 2C_pp) / 2 in the coordinates of the factorization, with
-    2C_qq = F_q F_q^T and 2C_pp = F_p F_p^T formed here from the factors gs
-    keeps, F_q = L_T W sigma^-1/2 and F_p = L_V U sigma^-1/2, and mapped back
-    by from_stacked_frame in each point's frame.  Where gs.stable is False the
-    values are meaningless.
+    points of stacked_ground_states(omega, omega0, x, y): (2C_qq (+) 2C_pp) / 2
+    from the blocks gs keeps, mapped back by from_stacked_frame in each point's
+    frame.  Where gs.stable is False the values are meaningless.
     """
-    scale = 1.0 / np.sqrt(np.where(gs.stable[:, None], gs.sigma, 1.0))[:, None, :]
-    f_q = gs.l_t @ gs.wt.transpose(0, 2, 1) * scale
-    f_p = gs.l_v @ gs.u * scale
-    c_qq = f_q @ f_q.transpose(0, 2, 1)
-    c_pp = f_p @ f_p.transpose(0, 2, 1)
     normal, mirrored = np.maximum(x, y) <= 1.0, np.greater(y, x)
-    cm = np.empty(c_qq.shape[:1] + (6, 6))
+    cm = np.empty(gs.two_c_qq.shape[:1] + (6, 6))
     for frame in _STACKED_FRAMES:
         mask = (normal == (frame[0] is Phase.NORMAL)) & (mirrored == frame[1])
-        cm[mask] = from_stacked_frame(frame, 0.5 * c_qq[mask], 0.5 * c_pp[mask])
+        cm[mask] = from_stacked_frame(frame, 0.5 * gs.two_c_qq[mask], 0.5 * gs.two_c_pp[mask])
     return cm
 
 
@@ -386,8 +384,8 @@ def gs_energy_derivative_scan(p: ModelParams, axis: str, grid):
     second-order jump (in d2E).
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.size < 5 or np.any(np.diff(grid) <= 0.0) or grid[0] < 0.0:
-        raise ValueError("grid must be nonnegative, strictly increasing, with at least 5 points")
+    if grid.size < 5 or not (np.all(np.diff(grid) > 0.0) and 0.0 <= grid[0] < grid[-1] < math.inf):
+        raise ValueError("grid must be finite, nonnegative, strictly increasing, with 5+ points")
     if axis not in ("x", "y"):
         raise ValueError("axis must be 'x' or 'y'")
 

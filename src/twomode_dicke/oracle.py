@@ -86,7 +86,7 @@ class TruncationSpec:
     n_max: int
 
     def __post_init__(self):
-        if self.j <= 0 or (2.0 * self.j) != round(2.0 * self.j):
+        if not 0 < self.j < math.inf or (2.0 * self.j) != round(2.0 * self.j):
             raise ValueError("j must be a positive integer or half-integer")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")

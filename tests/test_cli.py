@@ -128,7 +128,7 @@ def mpmath_rows(omega, omega0, spec):
                 nu = reference_gaps(omega, omega0, x, y_ref)
                 report = dict.fromkeys(REPORT_COLUMNS, math.nan)
             else:
-                s, nu = reference(omega, omega0, x, y_ref)
+                s, nu, _ = reference(omega, omega0, x, y_ref)
                 # S >= 0 as in renyi2_entropy: a decoupled mode's S is 60-digit noise.
                 report = gaussian_info.report_columns(*(max(v, 0.0) for v in s))
             with mp.workdps(60):

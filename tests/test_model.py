@@ -20,6 +20,11 @@ class TestModelParams:
             ModelParams(omega=-1.0)
         with pytest.raises(ValueError):
             ModelParams(lambda_x=-0.1)
+        with pytest.raises(ValueError):
+            ModelParams(omega=math.nan)
+        with pytest.raises(ValueError):
+            ModelParams(lambda_y=math.nan)
+        assert ModelParams(lambda_x=math.inf).lambda_x == math.inf
 
 
 class TestClassicalGroundState:
@@ -222,6 +227,10 @@ class TestEnergyDerivativeScan:
             model.gs_energy_derivative_scan(p, "z", np.linspace(0, 1, 11))
         with pytest.raises(ValueError):
             model.gs_energy_derivative_scan(p, "x", np.linspace(-0.5, 1, 11))
+        with pytest.raises(ValueError):
+            model.gs_energy_derivative_scan(p, "x", [0.5, 0.6, math.nan, 0.7, 0.8])
+        with pytest.raises(ValueError):
+            model.gs_energy_derivative_scan(p, "x", [0.5, 0.6, 0.7, 0.8, math.inf])
 
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_energies_match_one_point_energy(self, axis):

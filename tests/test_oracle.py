@@ -28,6 +28,8 @@ class TestTruncationSpec:
             TruncationSpec(j=1.3, n_max=4)
         with pytest.raises(ValueError):
             TruncationSpec(j=2, n_max=0)
+        with pytest.raises(ValueError):
+            TruncationSpec(j=math.inf, n_max=4)
 
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceededError):

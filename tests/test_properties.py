@@ -7,11 +7,12 @@ groups and warnings turned into errors.
 
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twomode_dicke import cli
+from twomode_dicke import cli, model
 
 GOLDSTONE_EPSILON = 1e-6
 ADDITIVITY_TOL = 1e-8
@@ -24,6 +25,9 @@ MONOGAMY_TOL = 1e-11
 #: the point is its own mirror, and s_x, s_y agree to rounding only.
 TRI_MIRROR_ATOL = 1e-15
 DIAGONAL_MIRROR_TOL = 1e-8
+#: 2C_qq 2C_pp = I to this times max|2C_qq| max|2C_pp|, the scale of the
+#: rounding of the product itself (up to ~1e7 next to the critical lines).
+INVERSE_RTOL = 1e-13
 
 frequencies = st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)
 couplings = st.floats(0.0, 100.0)
@@ -85,6 +89,18 @@ def test_decoupled_mode_leaves_pure_pair(omega, omega0, ly):
         return
     assert_physical(row)
     assert abs(row["eof_y_j"] - row["s_y"]) <= 1e-10
+
+
+@given(frequencies, frequencies, couplings, couplings)
+def test_cm_blocks_are_inverse(omega, omega0, lx, ly):
+    # both blocks come from one closed form, so the state is pure by construction
+    x, y = np.array([lx]), np.array([ly])
+    gs = model.stacked_ground_states(omega, omega0, x, y)
+    if not gs.stable[0]:
+        return
+    a, b = gs.two_c_qq[0], gs.two_c_pp[0]
+    residual = np.max(np.abs(a @ b - np.eye(3)))
+    assert residual <= INVERSE_RTOL * np.max(np.abs(a)) * np.max(np.abs(b)), residual
 
 
 @pytest.mark.parametrize("omega, omega0, lx, ly", [

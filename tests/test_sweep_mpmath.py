@@ -9,11 +9,14 @@ couplings in units of lambda_c, the Goldstone offset applied exactly) in
 A = K^{1/2} Omega K^{1/2}; at this precision |A| = sqrt(A^T A) loses nothing.
 On the degenerate line, where K is singular, the gaps of
 ``model.excitation_gaps`` are checked against the eigenvalues of Omega K.
+``model.stacked_cms`` is checked against the same reference 2C, at the
+couplings it is given.
 """
 
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from test_eof_mpmath import eof_reference
@@ -25,6 +28,8 @@ EPSILON = 1e-6
 #: nats (absolute), gaps relative.
 S_ATOL = 1e-10
 NU_RTOL = 1e-10
+#: Largest error of stacked_cms, relative to the largest entry of C.
+CM_RTOL = 1e-14
 
 GROUPS = ("gaps", "mi")
 
@@ -60,9 +65,10 @@ def symplectic_form():
     return omega_form
 
 
-def reference(omega, omega0, x, y):
-    """(S_x, S_y, S_j), (nu_1, nu_2, nu_3) at couplings x, y in units of lambda_c."""
-    with mp.workdps(60):
+def reference(omega, omega0, x, y, dps=60):
+    """(S_x, S_y, S_j), (nu_1, nu_2, nu_3) and 2C (6x6, rounded to floats) at
+    couplings x, y in units of lambda_c, in dps-digit arithmetic."""
+    with mp.workdps(dps):
         K = fluctuation_matrix(omega, omega0, x, y)
         k, v = mp.eigsy(K)
         root = v * mp.diag([mp.sqrt(e) for e in k]) * v.T
@@ -73,7 +79,7 @@ def reference(omega, omega0, x, y):
         s = [mp.log(two_c[2 * m, 2 * m] * two_c[2 * m + 1, 2 * m + 1]
                     - two_c[2 * m, 2 * m + 1] ** 2) / 2 for m in range(3)]
         nu = sorted((mp.sqrt(e) for e in a2), reverse=True)[::2]
-        return [float(e) for e in s], [float(e) for e in nu]
+        return [float(e) for e in s], [float(e) for e in nu], np.array(two_c.tolist(), dtype=float)
 
 
 def reference_gaps(omega, omega0, x, y):
@@ -85,16 +91,30 @@ def reference_gaps(omega, omega0, x, y):
         return [float(e) for e in sorted((abs(mp.im(e)) for e in ev), reverse=True)[::2]]
 
 
-def check(omega, omega0, x, y):
+def check_cm(omega, omega0, x, y, two_c):
+    """stacked_cms at the float couplings x, y against the reference 2C there."""
+    xs, ys = np.array([x]), np.array([y])
+    cm = model.stacked_cms(xs, ys, model.stacked_ground_states(omega, omega0, xs, ys))[0]
+    dev = np.max(np.abs(cm - 0.5 * two_c))
+    assert dev <= CM_RTOL * np.max(np.abs(0.5 * two_c)), (x, y, dev)
+
+
+def check(omega, omega0, x, y, dps=60):
     table = cli.run_sweep(omega, omega0, (x, x, 1), (y, y, 1), list(GROUPS), EPSILON)
     row = {c: column.item() for c, column in table.items()}
     y_ref = mp.mpf(y) * (1 - mp.mpf(EPSILON)) if row["goldstone_offset"] else y
-    s_ref, nu_ref = reference(omega, omega0, x, y_ref)
+    s_ref, nu_ref, two_c = reference(omega, omega0, x, y_ref, dps)
     assert not row["diverged"]
     for col, ref in zip(("s_x", "s_y", "s_j"), s_ref):
         assert abs(row[col] - ref) <= S_ATOL, (col, row[col], ref)
     for col, ref in zip(("nu_1", "nu_2", "nu_3"), nu_ref):
         assert abs(row[col] - ref) <= NU_RTOL * ref, (col, row[col], ref)
+    if row["goldstone_offset"]:
+        # the CM at the offset coupling as rounded, since C moves by ~1e-10 per ulp of it here
+        y_cm = y * (1.0 - EPSILON)
+        check_cm(omega, omega0, x, y_cm, reference(omega, omega0, x, y_cm, dps)[2])
+    else:
+        check_cm(omega, omega0, x, y, two_c)
 
 
 #: (omega, omega0) pairs: the omega / omega0 ~ 1e-3 and ~ 6e-4 pairs of
@@ -122,6 +142,13 @@ def test_critical_line_offsets(omega, omega0, offset):
     for x, y in ((1.0 + offset, 0.3), (1.0 - offset, 0.3),
                  (0.5, 1.0 + offset), (0.2, 1.0 - offset)):
         check(omega, omega0, x, y)
+
+
+@pytest.mark.parametrize("x, y", [(1e12, 3e11), (5e11, 1e12)])
+def test_extreme_scale(x, y):
+    # omega / omega0 = 1e-4 at 1e12 lambda_c, at 80 digits: CM blocks built from the
+    # singular vectors were off here by 2.2e-2 and 1.3e-2 of the largest entry
+    check(1e-4, 1.0, x, y, dps=80)
 
 
 @pytest.mark.parametrize("omega, omega0", FREQUENCIES)
@@ -153,9 +180,11 @@ def test_residuals_match_reference(omega, omega0, x, y):
     # the monogamy residuals from the 60-digit S and the 50-digit EoF closed form
     table = cli.run_sweep(omega, omega0, (x, x, 1), (y, y, 1), ["mi", "tripartite"], EPSILON)
     row = {c: column.item() for c, column in table.items()}
-    s_x, s_y, s_j = s_ref = reference(omega, omega0, x, y)[0]
+    s_ref, _, two_c = reference(omega, omega0, x, y)
+    s_x, s_y, s_j = s_ref
     for col, ref in zip(("s_x", "s_y", "s_j"), s_ref):
         assert abs(row[col] - ref) <= 1e-12 * ref, (col, row[col], ref)
+    check_cm(omega, omega0, x, y, two_c)
     with mp.workdps(60):
         e_xj, e_yj, e_xy = (mp.mpf(eof_reference(*s))
                             for s in ((s_x, s_j, s_y), (s_y, s_j, s_x), (s_x, s_y, s_j)))
