@@ -146,8 +146,8 @@ def _sweep_block(omega: float, omega0: float, lx_rel: np.ndarray, ly_rel: np.nda
     point is not gs.stable, which leaves its report cells NaN.
 
     Each canonical pair (max(x, y), min(x, y)) is factored once, and its gaps,
-    stability and entropies are gathered back to its rows, S_x and S_y
-    swapped where y > x: the columns are bitwise those of one-point sweeps.
+    stability, entropies and cross determinants are gathered back to its rows,
+    x and y swapped where y > x: the columns are bitwise those of one-point sweeps.
     """
     offset = (np.abs(lx_rel - ly_rel) <= goldstone_epsilon) & (np.maximum(lx_rel, ly_rel) > 1.0)
     cols = {"lambda_x": lx_rel, "lambda_y": ly_rel, "goldstone_offset": offset,
@@ -169,10 +169,9 @@ def _sweep_block(omega: float, omega0: float, lx_rel: np.ndarray, ly_rel: np.nda
         cols["nu_1"], cols["nu_2"], cols["nu_3"] = gs.nu[inverse].T
     if not report_groups:
         return cols
-    entropies = gs.entropies[inverse]
-    mirrored = y > lx_rel
-    entropies[mirrored, :2] = entropies[mirrored, 1::-1]
-    report = gaussian_info.report_columns(*entropies.T)
+    invariants = np.concatenate((gs.entropies, gs.det_gamma), axis=1)
+    swap = np.where((y > lx_rel)[:, None], [1, 0, 2, 4, 3, 5], [0, 1, 2, 3, 4, 5])
+    report = gaussian_info.report_columns(*invariants[inverse[:, None], swap].T)
     cols.update((col, report[col]) for g in report_groups for col in GROUP_COLUMNS[g])
     cols["diverged"] = ~gs.stable[inverse]
     return cols

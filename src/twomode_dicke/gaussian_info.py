@@ -2,8 +2,10 @@
 
 All entropies are Renyi-2 in nats: S = 0.5 * ln det(2C), for parties "x", "y"
 (optical modes) and "j" (collective spin).  Purity makes every measure a
-function of S_x, S_y and S_j: report_columns evaluates them all, on floats or
-on grid arrays, and correlation_report on one labeled CovarianceMatrix.
+function of S_x, S_y, S_j and g_m = det gamma, gamma the 2x2 cross block of 2C
+between the modes other than m (eof_from_invariants): report_columns evaluates
+them all, on floats or on grid arrays, and correlation_report on one labeled
+CovarianceMatrix.
 """
 
 from __future__ import annotations
@@ -76,42 +78,36 @@ def renyi2_entropy(C: CovarianceMatrix) -> float:
     return max(0.5 * math.log(det2), 0.0)
 
 
-def _t_diff(s_a, s_b):
-    """t_a - t_b for t = expm1(2 S), accurate when S_a and S_b are close."""
-    return np.exp(2.0 * s_b) * np.expm1(2.0 * (s_a - s_b))
-
-
-def _t_excess(s_a, s_b, s_c):
-    """t_a + t_b - t_c, cancelling t_c against the larger of t_a, t_b."""
-    return _t_diff(np.maximum(s_a, s_b), s_c) + np.expm1(2.0 * np.minimum(s_a, s_b))
-
-
-def eof_from_entropies(s_i, s_j, s_k):
-    """Renyi-2 Gaussian EoF E(i:j) of a pure three-mode state from S_i, S_j, S_k.
+def eof_from_invariants(s_i, s_j, s_k, g_i, g_j, g_k):
+    """Renyi-2 Gaussian EoF E(i:j) of a pure three-mode state from S_i, S_j, S_k
+    and g_m = det gamma of the pair without m.
 
     Closed form of Adesso, Girolami & Serafini, PRL 109, 190502 (2012) in
-    t = exp(2 S) - 1, with differences of t formed from differences of S so
-    that nothing cancels near product states; clamped to [0, min(S_i, S_j)].
-    Takes floats or equal-shape arrays; returns a float for float input.
+    t = exp(2 S) - 1.  The pair (l, n) has symplectic spectrum (1, exp(S_m)),
+    so its Serafini invariant 2 + t_l + t_n + 2 g_m = 2 + t_m gives
+    t_m - t_l - t_n = 2 g_m, and no difference of t cancels: u = t_i + t_j -
+    t_k = -2 g_k, t_k**2 - d**2 = 4 g_i g_j for d = |t_i - t_j|, d - t_k = 2 g_l
+    (l the one of i, j with the larger S).  Clamped to [0, min(S_i, S_j)];
+    takes floats or equal-shape arrays, returns a float for float input.
     """
-    s_i, s_j, s_k = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (s_i, s_j, s_k)))
-    u = _t_excess(s_i, s_j, s_k)
-    separable = u <= 0.0  # t_k >= t_i + t_j
+    s_i, s_j, s_k, g_i, g_j, g_k = map(np.asarray, (s_i, s_j, s_k, g_i, g_j, g_k))
+    separable = g_k >= 0.0  # t_k >= t_i + t_j (Simon, PRL 84, 2726 (2000))
     cap = np.minimum(s_i, s_j)
     t_i, t_j, t_k = (np.expm1(2.0 * x) for x in (s_i, s_j, s_k))
     decoupled = t_k == 0.0  # k decoupled: (i, j) is a pure two-mode state
-    d = _t_diff(np.maximum(s_i, s_j), cap)
+    excess = 2.0 * np.where(s_i >= s_j, g_i, g_j)  # d - t_k
+    d = t_k + excess
     s = t_i + t_j + 2.0
     near = 2.0 * s * t_k <= d * d + d * np.sqrt(d * d + 8.0 * s)  # t_k <= alpha**2 - 1
     # Every branch is evaluated at every point, on arguments made harmless
     # where the branch is not taken; there d > 0, t_k > 0 and u > 0 hold.
     near_ok = near & ~decoupled & ~separable
-    e_near = np.log(np.where(near_ok, d, 1.0) / np.where(near_ok, t_k, 1.0))
-    u = np.where(separable, 1.0, u)
-    w = _t_excess(s_k, s_j, s_i) * _t_excess(s_k, s_i, s_j)  # t_k**2 - d**2
+    e_near = np.log1p(np.where(near_ok, excess, 0.0) / np.where(near_ok, t_k, 1.0))
+    u = np.where(separable, 1.0, -2.0 * g_k)  # t_i + t_j - t_k
+    w = 4.0 * g_i * g_j  # t_k**2 - d**2
     q = np.maximum(w + 2.0 * u * t_k, 0.0)  # 4 t_i t_j - u**2, nonnegative on this branch
     root = np.sqrt(np.maximum(q * q + 8.0 * u * w, 0.0))
-    # g - 1 = (P - sqrt(delta)) / (8 (1 + t_k)) rationalized with
+    # exp(2 E) - 1 = (P - sqrt(delta)) / (8 (1 + t_k)) rationalized with
     # P = q + 4 u and P**2 - delta = 16 (1 + t_k) u**2.
     e_mid = 0.5 * np.log1p(2.0 * u * u / (q + 4.0 * u + root))
     e = np.minimum(np.maximum(np.where(near, e_near, e_mid), 0.0), cap)
@@ -157,18 +153,16 @@ def correlation_report(C: CovarianceMatrix) -> CorrelationReport:
         raise NotPureError(f"det(2C) = {C.det2():.6e} is not 1 within {PURITY_TOL:.0e}")
 
     s_x, s_y, s_j = (renyi2_entropy(C.reduce((m,))) for m in ("x", "y", "j"))
-    return CorrelationReport(**report_columns(s_x, s_y, s_j))
+    g = (np.linalg.det(2.0 * C.reduce(pair).mat[:2, 2:]) for pair in ("yj", "xj", "xy"))
+    return CorrelationReport(**report_columns(s_x, s_y, s_j, *map(float, g)))
 
 
-def report_columns(s_x, s_y, s_j) -> dict:
-    """The numeric fields of CorrelationReport from the single-mode entropies.
-
-    Takes floats or equal-shape arrays.  Purity makes each two-mode entropy
-    equal to that of the third mode.
-    """
-    e_xj = eof_from_entropies(s_x, s_j, s_y)
-    e_yj = eof_from_entropies(s_y, s_j, s_x)
-    e_xy = eof_from_entropies(s_x, s_y, s_j)
+def report_columns(s_x, s_y, s_j, g_x, g_y, g_j) -> dict:
+    """The numeric fields of CorrelationReport from S_m and g_m, on floats or
+    equal-shape arrays; purity makes each two-mode entropy that of the third mode."""
+    e_xj = eof_from_invariants(s_x, s_j, s_y, g_x, g_j, g_y)
+    e_yj = eof_from_invariants(s_y, s_j, s_x, g_y, g_j, g_x)
+    e_xy = eof_from_invariants(s_x, s_y, s_j, g_x, g_y, g_j)
     return {
         "s_x": s_x, "s_y": s_y, "s_j": s_j,
         "s_xy": s_j, "s_xj": s_y, "s_yj": s_x,

@@ -173,18 +173,21 @@ def _one_point(p: ModelParams):
 class StackedGroundStates:
     """Ground-state data of n grid points, as arrays.
 
-    nu is (n, 3), descending, and entropies the (n, 3) Renyi-2 entropies
-    S_i = ln det(2C_i) / 2 >= 0 of modes x, y, j.  stable is False where the
+    nu is (n, 3), descending; entropies the (n, 3) Renyi-2 entropies
+    S_i = ln det(2C_i) / 2 >= 0 of modes x, y, j; det_gamma the (n, 3)
+    det gamma of the pairs without x, y, j, gamma the 2x2 cross block of 2C
+    between the pair (signs in _two_c_qq).  stable is False where the
     fluctuation matrix is not positive definite, nu_3 / lambda_c < GAP_FLOOR,
-    or L_V^T L_T or sigma overflows (nu is NaN there), and the entropies are
-    NaN there; elsewhere 2C is pure, as 2C_qq 2C_pp = I.  two_c_qq and
-    two_c_pp are the (n, 3, 3) blocks 2C_qq and 2C_pp over the V and T
-    coordinates in the canonical layout (the larger coupling's boson, the
-    other, j), from which stacked_cms forms the covariance matrices.
+    or L_V^T L_T or sigma overflows (nu is NaN there), and entropies and
+    det_gamma are NaN there; elsewhere 2C is pure, as 2C_qq 2C_pp = I.
+    two_c_qq and two_c_pp are the (n, 3, 3) blocks 2C_qq and 2C_pp over the
+    V and T coordinates in the canonical layout (the larger coupling's boson,
+    the other, j), from which stacked_cms forms the covariance matrices.
     """
 
     nu: np.ndarray
     entropies: np.ndarray
+    det_gamma: np.ndarray
     stable: np.ndarray
     two_c_qq: np.ndarray
     two_c_pp: np.ndarray
@@ -211,12 +214,13 @@ def stacked_ground_states(omega: float, omega0: float, x, y) -> StackedGroundSta
 
         2C_qq = A solves A V A = T,  2C_pp = A^-1 solves B T B = V,  2C_qp = 0,
 
-    the second the first with V and T, and so the bosons, swapped; S_i comes
-    from A (_single_mode_entropies).  lambda_c is formed as rho omega0, since
-    omega omega0 may leave the floats where lambda_c does not.  The Cholesky
-    pivots are written in factored form, e.g. (1 - a)(1 + a) / rho, and
-    sigma_3 is taken from det(L_V^T L_T) = rho^2 sqrt(pivot_V pivot_T), so
-    both stay accurate next to the critical and degenerate lines.
+    the second the first with V and T, and so the bosons, swapped; S_i and
+    det gamma come from A and B (_single_mode_invariants).  lambda_c is
+    formed as rho omega0, since omega omega0 may leave the floats where
+    lambda_c does not.  The Cholesky pivots are written in factored form,
+    e.g. (1 - a)(1 + a) / rho, and sigma_3 is taken from det(L_V^T L_T) =
+    rho^2 sqrt(pivot_V pivot_T), so both stay accurate next to the critical
+    and degenerate lines.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -251,12 +255,12 @@ def stacked_ground_states(omega: float, omega0: float, x, y) -> StackedGroundSta
     nu = rho * omega0 * sigma
     stable = finite & (piv_v > 0.0) & (piv_t > 0.0) & (sigma[:, 2] >= symplectic.GAP_FLOOR)
     two_c_qq = _two_c_qq(rho, kappa, g, b, piv_v, piv_t, sigma)
-    # B T B = V is A V A = T with V, T and so the bosons swapped; swap them back
     two_c_pp = _two_c_qq(rho, kappa, b, g, piv_t, piv_v, sigma)[:, [[1], [0], [2]], [1, 0, 2]]
-    entropies = _single_mode_entropies(two_c_qq, np.sqrt(piv_t / piv_v))
-    entropies[~stable] = math.nan
-    entropies[y > x, :2] = entropies[y > x, 1::-1]
-    return StackedGroundStates(nu=nu, entropies=entropies, stable=stable,
+    entropies, det_gamma = _single_mode_invariants(two_c_qq, two_c_pp, np.sqrt(piv_t / piv_v))
+    for v in (entropies, det_gamma):
+        v[~stable] = math.nan
+        v[y > x, :2] = v[y > x, 1::-1]
+    return StackedGroundStates(nu=nu, entropies=entropies, det_gamma=det_gamma, stable=stable,
                                two_c_qq=two_c_qq, two_c_pp=two_c_pp)
 
 
@@ -275,6 +279,10 @@ def _two_c_qq(rho, kappa, g, h, piv_v, piv_t, sigma) -> np.ndarray:
     = sum sigma_k^2 each entry below is a sum of terms of one sign, so A keeps
     full relative accuracy, as the singular vectors do not; A is homogeneous of
     degree 0 in its inputs, taken in units of sigma_1 so that nothing overflows.
+    With B = 2C_pp of stacked_ground_states, A_ab = B_ab = -rho g h / prod,
+    so det gamma_ab >= 0 and the bosons are separable (Simon, PRL 84, 2726
+    (2000)); A_aj < 0 < B_aj and A_bj >= 0 >= B_bj (positive sums times -g,
+    g, h, -h): det gamma_aj < 0 where g > 0, det gamma_bj < 0 where h > 0.
     """
     det_a = np.sqrt(piv_t / piv_v)
     r, kap, g, h, p_v, p_t, s = (v / sigma[:, 0] for v in (rho, kappa, g, h, piv_v, piv_t, sigma.T))
@@ -290,19 +298,18 @@ def _two_c_qq(rho, kappa, g, h, piv_v, piv_t, sigma) -> np.ndarray:
     return A
 
 
-def _single_mode_entropies(A, det_a) -> np.ndarray:
-    """S_i = log1p(t_i) / 2 of the canonical modes (a, b, j) from A = 2C_qq
-    of _two_c_qq and det A = sqrt(piv_t / piv_v).
+def _single_mode_invariants(A, B, det_a) -> tuple[np.ndarray, np.ndarray]:
+    """S_i = log1p(t_i) / 2 of the canonical modes i = (a, b, j) and det gamma
+    = A_jk B_jk of the other two j < k, from A = 2C_qq, B = 2C_pp and det A.
 
     t_i = det(2C_i) - 1 = A_ii (A^-1)_ii - 1 = a_i^T adj(A_-i) a_i / det A
     is the cofactor expansion of det A along row i, with no 1 subtracted;
-    a_i is column i of A without its diagonal, A_-i the block of the other
-    two modes.
+    a_i is column i of A without its diagonal, A_-i the block of modes j, k.
     """
     i, j, k = np.arange(3), np.array([1, 0, 0]), np.array([2, 2, 1])  # the other modes j < k
     a_ij, a_ik, a_jk = A[:, i, j], A[:, i, k], A[:, j, k]
     t = a_ij * a_ij * A[:, k, k] - 2.0 * a_ij * a_ik * a_jk + a_ik * a_ik * A[:, j, j]
-    return 0.5 * np.log1p(t / det_a[:, None])
+    return 0.5 * np.log1p(t / det_a[:, None]), a_jk * B[:, j, k]
 
 
 #: Per frame (phase of the canonical point, mirrored: y > x), the signed

@@ -168,7 +168,7 @@ def standard_form(C) -> StandardFormCM:
     are evaluated as products of linear factors, with a slack that is
     rounding of zero set to zero, so that a decoupled mode gives exact zeros.
     The correlation measures of ``gaussian_info`` do not call this function:
-    they follow from the a_i directly.
+    they follow from the a_i and the cross determinants det gamma directly.
     """
     C = _require_symmetric(C)
     if C.shape[0] != 6:

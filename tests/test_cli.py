@@ -128,9 +128,12 @@ def mpmath_rows(omega, omega0, spec):
                 nu = reference_gaps(omega, omega0, x, y_ref)
                 report = dict.fromkeys(REPORT_COLUMNS, math.nan)
             else:
-                s, nu, _ = reference(omega, omega0, x, y_ref)
+                s, nu, two_c = reference(omega, omega0, x, y_ref)
                 # S >= 0 as in renyi2_entropy: a decoupled mode's S is 60-digit noise.
-                report = gaussian_info.report_columns(*(max(v, 0.0) for v in s))
+                # g_m = det gamma of the pair without m, a cross block of 2C.
+                g = [np.linalg.det(two_c[2 * k:2 * k + 2, 2 * l:2 * l + 2])
+                     for k, l in ((1, 2), (0, 2), (0, 1))]
+                report = gaussian_info.report_columns(*(max(v, 0.0) for v in s), *g)
             with mp.workdps(60):
                 top = max(mp.mpf(x), y_ref)
                 e_gs = -mp.mpf(omega0) / omega * (1 if top <= 1 else (top**4 + 1) / (2 * top**2))
@@ -362,6 +365,27 @@ class TestRunSweep:
                 assert abs(row[col] - mirror[col]) <= atol, col
             for col, twin in swapped.items():
                 assert abs(row[col] - mirror[twin]) <= tol, col
+
+
+    def test_twin_rows_byte_identical(self, tmp_path):
+        # every sweep row off the diagonal and its twin write byte-identical
+        # twin columns (tri_x_yj subtracts its two EoFs in the other order, and
+        # tri_j_yx has no twin)
+        out = tmp_path / "twins.csv"
+        assert main(["sweep", "--omega", "0.01", "--x", "0:3:7", "--y", "0:3:7",
+                     "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        lookup = {(r["lambda_x"], r["lambda_y"]): r for r in rows}
+        twins = {"lambda_x": "lambda_y", "s_x": "s_y", "s_xj": "s_yj", "mi_xj_y": "mi_yj_x",
+                 "mi_x_j": "mi_y_j", "eof_x_j": "eof_y_j"}
+        twins.update({b: a for a, b in twins.items()})
+        off = [r for r in rows if r["lambda_x"] != r["lambda_y"]]
+        assert len(rows) == 49 and len(off) == 42, (len(rows), len(off))
+        for r in off:
+            twin = lookup[(r["lambda_y"], r["lambda_x"])]
+            for col in r.keys() - {"tri_x_yj", "tri_j_yx"}:
+                assert r[col] == twin[twins.get(col, col)], (col, r, twin)
 
 
 class TestOutput:

@@ -1,8 +1,9 @@
 """Floating-point stability of the two-of-three-mode EoF closed form.
 
-``eof_from_entropies`` is compared with a 50-digit mpmath evaluation of the
+``eof_from_invariants`` is compared with a 50-digit mpmath evaluation of the
 same closed form, written in the textbook variables a = exp(S) (Adesso,
-Girolami & Serafini, PRL 109, 190502 (2012)), on the same entropies.
+Girolami & Serafini, PRL 109, 190502 (2012)), on the same entropies; the
+kernel's cross determinants g_m are formed from them at 50 digits (``eof``).
 """
 
 import math
@@ -11,7 +12,7 @@ import mpmath as mp
 import pytest
 
 from twomode_dicke import model
-from twomode_dicke.gaussian_info import eof_from_entropies, renyi2_entropy
+from twomode_dicke.gaussian_info import eof_from_invariants, renyi2_entropy
 
 TOL = 1e-12
 PAIRS = (("x", "j", "y"), ("y", "j", "x"), ("x", "y", "j"))
@@ -44,6 +45,15 @@ def eof_reference(s_i, s_j, s_k):
         return float(min(max(e, mp.mpf(0)), cap))
 
 
+def eof(s_i, s_j, s_k):
+    """eof_from_invariants at S_i, S_j, S_k, with each g_m = (t_m - t_l - t_n) / 2
+    of a pure state formed from them at 50 digits, t = exp(2 S) - 1."""
+    with mp.workdps(50):
+        t = [mp.expm1(2 * mp.mpf(s)) for s in (s_i, s_j, s_k)]
+        g = [float(t_m - sum(t) / 2) for t_m in t]
+    return eof_from_invariants(s_i, s_j, s_k, *g)
+
+
 def local_entropies(omega, omega0, lx_rel, ly_rel):
     base = model.ModelParams(omega=omega, omega0=omega0)
     lc = base.lambda_c
@@ -66,7 +76,7 @@ RECORDED_POINTS = [
 def test_recorded_points_match_reference(point):
     s = local_entropies(*point)
     for i, j, k in PAIRS:
-        e = eof_from_entropies(s[i], s[j], s[k])
+        e = eof(s[i], s[j], s[k])
         assert abs(e - eof_reference(s[i], s[j], s[k])) <= TOL, (i, j, s)
         assert 0.0 <= e <= min(s[i], s[j])
 
@@ -92,7 +102,7 @@ def test_branches_join_without_tie_tolerance(boundary, s_i, s_j):
         sides_s_k = [float(mp.log1p(t_k * (1 + rel)) / 2) for rel in (-1e-9, 1e-9)]
     sides = []
     for s_k in sides_s_k:
-        e = eof_from_entropies(s_i, s_j, s_k)
+        e = eof(s_i, s_j, s_k)
         assert abs(e - eof_reference(s_i, s_j, s_k)) <= TOL, s_k
         sides.append(e)
     assert abs(sides[0] - sides[1]) <= 1e-8 * max(1.0, min(s_i, s_j))
@@ -104,15 +114,15 @@ def test_branches_join_without_tie_tolerance(boundary, s_i, s_j):
 @pytest.mark.parametrize("s", [(18.75, 18.75 - 7e-13, 1e-4), (20.0, 20.0, 1e-3)])
 def test_entangled_pair_with_weak_third_mode(s):
     for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-        e = eof_from_entropies(s[i], s[j], s[k])
+        e = eof(s[i], s[j], s[k])
         assert abs(e - eof_reference(s[i], s[j], s[k])) <= TOL, (i, j)
 
 
 def test_decoupled_third_mode():
     # S_k = 0 exactly: the pair is a pure two-mode state.
-    assert eof_from_entropies(0.4, 0.4, 0.0) == 0.4
-    assert eof_from_entropies(0.0, 0.0, 0.0) == 0.0
+    assert eof(0.4, 0.4, 0.0) == 0.4
+    assert eof(0.0, 0.0, 0.0) == 0.0
     for s_k in (1e-300, 1e-17, 1e-12):
-        e = eof_from_entropies(0.4, 0.4 + s_k, s_k)
+        e = eof(0.4, 0.4 + s_k, s_k)
         assert abs(e - eof_reference(0.4, 0.4 + s_k, s_k)) <= TOL
         assert not math.isnan(e)

@@ -18,7 +18,7 @@ from twomode_dicke.errors import NonPhysicalError, UnknownModeError
 from twomode_dicke.gaussian_info import (
     CovarianceMatrix,
     correlation_report,
-    eof_from_entropies,
+    eof_from_invariants,
     renyi2_entropy,
 )
 
@@ -147,11 +147,19 @@ class TestEntanglementOfFormation:
         # E(j:xy) of the pure state is S_j.
         assert sweep_row(1.05, 0.5)["s_j"] > sweep_row(0.5, 0.5)["s_j"]
 
-    def test_intermode_eof_vanishes_on_grid(self):
-        table = run_sweep(1.0, 1.0, (0.0, 2.0, 11), (0.0, 2.0, 11), ["eof"], EPSILON)
+    @pytest.mark.parametrize("omega, x_range, y_range, n_ok", [
+        # all but the critical line max(x, y) = 1
+        (1.0, (0.0, 2.0, 11), (0.0, 2.0, 11), 110),
+        # u = t_x + t_y - t_j formed from differences of S rounded positive
+        # here and wrote eof_x_y = 3.3e-30
+        (1e-4, (0.0011520699531722867,) * 2 + (1,), (26.24527193324355,) * 2 + (1,), 1),
+    ], ids=["resonance-grid", "omega-1e-4"])
+    def test_intermode_eof_vanishes_on_grid(self, omega, x_range, y_range, n_ok):
+        # det gamma_xy = (2C_qq)_xy^2 >= 0: the separable branch, exactly
+        table = run_sweep(omega, 1.0, x_range, y_range, ["eof"], EPSILON)
         ok = ~table["diverged"]
-        assert ok.sum() >= 110  # all but the critical line max(x, y) = 1
-        assert np.max(table["eof_x_y"][ok]) < 1e-8
+        assert ok.sum() == n_ok
+        assert np.all(table["eof_x_y"][ok] == 0.0)
 
     def test_roughly_half_of_mi(self):
         row = sweep_row(1.5, 0.5)
@@ -159,9 +167,10 @@ class TestEntanglementOfFormation:
         assert abs(row["eof_x_j"] - half) < 0.25 * abs(half)
 
     def test_pair_order_irrelevant(self):
-        row = sweep_row(1.5, 0.5)
-        s_x, s_y, s_j = row["s_x"], row["s_y"], row["s_j"]
-        assert eof_from_entropies(s_x, s_j, s_y) == eof_from_entropies(s_j, s_x, s_y)
+        gs = model.stacked_ground_states(1.0, 1.0, np.array([1.5]), np.array([0.5]))
+        (s_x, s_y, s_j), (g_x, g_y, g_j) = gs.entropies[0], gs.det_gamma[0]
+        assert (eof_from_invariants(s_x, s_j, s_y, g_x, g_j, g_y)
+                == eof_from_invariants(s_j, s_x, s_y, g_j, g_x, g_y))
 
 
 class TestTripartiteResidual:

@@ -16,15 +16,21 @@ from twomode_dicke import cli, model
 
 GOLDSTONE_EPSILON = 1e-6
 ADDITIVITY_TOL = 1e-8
-#: At least 10 times the most negative residual, -3.5e-13, of a seeded scan
-#: of 200,000 rows of this domain: E(x:j) there is within 3.5e-13 of its cap
-#: S_x, and an error of one rounding in S moves it that far.
-MONOGAMY_TOL = 1e-11
+#: Over 70 times the most negative residual of seeded scans: -5.3e-23 on
+#: 200,000 rows of this domain and -1.4e-17 on 99,999 rows of its edge rays
+#: (x = y (1 +- eps), x -> 1, y -> 0, x = 0).  The EoF takes its differences
+#: of t from the cross determinants, not from differences of S.
+MONOGAMY_TOL = 1e-15
 #: Off the diagonal a row and its mirror come from one factorization and are
 #: equal, but tri_x_yj subtracts its two EoFs in the other order.  At x = y
 #: the point is its own mirror, and s_x, s_y agree to rounding only.
 TRI_MIRROR_ATOL = 1e-15
 DIAGONAL_MIRROR_TOL = 1e-8
+#: t_k - t_i - t_j = 2 det gamma_ij to this times max(t); a seeded scan of
+#: 400,000 stable rows at omega / omega0 in {1e-4, 1e-2, 1, 1e2} gave 4.4e-15.
+IDENTITY_RTOL = 1e-13
+#: Couplings (units of lambda_c) whose det gamma with j is far from underflow.
+NORMAL_COUPLING = 1e-100
 #: 2C_qq 2C_pp = I to this times max|2C_qq| max|2C_pp|, the scale of the
 #: rounding of the product itself (up to ~1e7 next to the critical lines).
 INVERSE_RTOL = 1e-13
@@ -68,6 +74,7 @@ def test_rows_physical_and_mirror_symmetric(omega, omega0, lx, ly):
     if row["diverged"]:
         return
     assert_physical(row)
+    assert row["eof_x_y"] == 0.0  # det gamma_xy >= 0: the separable branch, exactly
     if row["goldstone_offset"]:
         return  # the offset moves lambda_y only, so the mirror point differs
     twin = row_at(omega, omega0, ly, lx)
@@ -89,6 +96,21 @@ def test_decoupled_mode_leaves_pure_pair(omega, omega0, ly):
         return
     assert_physical(row)
     assert abs(row["eof_y_j"] - row["s_y"]) <= 1e-10
+
+
+@given(frequencies, frequencies, couplings, couplings)
+def test_cross_determinants_identity_and_signs(omega, omega0, lx, ly):
+    # purity: t_k - t_i - t_j = 2 det gamma_ij; det gamma_xy >= 0, so the bosons
+    # are separable, and det gamma_xj, det gamma_yj <= 0, < 0 where the boson couples
+    gs = model.stacked_ground_states(omega, omega0, np.array([lx]), np.array([ly]))
+    if not gs.stable[0]:
+        return
+    t, g = np.expm1(2.0 * gs.entropies[0]), gs.det_gamma[0]
+    residual = np.max(np.abs(2.0 * t - t.sum() - 2.0 * g))
+    assert residual <= IDENTITY_RTOL * t.max(), (t, g)
+    assert g[2] >= 0.0 and g[1] <= 0.0 and g[0] <= 0.0, g
+    for m, coupling in ((1, lx), (0, ly)):
+        assert g[m] < 0.0 or coupling < NORMAL_COUPLING, (m, g)
 
 
 @given(frequencies, frequencies, couplings, couplings)

@@ -175,7 +175,13 @@ SMALL_ENTROPY_POINTS = [
 ]
 
 
-@pytest.mark.parametrize("omega, omega0, x, y", SMALL_ENTROPY_POINTS)
+#: E(x:j) lies 3.5e-13 below its cap S_x: an EoF that formed |t_x - t_j|
+#: from S_j - S_x = 1.0e-8 reached the cap and wrote tri_x_yj = -3.5e-13
+#: here, where the reference is +1.6e-16.
+EOF_NEAR_CAP_POINT = (84.3493019412151, 0.01796178051029295, 1.3884076601406337, 58.64233113007366)
+
+
+@pytest.mark.parametrize("omega, omega0, x, y", SMALL_ENTROPY_POINTS + [EOF_NEAR_CAP_POINT])
 def test_residuals_match_reference(omega, omega0, x, y):
     # the monogamy residuals from the 60-digit S and the 50-digit EoF closed form
     table = cli.run_sweep(omega, omega0, (x, x, 1), (y, y, 1), ["mi", "tripartite"], EPSILON)
