@@ -145,22 +145,24 @@ def _sweep_block(omega: float, omega0: float, lx_rel: np.ndarray, ly_rel: np.nda
     """Output columns for arrays of grid points; a row is diverged where the
     point is not gs.stable, which leaves its report cells NaN.
 
-    Each canonical pair (max(x, y), min(x, y)) is factored once, and its gaps,
-    stability, entropies and cross determinants are gathered back to its rows,
-    x and y swapped where y > x: the columns are bitwise those of one-point sweeps.
+    A Goldstone-offset point is evaluated with its smaller coupling (y where x = y)
+    times 1 - goldstone_epsilon.  Each canonical pair (max(x, y), min(x, y)) is factored
+    once, and its gaps, stability, entropies and cross determinants are gathered back to
+    its rows, x and y swapped where y > x: the columns are bitwise those of one-point sweeps.
     """
     offset = (np.abs(lx_rel - ly_rel) <= goldstone_epsilon) & (np.maximum(lx_rel, ly_rel) > 1.0)
     cols = {"lambda_x": lx_rel, "lambda_y": ly_rel, "goldstone_offset": offset,
             "diverged": np.zeros(lx_rel.size, dtype=bool)}
-    y = np.where(offset, ly_rel * (1.0 - goldstone_epsilon), ly_rel)
+    x = np.where(offset & (lx_rel < ly_rel), lx_rel * (1.0 - goldstone_epsilon), lx_rel)
+    y = np.where(offset & (lx_rel >= ly_rel), ly_rel * (1.0 - goldstone_epsilon), ly_rel)
     if "energy" in groups:
         with np.errstate(over="ignore"):  # e_gs is -inf where it leaves the floats
-            cols["e_gs"] = model.ground_state_energies(omega0, lx_rel, y) / omega
+            cols["e_gs"] = model.ground_state_energies(omega0, x, y) / omega
     report_groups = [g for g in ("mi", "eof", "tripartite") if g in groups]
     if "gaps" not in groups and not report_groups:
         return cols
     # a point and its mirror twin share the factorization; pairs are told apart by their bits
-    canonical = np.stack((np.maximum(lx_rel, y), np.minimum(lx_rel, y)), axis=1)
+    canonical = np.stack((np.maximum(x, y), np.minimum(x, y)), axis=1)
     _, first, inverse = np.unique(canonical.view(np.uint64), axis=0,
                                   return_index=True, return_inverse=True)
     inverse = inverse.ravel()  # its shape differs across NumPy 2.x releases
@@ -170,7 +172,7 @@ def _sweep_block(omega: float, omega0: float, lx_rel: np.ndarray, ly_rel: np.nda
     if not report_groups:
         return cols
     invariants = np.concatenate((gs.entropies, gs.det_gamma), axis=1)
-    swap = np.where((y > lx_rel)[:, None], [1, 0, 2, 4, 3, 5], [0, 1, 2, 3, 4, 5])
+    swap = np.where((y > x)[:, None], [1, 0, 2, 4, 3, 5], [0, 1, 2, 3, 4, 5])
     report = gaussian_info.report_columns(*invariants[inverse[:, None], swap].T)
     cols.update((col, report[col]) for g in report_groups for col in GROUP_COLUMNS[g])
     cols["diverged"] = ~gs.stable[inverse]
@@ -181,10 +183,10 @@ def run_sweep(omega: float, omega0: float, x_range, y_range, groups: list[str],
               goldstone_epsilon: float) -> dict[str, np.ndarray]:
     """The output columns over the grid, computed BLOCK_POINTS at a time.
 
-    Points on (or within goldstone_epsilon of) the degenerate line
-    lambda_x = lambda_y > lambda_c are evaluated at lambda_y * (1 -
-    goldstone_epsilon) and flagged.  A sweep records no errors, so the table
-    has no ``error`` column.
+    Points on (or within goldstone_epsilon of) the degenerate line lambda_x =
+    lambda_y > lambda_c are flagged and evaluated with their smaller coupling
+    (lambda_y on the line) times 1 - goldstone_epsilon.  A sweep records no
+    errors, so the table has no ``error`` column.
     """
     if not all(map(math.isfinite, (omega, omega0, goldstone_epsilon, *x_range[:2], *y_range[:2]))):
         raise ValueError("omega, omega0, the range bounds and goldstone_epsilon must be finite")

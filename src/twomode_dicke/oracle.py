@@ -114,7 +114,9 @@ class FiniteSizeResult:
     @property
     def converged(self) -> bool:
         """Whether the n_max + 2 re-solve ran and moved the energy by less than
-        CONVERGENCE_TOL; False with check_convergence off or over the budget."""
+        CONVERGENCE_TOL; False with check_convergence off or over the budget.
+        The bound is absolute, in units of omega, so at omega / omega0 <~ 1e-7
+        rounding alone can fail it, until the solve works with H - j e_gs."""
         return self.resolve_de is not None and self.resolve_de * self.spec.j < CONVERGENCE_TOL
 
 

@@ -115,27 +115,30 @@ def mpmath_rows(omega, omega0, spec):
     from the 60-digit evaluation of tests/test_sweep_mpmath.py.
 
     Only for frequencies with lambda_c = 1 exactly, so that the program's
-    Goldstone-offset test on absolute couplings is the one below.  Critical
-    points have gaps (from the eigenvalues of Omega K) and NaN report columns.
+    Goldstone-offset test on absolute couplings is the one below; the offset
+    lowers the smaller coupling (y where x = y).  Critical points have gaps
+    (from the eigenvalues of Omega K) and NaN report columns.
     """
     rows = []
     for x in cli._grid(spec).tolist():
         for y in cli._grid(spec).tolist():
             offset = abs(x - y) <= EPSILON and max(x, y) > 1.0
-            y_ref = mp.mpf(y) * (1 - mp.mpf(EPSILON)) if offset else mp.mpf(y)
+            shrink = 1 - mp.mpf(EPSILON)
+            x_ref = mp.mpf(x) * shrink if offset and x < y else mp.mpf(x)
+            y_ref = mp.mpf(y) * shrink if offset and x >= y else mp.mpf(y)
             critical = max(x, y) == 1.0
             if critical:
-                nu = reference_gaps(omega, omega0, x, y_ref)
+                nu = reference_gaps(omega, omega0, x_ref, y_ref)
                 report = dict.fromkeys(REPORT_COLUMNS, math.nan)
             else:
-                s, nu, two_c = reference(omega, omega0, x, y_ref)
+                s, nu, two_c = reference(omega, omega0, x_ref, y_ref)
                 # S >= 0 as in renyi2_entropy: a decoupled mode's S is 60-digit noise.
                 # g_m = det gamma of the pair without m, a cross block of 2C.
                 g = [np.linalg.det(two_c[2 * k:2 * k + 2, 2 * l:2 * l + 2])
                      for k, l in ((1, 2), (0, 2), (0, 1))]
                 report = gaussian_info.report_columns(*(max(v, 0.0) for v in s), *g)
             with mp.workdps(60):
-                top = max(mp.mpf(x), y_ref)
+                top = max(x_ref, y_ref)
                 e_gs = -mp.mpf(omega0) / omega * (1 if top <= 1 else (top**4 + 1) / (2 * top**2))
             rows.append(dict(report, lambda_x=x, lambda_y=y, goldstone_offset=offset,
                              diverged=critical, e_gs=float(e_gs),
@@ -147,12 +150,13 @@ def williamson_row(omega, omega0, lx_rel, ly_rel):
     """Gaps, energy and report of one point by the per-point path of the public
     tools: C = (M M^T)^-1 / 2 from williamson(fluctuation_matrix), the gaps
     from symplectic_eigenvalues, and the Goldstone offset applied as a sweep
-    applies it."""
+    applies it, to the smaller coupling (y where x = y)."""
     base = model.ModelParams(omega, omega0)
     lc = base.lambda_c
     lx, ly = lx_rel * lc, ly_rel * lc
     offset = abs(lx - ly) <= EPSILON * lc and max(lx, ly) > lc
-    p = base.with_couplings(lx, ly * (1.0 - EPSILON) if offset else ly)
+    p = base.with_couplings(lx * (1.0 - EPSILON) if offset and lx < ly else lx,
+                            ly * (1.0 - EPSILON) if offset and lx >= ly else ly)
     K = model.fluctuation_matrix(p)
     M = williamson(K).M
     cm = CovarianceMatrix(("x", "y", "j"), 0.5 * np.linalg.inv(M @ M.T))
@@ -299,9 +303,10 @@ class TestRunSweep:
         # a slice: no point has its twin on it
         ((4.0, 0.25, (0.0, 3.0, 13), (1.5, 1.5, 1), ["gaps", "mi"], 1e-6), 0),
         # Goldstone-offset rows: eps = 0.25 offsets every point above 1 within
-        # 0.25 of the diagonal, and (x, y (1 - eps)) no longer pairs with its
-        # twin; the critical row and column are diverged
-        ((1.0, 1.0, (0.0, 2.0, 9), (0.0, 2.0, 9), list(cli.GROUP_ORDER), 0.25), 64),
+        # 0.25 of the diagonal by lowering its smaller coupling, so an offset
+        # point off the diagonal still pairs with its twin; the critical row
+        # and column are diverged
+        ((1.0, 1.0, (0.0, 2.0, 9), (0.0, 2.0, 9), list(cli.GROUP_ORDER), 0.25), 70),
         # no point has its twin on the grid
         ((0.1, 10.0, (0.1, 0.9, 5), (1.1, 30.0, 4), list(cli.GROUP_ORDER), 1e-6), 0),
     ], ids=["non-square", "slice", "goldstone-offset", "no-twins"])
@@ -322,11 +327,13 @@ class TestRunSweep:
         omega, omega0, x_range, y_range, groups, eps = args
         whole = run_sweep(*args)
         points = list(zip(whole["lambda_x"].tolist(), whole["lambda_y"].tolist()))
-        y_used = np.where(whole["goldstone_offset"], whole["lambda_y"] * (1.0 - eps),
-                          whole["lambda_y"])
-        pairs = set(zip(whole["lambda_x"].tolist(), y_used.tolist()))
+        lower_x = whole["goldstone_offset"] & (whole["lambda_x"] < whole["lambda_y"])
+        lower_y = whole["goldstone_offset"] & ~lower_x
+        x_used = np.where(lower_x, whole["lambda_x"] * (1.0 - eps), whole["lambda_x"])
+        y_used = np.where(lower_y, whole["lambda_y"] * (1.0 - eps), whole["lambda_y"])
+        pairs = set(zip(x_used.tolist(), y_used.tolist()))
         assert sum((y, x) in pairs and x != y for x, y in pairs) == twins
-        gs = model.stacked_ground_states(omega, omega0, whole["lambda_x"], y_used)
+        gs = model.stacked_ground_states(omega, omega0, x_used, y_used)
         for c, column in zip(("nu_1", "nu_2", "nu_3", "s_x", "s_y", "s_j"),
                              [*gs.nu.T, *gs.entropies.T]):
             if c in whole:
@@ -367,12 +374,22 @@ class TestRunSweep:
                 assert abs(row[col] - mirror[twin]) <= tol, col
 
 
-    def test_twin_rows_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("grid, n_off, n_diverged", [
+        ("0:3:7", 42, 4),
+        # Goldstone-offset points off the diagonal, evaluated with their smaller
+        # coupling lowered; lowering the larger one solved (1.5, 1.5000001) as
+        # superradiant-x, and moved (1, 1 + 1e-12) and (1, 1.0000009) onto the
+        # critical line lambda_x = 1, where their twins are not
+        ("1.5:1.5000001:2", 2, 0),
+        ("1:1.000000000001:2", 2, 0),
+        ("1:1.0000009:2", 2, 0),
+    ])
+    def test_twin_rows_byte_identical(self, grid, n_off, n_diverged, tmp_path):
         # every sweep row off the diagonal and its twin write byte-identical
         # twin columns (tri_x_yj subtracts its two EoFs in the other order, and
         # tri_j_yx has no twin)
         out = tmp_path / "twins.csv"
-        assert main(["sweep", "--omega", "0.01", "--x", "0:3:7", "--y", "0:3:7",
+        assert main(["sweep", "--omega", "0.01", "--x", grid, "--y", grid,
                      "--out", str(out)]) == 0
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -381,7 +398,8 @@ class TestRunSweep:
                  "mi_x_j": "mi_y_j", "eof_x_j": "eof_y_j"}
         twins.update({b: a for a, b in twins.items()})
         off = [r for r in rows if r["lambda_x"] != r["lambda_y"]]
-        assert len(rows) == 49 and len(off) == 42, (len(rows), len(off))
+        assert len(off) == n_off == len(rows) - math.isqrt(len(rows)), (len(rows), len(off))
+        assert sum(r["diverged"] == "true" for r in off) == n_diverged
         for r in off:
             twin = lookup[(r["lambda_y"], r["lambda_x"])]
             for col in r.keys() - {"tri_x_yj", "tri_j_yx"}:
@@ -722,6 +740,9 @@ class TestExtremeScales:
           "--j", "1"], True),
         (["--omega", "1e4", "--omega0", "1e304", "--lambda-x", "50", "--lambda-y", "3",
           "--j", "20"], True),
+        # the condensate term of H overflows at j = 300, so no solve runs
+        (["--omega", "1e-306", "--omega0", "1", "--lambda-x", "1.5", "--lambda-y", "0.5",
+          "--j", "300"], False),
     ])
     def test_oracle_compare_writes_its_row(self, argv, solved, capsys):
         code = main(["oracle-compare", *argv, "--n-max", "2"])
@@ -730,6 +751,36 @@ class TestExtremeScales:
         assert row["diverged"] == "true" and row["error"] == ""
         assert (row["e0_per_spin"] != "", row["converged"] != "") == (solved, solved)
         assert code == 0
+
+    @pytest.mark.parametrize("command, cells", [
+        # every finite value is written as itself: e_gs = -(omega0 / 2)(x^2 + x^-2)
+        ("sweep --omega 1 --omega0 1e8 --x 2:2:1 --y 0:0:1 --quantities energy",
+         {"e_gs": "-212500000"}),
+        # lambda_c = rho omega0 = 1e-200 where omega omega0 underflows: the gaps
+        # at (0, 0) are lambda_c
+        ("sweep --omega 1e-200 --omega0 1e-200 --x 0:2:3 --y 0:0:1 --quantities gaps",
+         {"lambda_x": "0", "lambda_y": "0", "nu_1": format(1e-200, ".17g")}),
+        # the gap floor is relative to lambda_c: this normal-phase point is not diverged
+        ("sweep --omega 1e-11 --omega0 1e-11 --x 0.5:0.5:1 --y 0.3:0.3:1",
+         {"diverged": "false"}),
+    ], ids=["e_gs-unclipped", "gaps-at-tiny-lambda_c", "relative-gap-floor"])
+    def test_sweep_writes_cells(self, command, cells, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(command.split() + ["--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            written = next(csv.DictReader(fh))
+        assert {c: written[c] for c in cells} == cells
+
+    def test_oracle_compare_bytes_unchanged_at_4_to_the_minus_8(self, tmp_path):
+        # the oracle solves H in units of lambda_c: scaling omega and omega0 by
+        # 4^-8 = 1.52587890625e-05 changes no byte
+        argv = ["oracle-compare", "--lambda-x", "1.5", "--lambda-y", "0.5", "--j", "2,4",
+                "--n-max", "4"]
+        ref, scaled = tmp_path / "ref.csv", tmp_path / "scaled.csv"
+        assert main(argv + ["--out", str(ref)]) == 0
+        assert main(argv + ["--omega", "1.52587890625e-05", "--omega0", "1.52587890625e-05",
+                            "--out", str(scaled)]) == 0
+        assert scaled.read_bytes() == ref.read_bytes()
 
     def test_oracle_overflow_is_a_diverged_row(self, capsys):
         # j = 20 solves; at j = 300 the condensate term dx^2 of the Hamiltonian
@@ -858,6 +909,35 @@ class TestSweepBytes:
         assert_same_text(text, expected)
 
 
+    @pytest.mark.parametrize("command", [
+        "sweep --omega 0.05 --omega0 20 --x 0:100:17 --y 0:100:17",
+        "sweep --x 0:1e300:3 --y 0:2:2",
+        "sweep --omega 1e80 --omega0 1e80 --x 0:2:3 --y 0:2:3",
+        "sweep --omega 1e-300 --omega0 1e8 --x 0:2:3 --y 0:0:1 --quantities gaps,mi",
+        "sweep --omega 1 --omega0 1e8 --x 2:2:1 --y 0:0:1 --quantities energy",
+        "sweep --omega 1e-200 --omega0 1e-200 --x 0:2:3 --y 0:0:1 --quantities gaps",
+        "sweep --omega 1e-11 --omega0 1e-11 --x 0.5:0.5:1 --y 0.3:0.3:1",
+    ])
+    def test_float_cells_are_percent_17g_of_run_sweep(self, command, tmp_path):
+        # every float cell is format(v, ".17g") of the same cell of run_sweep
+        # (NaN empty), on a plane-wide grid and extreme-scale sweeps; a
+        # round-trip check alone would pass a wrong 17th digit, since any
+        # "%.17g" string is its own round-trip
+        argv = command.split()
+        out = tmp_path / "sweep.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        args = cli._parse_args(argv)
+        table = run_sweep(args.omega, args.omega0, args.x, args.y, args.quantities,
+                          args.goldstone_epsilon)
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        floats = [c for c in table if table[c].dtype.kind == "f"]
+        assert len(rows) == table["lambda_x"].size and len(floats) > 2, command
+        for c in floats:
+            want = ["" if math.isnan(v) else format(v, ".17g") for v in table[c].tolist()]
+            assert [row[c] for row in rows] == want, c
+
+
 class TestConfigFile:
     def test_config_file_defaults_and_cli_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -869,7 +949,7 @@ class TestConfigFile:
 
     #: A required option of each command and the explicit flags of a small run.
     REQUIRED = {
-        "oracle-compare": ({"lambda_x": 0.5, "lambda_y": 0.3}, ["--j", "2", "--n-max", "2"]),
+        "oracle-compare": ({"lambda_x": 1.5, "lambda_y": 0.5}, ["--j", "2,4", "--n-max", "4"]),
         "slice": ({"y": 0.3}, ["--x", "0:1:3"]),
     }
 
@@ -969,6 +1049,7 @@ BAD_CONFIGS = [
     ("sweep", '{"goldstone_epsilon": [0.1]}', "goldstone_epsilon"),
     ("sweep", '{"format": "xml"}', "--format"),
     ("oracle-compare", '{"n_max": 2.5}', "--n-max"),
+    ("oracle-compare", '{"j": "1.3"}', "--j"),
     ("sweep", '{"omega": true}', "omega"),
 ]
 
@@ -1161,6 +1242,39 @@ class TestOracleCompare:
         assert lines[0] == ("lambda_x,lambda_y,j,e0_per_spin,e_gs_analytic,abs_de,cm_max_dev,"
                             "converged,resolve_de,diverged,error")
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("x, y", [(0.5, 1.5), (0.3, 0.5)])
+    def test_mirror_rows_write_equal_cells(self, x, y, tmp_path):
+        # a point with lambda_y > lambda_x, superradiant-y or normal, is solved
+        # and measured as the x <-> y mirror image of its twin
+        def rows(lx, ly):
+            out = tmp_path / f"{lx}-{ly}.csv"
+            assert main(["oracle-compare", "--omega", "0.1", "--lambda-x", repr(lx),
+                         "--lambda-y", repr(ly), "--j", "2,4", "--n-max", "4",
+                         "--out", str(out)]) == 0
+            with open(out, newline="") as fh:
+                return list(csv.DictReader(fh))
+
+        y_rows, x_rows = rows(x, y), rows(y, x)
+        assert len(y_rows) == len(x_rows) == 2
+        for ry, rx in zip(y_rows, x_rows):
+            for col in ("e0_per_spin", "abs_de", "cm_max_dev", "converged", "resolve_de"):
+                assert ry[col] == rx[col], (col, ry[col], rx[col])
+
+    @pytest.mark.parametrize("command", [
+        "oracle-compare --lambda-x 0.5 --lambda-y 0.3 --j 2,4 --n-max 4",
+        "oracle-compare --lambda-x 1.5 --lambda-y 0.5 --j 2,4 --n-max 4",
+        "oracle-compare --lambda-x 0.5 --lambda-y 1.5 --j 2,4 --n-max 4",
+        "oracle-compare --omega 0.1 --lambda-x 1.5 --lambda-y 0.5 --j 2,4 --n-max 4",
+        "oracle-compare --omega0 0.1 --lambda-x 1.5 --lambda-y 0.5 --j 2,4 --n-max 4",
+        "sweep --x 0:2:3 --y 0:2:3 --quantities all",
+    ])
+    def test_python_dash_m_exits_0(self, command):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-m", "twomode_dicke", *command.split()],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_cli_runs_without_scipy(self):
         src = Path(__file__).resolve().parents[1] / "src"

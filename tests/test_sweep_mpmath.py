@@ -144,11 +144,16 @@ def test_critical_line_offsets(omega, omega0, offset):
         check(omega, omega0, x, y)
 
 
-@pytest.mark.parametrize("x, y", [(1e12, 3e11), (5e11, 1e12)])
+@pytest.mark.parametrize("x, y", [(1e12, 3e11), (5e11, 1e12), (1e6, 2.0)])
 def test_extreme_scale(x, y):
-    # omega / omega0 = 1e-4 at 1e12 lambda_c, at 80 digits: CM blocks built from the
-    # singular vectors were off here by 2.2e-2 and 1.3e-2 of the largest entry
+    # omega / omega0 = 1e-4 deep in superradiance, at 80 digits: CM blocks built from
+    # the singular vectors were off at the 1e12 points by 2.2e-2 and 1.3e-2 of the
+    # largest entry, and unphysical at all three, with nu_min = 1 - 1.4e-2, 1 - 7.8e-3
+    # and 1 - 4.1e-9 (det 2C was within 7e-16 of 1, so det 2C alone does not show it)
     check(1e-4, 1.0, x, y, dps=80)
+    p = model.ModelParams(1e-4, 1.0)
+    cm = model.ground_state_cm(p.with_couplings(x * p.lambda_c, y * p.lambda_c))
+    assert cm.symplectic_spectrum().min() >= 1.0 - 1e-12, (x, y)
 
 
 @pytest.mark.parametrize("omega, omega0", FREQUENCIES)
