@@ -21,14 +21,12 @@ from .errors import (
     UnknownModeError,
 )
 from .gaussian_info import (
-    CorrelationReport,
     CovarianceMatrix,
     correlation_report,
     renyi2_entropy,
 )
 from .model import (
     ClassicalGroundState,
-    ExcitationSpectrum,
     ModelParams,
     Phase,
     classical_ground_state,
@@ -53,9 +51,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceededError",
     "ClassicalGroundState",
-    "CorrelationReport",
     "CovarianceMatrix",
-    "ExcitationSpectrum",
     "FiniteSizeResult",
     "GoldstoneLineError",
     "ModelParams",

@@ -202,15 +202,16 @@ def run_sweep(omega: float, omega0: float, x_range, y_range, groups: list[str],
 def run_oracle_compare(omega: float, omega0: float, lx_rel: float, ly_rel: float,
                        specs: list[oracle.TruncationSpec]) -> dict[str, np.ndarray]:
     """Finite-size oracle columns, one row per truncation spec; diverged where
-    the analytic CM does not exist or a factor of H is not finite.
+    the analytic CM does not exist, a factor of H is not finite or the
+    solve cannot resolve its energy.
 
     The analytic CM is model.stacked_cms's, which exists where gs.stable
     says so, as in a sweep.  The solve runs at the point scaled by
     1 / omega0, of the same H / lambda_c.  No solve runs where H is undefined:
     on the degenerate line lambda_x = lambda_y > lambda_c (no classical
     frame), where the factorization overflows (NaN gaps) or a factor of H is
-    not finite (OverflowError).  Such a row has empty solve cells and no
-    error, which records a solve that ran and failed.
+    not finite (OverflowError).  Such a row, and one whose solve raises
+    NumericalFailureError, has empty solve cells; no row records an error.
     """
     e_analytic = float(model.ground_state_energies(omega0, lx_rel, ly_rel)) / omega
     x, y = np.array([lx_rel]), np.array([ly_rel])
@@ -232,11 +233,8 @@ def run_oracle_compare(omega: float, omega0: float, lx_rel: float, ly_rel: float
         try:
             res = oracle.exact_ground_state(
                 model.ModelParams(omega / omega0, 1.0, lx_rel * rho, ly_rel * rho), spec)
-        except OverflowError:
+        except (OverflowError, NumericalFailureError):
             row["diverged"] = True
-            continue
-        except NumericalFailureError as exc:
-            row["error"] = f"{type(exc).__name__}: {exc}"
             continue
         row["e0_per_spin"] = res.energy_per_spin
         row["abs_de"] = abs(res.energy_per_spin - e_analytic)

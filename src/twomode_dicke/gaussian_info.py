@@ -115,38 +115,16 @@ def eof_from_invariants(s_i, s_j, s_k, g_i, g_j, g_k):
     return e if e.ndim else float(e)
 
 
-@dataclass(frozen=True)
-class CorrelationReport:
-    """All correlation measures of one three-mode ground state.
+def correlation_report(C: CovarianceMatrix) -> dict[str, float]:
+    """All correlation measures of a pure state over modes x, y, j: the dict
+    report_columns builds, floats keyed by the sweep's column names, so it is a
+    sweep row's report cells.  Raises UnknownModeError, NotPureError or
+    NonPhysicalError where the state has no report.
 
     Entropies and mutual informations are in nats.  tri_x_yj is the genuine
     tripartite entanglement E(x;y:j) = S(j) - E(x:j) - E(y:j) and tri_j_yx
-    is E(j;y:x) = S(x) - E(x:j) - E(x:y).  Only a physical pure state has a
-    report; a sweep marks the points without one in its diverged column.
+    is E(j;y:x) = S(x) - E(x:j) - E(x:y).
     """
-
-    s_x: float
-    s_y: float
-    s_j: float
-    s_xy: float
-    s_xj: float
-    s_yj: float
-    mi_xy_j: float
-    mi_xj_y: float
-    mi_yj_x: float
-    mi_x_y: float
-    mi_x_j: float
-    mi_y_j: float
-    eof_x_j: float
-    eof_y_j: float
-    eof_x_y: float
-    tri_x_yj: float
-    tri_j_yx: float
-
-
-def correlation_report(C: CovarianceMatrix) -> CorrelationReport:
-    """The full correlation report of a pure state over modes x, y, j; raises
-    UnknownModeError, NotPureError or NonPhysicalError where it has none."""
     if set(C.modes) != {"x", "y", "j"}:
         raise UnknownModeError(f"expected modes x, y, j; got {C.modes}")
     if not C.is_pure():
@@ -154,12 +132,12 @@ def correlation_report(C: CovarianceMatrix) -> CorrelationReport:
 
     s_x, s_y, s_j = (renyi2_entropy(C.reduce((m,))) for m in ("x", "y", "j"))
     g = (np.linalg.det(2.0 * C.reduce(pair).mat[:2, 2:]) for pair in ("yj", "xj", "xy"))
-    return CorrelationReport(**report_columns(s_x, s_y, s_j, *map(float, g)))
+    return report_columns(s_x, s_y, s_j, *map(float, g))
 
 
 def report_columns(s_x, s_y, s_j, g_x, g_y, g_j) -> dict:
-    """The numeric fields of CorrelationReport from S_m and g_m, on floats or
-    equal-shape arrays; purity makes each two-mode entropy that of the third mode."""
+    """The correlation measures, keyed by column name, from S_m and g_m, on floats
+    or equal-shape arrays; purity makes each two-mode entropy that of the third mode."""
     e_xj = eof_from_invariants(s_x, s_j, s_y, g_x, g_j, g_y)
     e_yj = eof_from_invariants(s_y, s_j, s_x, g_y, g_j, g_x)
     e_xy = eof_from_invariants(s_x, s_y, s_j, g_x, g_y, g_j)

@@ -64,13 +64,6 @@ class ClassicalGroundState:
     energy: float
 
 
-@dataclass(frozen=True)
-class ExcitationSpectrum:
-    """Normal-mode gaps nu_1 >= nu_2 >= nu_3 >= 0."""
-
-    nu: tuple
-
-
 def classical_ground_state(p: ModelParams) -> ClassicalGroundState:
     """Minimizer of the classical energy landscape and the ground-state energy."""
     lc = p.lambda_c
@@ -140,14 +133,15 @@ def fluctuation_matrix(p: ModelParams) -> np.ndarray:
     return K
 
 
-def excitation_gaps(p: ModelParams) -> ExcitationSpectrum:
-    """Normal-mode gaps, sorted descending: stacked_ground_states at one point.
+def excitation_gaps(p: ModelParams) -> tuple[float, float, float]:
+    """Normal-mode gaps (nu_1, nu_2, nu_3), nu_1 >= nu_2 >= nu_3 >= 0:
+    stacked_ground_states at one point.
 
     On the degenerate line lambda_x = lambda_y > lambda_c the soft mode is
     exactly zero.
     """
     _, _, gs = _one_point(p)
-    return ExcitationSpectrum(nu=tuple(gs.nu[0].tolist()))
+    return tuple(gs.nu[0].tolist())
 
 
 def ground_state_cm(p: ModelParams) -> CovarianceMatrix:
@@ -252,6 +246,8 @@ def stacked_ground_states(omega: float, omega0: float, x, y) -> StackedGroundSta
     sigma[:, 2] = rho * rho * np.sqrt(piv_v * piv_t) / (sigma[:, 0] * sigma[:, 1])
     finite &= np.isfinite(sigma).all(axis=1)  # so is one whose sigma_3 overflows
     sigma[~finite] = math.nan
+    # det and SVD round apart: where sigma_3 = sigma_2, as at x = y = 0, keep them descending
+    np.minimum(sigma[:, 2], sigma[:, 1], out=sigma[:, 2])
     nu = rho * omega0 * sigma
     stable = finite & (piv_v > 0.0) & (piv_t > 0.0) & (sigma[:, 2] >= symplectic.GAP_FLOOR)
     two_c_qq = _two_c_qq(rho, kappa, g, b, piv_v, piv_t, sigma)
@@ -354,14 +350,6 @@ def stacked_cms(x, y, gs: StackedGroundStates) -> np.ndarray:
     return cm
 
 
-@dataclass(frozen=True)
-class ScanPoint:
-    coupling: float
-    energy: float
-    d1: float
-    d2: float
-
-
 def _jump_index(values: np.ndarray):
     """Index of an isolated jump in a sampled function, or None.
 
@@ -385,12 +373,12 @@ def _jump_index(values: np.ndarray):
 def gs_energy_derivative_scan(p: ModelParams, axis: str, grid):
     """Finite-difference energy derivatives along one coupling axis.
 
-    Returns (points, jumps): one ScanPoint per grid value, with staggered
-    forward differences re-centered onto the grid (nan at the edges), and a
-    dict flagging the bin of a first-order jump (in dE) and of a
-    second-order jump (in d2E).
+    Returns (scan, jumps): scan holds the arrays "coupling" (the grid),
+    "energy", and "d1" and "d2", the staggered forward differences
+    re-centered onto the grid (nan at the edges); jumps flags the bin of a
+    first-order jump (in dE) and of a second-order jump (in d2E).
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = np.array(grid, dtype=float)
     if grid.size < 5 or not (np.all(np.diff(grid) > 0.0) and 0.0 <= grid[0] < grid[-1] < math.inf):
         raise ValueError("grid must be finite, nonnegative, strictly increasing, with 5+ points")
     if axis not in ("x", "y"):
@@ -406,13 +394,8 @@ def gs_energy_derivative_scan(p: ModelParams, axis: str, grid):
     d1_grid = np.full(grid.size, np.nan)
     d1_grid[1:-1] = 0.5 * (d1_mid[1:] + d1_mid[:-1])
 
-    points = [
-        ScanPoint(coupling=float(grid[i]), energy=float(energy[i]),
-                  d1=float(d1_grid[i]), d2=float(d2_grid[i]))
-        for i in range(grid.size)
-    ]
     jumps = {
         "first_order": _jump_index(d1_mid),
         "second_order": _jump_index(d2_grid),
     }
-    return points, jumps
+    return {"coupling": grid, "energy": energy, "d1": d1_grid, "d2": d2_grid}, jumps

@@ -63,7 +63,8 @@ CONVERGENCE_TOL = 1e-8
 #: Largest basis of the Davidson solver.
 DAVIDSON_BASIS = 16
 
-#: Iterations, one matvec each, after which the Davidson solver gives up.
+#: Iterations, one matvec each, after which the Davidson solver settles for its
+#: best iterate whose energy is resolved, or gives up (see _ground_vector).
 MAX_ITERATIONS = 2000
 
 #: The Davidson solver stops once ||H x - theta x|| <= RESIDUAL_TOL eps
@@ -105,7 +106,8 @@ class FiniteSizeResult:
     energy_per_spin: float
     cm: CovarianceMatrix
     means: np.ndarray
-    #: |E(n_max + 2) - E(n_max)| per spin; None if that re-solve did not run.
+    #: |E(n_max + 2) - E(n_max)| per spin; None if that re-solve did not run
+    #: or could not resolve its energy.
     resolve_de: float | None
     #: ||H psi - E psi|| of the returned ground vector at n_max, the
     #: eigensolver's convergence evidence (in units of lambda_c, not per spin).
@@ -114,7 +116,8 @@ class FiniteSizeResult:
     @property
     def converged(self) -> bool:
         """Whether the n_max + 2 re-solve ran and moved the energy by less than
-        CONVERGENCE_TOL; False with check_convergence off or over the budget.
+        CONVERGENCE_TOL; False with check_convergence off, over the budget or
+        where the re-solve could not resolve its energy.
         The bound is absolute, in units of omega, so at omega / omega0 <~ 1e-7
         rounding alone can fail it, until the solve works with H - j e_gs."""
         return self.resolve_de is not None and self.resolve_de * self.spec.j < CONVERGENCE_TOL
@@ -277,6 +280,14 @@ def _ground_vector(apply, diagonal: np.ndarray, v0: np.ndarray | None = None, *,
     re-solves (all phases and near the critical and Goldstone lines,
     omega / omega0 from 0.1 to 10, j <= 20, n_max <= 10) theta stayed within
     8.7 eps max|diag H| of a full solve's, the rounding of applying H.
+
+    Where the gap is only 1e-10 to 1e-7 of max|diag H| (omega / omega0 below
+    about 1e-5) ||r|| stalls at a few hundred eps max|diag H|, long after the
+    energy rule holds.  A stall cannot be told early from a slow convergence,
+    which may go over 1700 matvecs without a new least ||r||, so after
+    MAX_ITERATIONS matvecs the solve returns its iterate of least ||r|| if that
+    meets the energy rule; its vector is about ||r|| / gap from the
+    eigenvector.  Otherwise it raises NumericalFailureError.
     """
     top = float(np.max(np.abs(diagonal)))
     scale = _EPS * top
@@ -294,17 +305,23 @@ def _ground_vector(apply, diagonal: np.ndarray, v0: np.ndarray | None = None, *,
     AV[0] = apply(V[0])
     G[0, 0] = AV[0] @ V[0]
     k = 1
+
+    def resolved(r_unit, theta):
+        """The energy rule, with every length in units of 1 / unit as ||r|| is."""
+        return theta.size > 1 and (
+            r_unit ** 2 <= _EPS * abs(theta[0] * unit) * ((theta[1] - theta[0]) * unit))
+
+    best = (math.inf, None, None)  # the least ||r|| in units of 1 / unit, its theta and x
     for _ in range(MAX_ITERATIONS):
         theta, Y = np.linalg.eigh(G[:k, :k], UPLO="L")
         x, ax = Y[:, 0] @ V[:k], Y[:, 0] @ AV[:k]
         r = ax - theta[0] * x
         r_unit = float(np.linalg.norm(r * unit))
         residual = r_unit / unit
-        # the energy rule, with every length in units of 1 / unit as ||r|| is
-        resolved = energy_only and k > 1 and (
-            r_unit ** 2 <= _EPS * abs(theta[0] * unit) * ((theta[1] - theta[0]) * unit))
-        if residual <= RESIDUAL_TOL * scale or resolved:
+        if residual <= RESIDUAL_TOL * scale or (energy_only and resolved(r_unit, theta)):
             return float(theta[0]), x / np.linalg.norm(x), residual
+        if r_unit < best[0]:
+            best = (r_unit, theta, x)
         if k == m:
             V[:2], AV[:2] = Y[:, :2].T @ V, Y[:, :2].T @ AV
             G[:2, :2] = V[:2] @ AV[:2].T
@@ -316,8 +333,11 @@ def _ground_vector(apply, diagonal: np.ndarray, v0: np.ndarray | None = None, *,
         AV[k] = apply(V[k])
         G[k, :k + 1] = AV[:k + 1] @ V[k]
         k += 1
-    raise NumericalFailureError(
-        f"Davidson eigensolver did not converge in {MAX_ITERATIONS} iterations")
+    r_unit, theta, x = best
+    if not resolved(r_unit, theta):
+        raise NumericalFailureError(
+            f"Davidson eigensolver did not resolve its energy in {MAX_ITERATIONS} iterations")
+    return float(theta[0]), x / np.linalg.norm(x), r_unit / unit
 
 
 def _measure_cm(psi: np.ndarray, spec: TruncationSpec, frame: tuple):
@@ -356,7 +376,9 @@ def exact_ground_state(p: ModelParams, spec: TruncationSpec,
     lambda_c = rho omega0: a point with lambda_y > lambda_x is solved as its
     mirror image.
     Raises BudgetExceededError when the truncated dimension is too large,
-    and OverflowError where a factor of H, at n_max or n_max + 2, is not finite.
+    OverflowError where a factor of H, at n_max or n_max + 2, is not finite,
+    and NumericalFailureError where the n_max solve cannot resolve its energy
+    (see _ground_vector); where the n_max + 2 re-solve cannot, resolve_de is None.
     """
     if spec.dimension > DIMENSION_BUDGET:
         raise BudgetExceededError(
@@ -374,9 +396,13 @@ def exact_ground_state(p: ModelParams, spec: TruncationSpec,
         nb = spec.n_max + 1
         v0 = np.zeros((nb + 2, nb + 2, spec.dimension // (nb * nb)))
         v0[:nb, :nb] = psi.reshape(nb, nb, -1)
-        energy2, _, _ = _ground_vector(*_hamiltonian(rho, a, b, bigger), v0.ravel(),
-                                       energy_only=True)
-        resolve_de = abs(energy2 - energy) / spec.j / rho
+        try:
+            energy2, _, _ = _ground_vector(*_hamiltonian(rho, a, b, bigger), v0.ravel(),
+                                           energy_only=True)
+        except NumericalFailureError:
+            pass
+        else:
+            resolve_de = abs(energy2 - energy) / spec.j / rho
 
     return FiniteSizeResult(
         spec=spec,

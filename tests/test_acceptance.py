@@ -75,7 +75,7 @@ def test_criterion_1_gap_floor_values():
     min1, min2 = np.inf, np.inf
     for lx in grid:
         for ly in grid:
-            nu = model.excitation_gaps(_params(lx, ly)).nu
+            nu = model.excitation_gaps(_params(lx, ly))
             min1, min2 = min(min1, nu[0]), min(min2, nu[1])
     elapsed = time.perf_counter() - start
     ok = abs(min1 - 1.0) <= 0.01 and abs(min2 - 0.6) <= 0.05 and elapsed < 10.0
@@ -85,9 +85,9 @@ def test_criterion_1_gap_floor_values():
 
 
 def test_criterion_2_goldstone_mode():
-    nu3_line = model.excitation_gaps(_params(1.5, 1.5)).nu[2]
+    nu3_line = model.excitation_gaps(_params(1.5, 1.5))[2]
     approach = [
-        model.excitation_gaps(_params(1.5, 1.5 * (1.0 - 10.0 ** (-k)))).nu[2]
+        model.excitation_gaps(_params(1.5, 1.5 * (1.0 - 10.0 ** (-k))))[2]
         for k in range(2, 6)
     ]
     monotone = all(b < a for a, b in zip(approach, approach[1:]))
@@ -105,9 +105,9 @@ def test_criterion_3_zero_intermode_entanglement():
         if rep is None or offset:
             continue
         n_checked += 1
-        worst_eof = max(worst_eof, rep.eof_x_y)
-        if abs(lx - 1.0) <= 0.25 and abs(ly - 1.0) <= 0.25 and rep.mi_x_y > best_mi:
-            best_mi, best_at = rep.mi_x_y, (float(lx), float(ly))
+        worst_eof = max(worst_eof, rep["eof_x_y"])
+        if abs(lx - 1.0) <= 0.25 and abs(ly - 1.0) <= 0.25 and rep["mi_x_y"] > best_mi:
+            best_mi, best_at = rep["mi_x_y"], (float(lx), float(ly))
     ok = worst_eof < 1e-8 and best_mi > 1e-3
     assert _verdict(3, ok,
                     f"max E(x:y) = {worst_eof:.1e} (< 1e-8) over {n_checked} "
@@ -119,8 +119,8 @@ def test_criterion_4_mi_additivity():
     for lx, ly, rep, offset in _correlation_grid():
         if rep is None or offset:
             continue
-        worst22 = max(worst22, abs(rep.mi_xy_j - rep.mi_x_j - rep.mi_y_j))
-        worst23 = max(worst23, abs(rep.mi_xj_y - rep.mi_x_y - rep.mi_y_j))
+        worst22 = max(worst22, abs(rep["mi_xy_j"] - rep["mi_x_j"] - rep["mi_y_j"]))
+        worst23 = max(worst23, abs(rep["mi_xj_y"] - rep["mi_x_y"] - rep["mi_y_j"]))
     ok = worst22 < 1e-8 and worst23 < 1e-8
     assert _verdict(4, ok,
                     f"max |I(xy:j) - I(x:j) - I(y:j)| = {worst22:.1e}, "
@@ -132,20 +132,20 @@ def test_criterion_5_monogamy():
     for _, _, rep, _ in _correlation_grid():
         if rep is None:
             continue
-        worst = min(worst, rep.tri_x_yj, rep.tri_j_yx)
+        worst = min(worst, rep["tri_x_yj"], rep["tri_j_yx"])
     # both residuals large within one grid cell (0.04) of the first-order line
     near = _report(1.5 * (1.0 - 1e-3), 1.5)
     far1, far2 = _report(0.5, 0.3), _report(1.8, 0.3)
     ok = (worst >= -1e-9
-          and near.tri_x_yj > 0.01 and near.tri_j_yx > 0.01
-          and max(far1.tri_x_yj, far1.tri_j_yx) < 1e-3
-          and max(far2.tri_x_yj, far2.tri_j_yx) < 1e-3)
+          and near["tri_x_yj"] > 0.01 and near["tri_j_yx"] > 0.01
+          and max(far1["tri_x_yj"], far1["tri_j_yx"]) < 1e-3
+          and max(far2["tri_x_yj"], far2["tri_j_yx"]) < 1e-3)
     assert _verdict(5, ok,
                     f"min residual = {worst:.1e} (>= -1e-9); near first-order line "
-                    f"({near.tri_x_yj:.3f}, {near.tri_j_yx:.3f}) > 0.01; at "
+                    f"({near['tri_x_yj']:.3f}, {near['tri_j_yx']:.3f}) > 0.01; at "
                     f"(0.5, 0.3)/(1.8, 0.3) max residual "
-                    f"{max(far1.tri_x_yj, far1.tri_j_yx):.1e}/"
-                    f"{max(far2.tri_x_yj, far2.tri_j_yx):.1e} < 1e-3")
+                    f"{max(far1['tri_x_yj'], far1['tri_j_yx']):.1e}/"
+                    f"{max(far2['tri_x_yj'], far2['tri_j_yx']):.1e} < 1e-3")
 
 
 def test_criterion_6_transition_orders():
@@ -153,11 +153,11 @@ def test_criterion_6_transition_orders():
         _params(0.0, 0.3), "x", np.linspace(0.5, 1.5, 201))
     second_ok = (jumps2["first_order"] is None
                  and jumps2["second_order"] is not None
-                 and abs(p2[jumps2["second_order"]].coupling - 1.0) < 0.02)
+                 and abs(p2["coupling"][jumps2["second_order"]] - 1.0) < 0.02)
     p1, jumps1 = model.gs_energy_derivative_scan(
         _params(0.0, 1.5), "x", np.linspace(1.2, 1.8, 201))
     first_ok = (jumps1["first_order"] is not None
-                and abs(p1[jumps1["first_order"]].coupling - 1.5) < 0.02)
+                and abs(p1["coupling"][jumps1["first_order"]] - 1.5) < 0.02)
     ok = second_ok and first_ok
     assert _verdict(6, ok,
                     f"d2E jump (no dE jump) at lambda_c for lambda_y=0.3: {second_ok}; "
@@ -165,10 +165,10 @@ def test_criterion_6_transition_orders():
 
 
 def test_criterion_7_mi_discontinuity_signatures():
-    jump = abs(_report(1.5 * (1 - 1e-3), 1.5).mi_xj_y
-               - _report(1.5 * (1 + 1e-3), 1.5).mi_xj_y)
-    cont = abs(_report(1.0 - 1e-3, 0.5).mi_xj_y - _report(1.0 + 1e-3, 0.5).mi_xj_y)
-    div = _report(1.0 - 1e-4, 0.5).mi_xy_j
+    jump = abs(_report(1.5 * (1 - 1e-3), 1.5)["mi_xj_y"]
+               - _report(1.5 * (1 + 1e-3), 1.5)["mi_xj_y"])
+    cont = abs(_report(1.0 - 1e-3, 0.5)["mi_xj_y"] - _report(1.0 + 1e-3, 0.5)["mi_xj_y"])
+    div = _report(1.0 - 1e-4, 0.5)["mi_xy_j"]
     ok = jump > 0.05 and cont < 0.05 and div > 5.0
     verdict = _verdict(
         7, ok,

@@ -160,7 +160,7 @@ def williamson_row(omega, omega0, lx_rel, ly_rel):
     K = model.fluctuation_matrix(p)
     M = williamson(K).M
     cm = CovarianceMatrix(("x", "y", "j"), 0.5 * np.linalg.inv(M @ M.T))
-    return dict(dataclasses.asdict(gaussian_info.correlation_report(cm)), goldstone_offset=offset,
+    return dict(gaussian_info.correlation_report(cm), goldstone_offset=offset,
                 e_gs=model.ground_state_energy(p) / omega,
                 **dict(zip(("nu_1", "nu_2", "nu_3"), symplectic_eigenvalues(K).tolist())))
 
@@ -807,8 +807,8 @@ class TestExtremeScales:
             gs, gs_q = model.classical_ground_state(p), model.classical_ground_state(q)
             assert gs_q == dataclasses.replace(gs, energy=scale * gs.energy), phase
             assert model.ground_state_energy(q) == scale * model.ground_state_energy(p), phase
-            nu = model.excitation_gaps(p).nu
-            assert model.excitation_gaps(q).nu == tuple(scale * v for v in nu), phase
+            nu = model.excitation_gaps(p)
+            assert model.excitation_gaps(q) == tuple(scale * v for v in nu), phase
             np.testing.assert_array_equal(model.fluctuation_matrix(q),
                                           scale * model.fluctuation_matrix(p), err_msg=phase)
             if phase == "critical":
@@ -845,6 +845,26 @@ class TestExtremeScales:
         (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
         assert row["error"] == "" and row["diverged"] == "false"
         assert float(row["resolve_de"]) <= 4 * math.ulp(float(row["e0_per_spin"]))
+
+    @pytest.mark.parametrize("argv, resolved", [
+        (["--omega", "1e-7", "--lambda-x", "0.3", "--lambda-y", "0.8", "--j", "3",
+          "--n-max", "5"], True),
+        (["--omega", "0.0007542600574062459", "--omega0", "5934.298172806561", "--lambda-x",
+          "1.361995205069325", "--lambda-y", "1.3697425556364569", "--j", "3.5",
+          "--n-max", "4"], True),
+        # the n_max + 2 re-solve cannot resolve its energy either
+        (["--omega", "0.00011361126854999052", "--omega0", "7776.374221452159", "--lambda-x",
+          "16.876315628273293", "--lambda-y", "1.6260508072713546", "--j", "1",
+          "--n-max", "1"], False),
+    ], ids=["normal", "superradiant", "unresolved-re-solve"])
+    def test_oracle_compare_solves_where_the_residual_stalls(self, argv, resolved, capsys):
+        # the gap is 1e-10 to 1e-7 of max|diag H|, so the residual stalls above
+        # RESIDUAL_TOL; the solve settles for its best iterate whose energy is
+        # resolved, where it used to raise and write an error row
+        assert main(["oracle-compare", *argv]) == 0
+        (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        assert row["error"] == "" and row["diverged"] == "false" and row["e0_per_spin"] != ""
+        assert (row["resolve_de"] != "") == resolved
 
     def oracle_rows(self, capsys, *argv):
         assert main(["oracle-compare", *argv, "--lambda-x", "1.5", "--lambda-y", "0.5",
@@ -1210,15 +1230,16 @@ class TestOracleCompare:
             assert row["cm_max_dev"] == pytest.approx(cm_max_dev, rel=1e-12, abs=PINNED_ABS)
             assert (row["converged"], row["diverged"]) == (converged, diverged)
 
-    def test_failed_solve_is_an_error_row(self, monkeypatch, capsys):
+    def test_unresolved_solve_is_a_diverged_row(self, monkeypatch, capsys):
         def fail(*args, **kwargs):
             raise NumericalFailureError("no convergence")
         monkeypatch.setattr(oracle, "exact_ground_state", fail)
         assert main(["oracle-compare", "--lambda-x", "0.5", "--lambda-y", "0.3",
-                     "--j", "2", "--n-max", "2"]) == 3
+                     "--j", "2", "--n-max", "2"]) == 0
         (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
-        assert row["error"] == "NumericalFailureError: no convergence"
-        assert row["e0_per_spin"] == "" and row["diverged"] == "false"
+        assert row["error"] == "" and row["diverged"] == "true"
+        for col in ("e0_per_spin", "abs_de", "cm_max_dev", "converged", "resolve_de"):
+            assert row[col] == "", col
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):

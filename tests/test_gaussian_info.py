@@ -5,7 +5,6 @@ run_sweep, which evaluates gaussian_info.report_columns on the stacked ground
 states; the frozen values on correlation_report, its one-point form.
 """
 
-import dataclasses
 import itertools
 import math
 
@@ -198,39 +197,45 @@ class TestTripartiteResidual:
 class TestCorrelationReport:
     def test_frozen_values(self):
         r = correlation_report(gs_cm(1.5, 0.5))
-        assert abs(r.s_x - 0.02401232445898967) < 1e-10
-        assert abs(r.s_y - 0.012712974468045939) < 1e-10
-        assert abs(r.s_j - 0.036425438996017204) < 1e-10
-        assert abs(r.mi_xy_j - 0.07285087799203574) < 1e-10
-        assert abs(r.mi_x_y - 0.00029985993101706854) < 1e-10
-        assert abs(r.eof_x_j - 0.023857092114631773) < 1e-10
-        assert abs(r.eof_y_j - 0.012557742123687932) < 1e-10
-        assert r.eof_x_y == 0.0
-        assert abs(r.tri_x_yj - 1.0604757697499356e-05) < 1e-10
-        assert abs(r.tri_j_yx - 0.00015523234435789804) < 1e-10
+        assert abs(r["s_x"] - 0.02401232445898967) < 1e-10
+        assert abs(r["s_y"] - 0.012712974468045939) < 1e-10
+        assert abs(r["s_j"] - 0.036425438996017204) < 1e-10
+        assert abs(r["mi_xy_j"] - 0.07285087799203574) < 1e-10
+        assert abs(r["mi_x_y"] - 0.00029985993101706854) < 1e-10
+        assert abs(r["eof_x_j"] - 0.023857092114631773) < 1e-10
+        assert abs(r["eof_y_j"] - 0.012557742123687932) < 1e-10
+        assert r["eof_x_y"] == 0.0
+        assert abs(r["tri_x_yj"] - 1.0604757697499356e-05) < 1e-10
+        assert abs(r["tri_j_yx"] - 0.00015523234435789804) < 1e-10
+
+    def test_keys_are_the_report_columns_in_order(self):
+        # a one-point report is a sweep row's report cells, keyed alike
+        r = correlation_report(gs_cm(1.5, 0.5))
+        assert list(r) == [c for g in REPORT_GROUPS for c in GROUP_COLUMNS[g]]
+        assert all(type(v) is float for v in r.values())
 
     def test_tripartite_fields_match_displays(self):
         r = correlation_report(gs_cm(1.5, 0.5))
-        assert abs(r.tri_x_yj - (r.s_j - r.eof_x_j - r.eof_y_j)) < 1e-12
-        assert abs(r.tri_j_yx - (r.s_x - r.eof_x_j - r.eof_x_y)) < 1e-12
+        assert abs(r["tri_x_yj"] - (r["s_j"] - r["eof_x_j"] - r["eof_y_j"])) < 1e-12
+        assert abs(r["tri_j_yx"] - (r["s_x"] - r["eof_x_j"] - r["eof_x_y"])) < 1e-12
 
     def test_purity_complements(self):
         r = correlation_report(gs_cm(1.2, 0.6))
-        assert abs(r.s_xy - r.s_j) < 1e-8
-        assert abs(r.s_xj - r.s_y) < 1e-8
-        assert abs(r.s_yj - r.s_x) < 1e-8
+        assert abs(r["s_xy"] - r["s_j"]) < 1e-8
+        assert abs(r["s_xj"] - r["s_y"]) < 1e-8
+        assert abs(r["s_yj"] - r["s_x"]) < 1e-8
 
     def test_coupling_swap_symmetry(self):
         r1 = correlation_report(gs_cm(1.5, 0.5))
         r2 = correlation_report(gs_cm(0.5, 1.5))
-        assert abs(r1.s_x - r2.s_y) < 1e-8
-        assert abs(r1.mi_x_j - r2.mi_y_j) < 1e-8
-        assert abs(r1.eof_x_j - r2.eof_y_j) < 1e-8
-        assert abs(r1.mi_xj_y - r2.mi_yj_x) < 1e-8
+        assert abs(r1["s_x"] - r2["s_y"]) < 1e-8
+        assert abs(r1["mi_x_j"] - r2["mi_y_j"]) < 1e-8
+        assert abs(r1["eof_x_j"] - r2["eof_y_j"]) < 1e-8
+        assert abs(r1["mi_xj_y"] - r2["mi_yj_x"]) < 1e-8
 
     def test_nonnegativity(self):
         r = correlation_report(gs_cm(0.9, 0.7))
-        for name, value in dataclasses.asdict(r).items():
+        for name, value in r.items():
             assert value >= -1e-9, name
 
     def test_rejects_wrong_modes(self):

@@ -111,17 +111,17 @@ class TestFluctuationMatrix:
 
 class TestExcitationGaps:
     def test_decoupled(self):
-        nu = model.excitation_gaps(ModelParams(1.0, 1.0, 0.0, 0.0)).nu
+        nu = model.excitation_gaps(ModelParams(1.0, 1.0, 0.0, 0.0))
         np.testing.assert_allclose(nu, (1.0, 1.0, 1.0))
 
     def test_frozen_values(self):
-        nu = model.excitation_gaps(ModelParams(1.0, 1.0, 1.5, 0.5)).nu
+        nu = model.excitation_gaps(ModelParams(1.0, 1.0, 1.5, 0.5))
         np.testing.assert_allclose(
             nu, (2.328425439292532, 0.9511804127801428, 0.8580156152418057),
             atol=1e-10)
 
     def test_goldstone_mode(self):
-        nu = model.excitation_gaps(ModelParams(1.0, 1.0, 1.5, 1.5)).nu
+        nu = model.excitation_gaps(ModelParams(1.0, 1.0, 1.5, 1.5))
         assert nu[2] == 0.0
         assert nu[0] > nu[1] > 0.5
 
@@ -129,20 +129,20 @@ class TestExcitationGaps:
         vals = []
         for k in range(2, 6):
             p = ModelParams(1.0, 1.0, 1.5, 1.5 * (1.0 - 10.0 ** (-k)))
-            vals.append(model.excitation_gaps(p).nu[2])
+            vals.append(model.excitation_gaps(p)[2])
         assert all(b < a for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 1e-2
 
     def test_coupling_swap_symmetry(self):
-        a = model.excitation_gaps(ModelParams(1.0, 1.0, 0.8, 0.3)).nu
-        b = model.excitation_gaps(ModelParams(1.0, 1.0, 0.3, 0.8)).nu
+        a = model.excitation_gaps(ModelParams(1.0, 1.0, 0.8, 0.3))
+        b = model.excitation_gaps(ModelParams(1.0, 1.0, 0.3, 0.8))
         np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_second_order_gap_closing(self):
         vals = []
         for k in range(2, 6):
             p = ModelParams(1.0, 1.0, 1.0 - 10.0 ** (-k), 0.3)
-            vals.append(model.excitation_gaps(p).nu[2])
+            vals.append(model.excitation_gaps(p)[2])
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
@@ -192,27 +192,28 @@ class TestEnergyDerivativeScan:
     def test_second_order_jump_at_critical(self):
         p = ModelParams(1.0, 1.0, 0.0, 0.3)
         grid = np.linspace(0.5, 1.5, 201)
-        points, jumps = model.gs_energy_derivative_scan(p, "x", grid)
+        scan, jumps = model.gs_energy_derivative_scan(p, "x", grid)
         assert jumps["first_order"] is None
         assert jumps["second_order"] is not None
-        lam = points[jumps["second_order"]].coupling
+        lam = scan["coupling"][jumps["second_order"]]
         assert abs(lam - 1.0) < 0.02
 
     def test_first_order_jump_on_goldstone_crossing(self):
         p = ModelParams(1.0, 1.0, 0.0, 1.5)
         grid = np.linspace(1.2, 1.8, 201)
-        points, jumps = model.gs_energy_derivative_scan(p, "x", grid)
+        scan, jumps = model.gs_energy_derivative_scan(p, "x", grid)
         assert jumps["first_order"] is not None
-        lam = points[jumps["first_order"]].coupling
+        lam = scan["coupling"][jumps["first_order"]]
         assert abs(lam - 1.5) < 0.02
 
     def test_flat_inside_normal_phase(self):
         p = ModelParams(1.0, 1.0, 0.0, 0.3)
         grid = np.linspace(0.1, 0.8, 51)
-        points, jumps = model.gs_energy_derivative_scan(p, "x", grid)
+        scan, jumps = model.gs_energy_derivative_scan(p, "x", grid)
         assert jumps["first_order"] is None and jumps["second_order"] is None
-        inner = [pt for pt in points if not math.isnan(pt.d1)]
-        assert all(abs(pt.d1) < 1e-12 and abs(pt.d2) < 1e-10 for pt in inner)
+        inner = slice(1, -1)  # d1 and d2 are nan at the edges
+        assert np.all(np.abs(scan["d1"][inner]) < 1e-12)
+        assert np.all(np.abs(scan["d2"][inner]) < 1e-10)
 
     def test_energy_continuous_across_second_order_line(self):
         e_below = model.ground_state_energy(ModelParams(1.0, 1.0, 1.0 - 1e-8, 0.3))
@@ -238,8 +239,9 @@ class TestEnergyDerivativeScan:
         # one-point form, and the two round ** differently by a few ulps.
         p = ModelParams(0.5, 2.0, 0.7, 0.4)
         grid = np.linspace(0.2, 3.0, 57)
-        points, _ = model.gs_energy_derivative_scan(p, axis, grid)
-        for pt in points:
-            q = (p.with_couplings(pt.coupling, p.lambda_y) if axis == "x"
-                 else p.with_couplings(p.lambda_x, pt.coupling))
-            assert abs(pt.energy - model.ground_state_energy(q)) <= 1e-14 * max(1.0, abs(pt.energy))
+        scan, _ = model.gs_energy_derivative_scan(p, axis, grid)
+        np.testing.assert_array_equal(scan["coupling"], grid)
+        for coupling, energy in zip(scan["coupling"].tolist(), scan["energy"].tolist()):
+            q = (p.with_couplings(coupling, p.lambda_y) if axis == "x"
+                 else p.with_couplings(p.lambda_x, coupling))
+            assert abs(energy - model.ground_state_energy(q)) <= 1e-14 * max(1.0, abs(energy))

@@ -286,6 +286,29 @@ class TestDavidson:
         with pytest.raises(NumericalFailureError):
             oracle._ground_vector(*operator("superradiant-x", 5, 10))
 
+    def test_settles_for_its_least_resolved_residual(self, monkeypatch):
+        # a residual bound it cannot meet, as where the gap is 1e-10 of
+        # max|diag H|: the solve runs all MAX_ITERATIONS matvecs and returns its
+        # iterate of least residual, whose energy is resolved
+        monkeypatch.setattr(oracle, "RESIDUAL_TOL", 0.0)
+        apply, diagonal = operator("superradiant-x", 5, 4)
+        reference = np.linalg.eigvalsh(materialize(apply, diagonal.size))[0]
+        scale = np.finfo(float).eps * np.max(np.abs(diagonal))
+        residuals = []
+        for n in range(1, 151):  # each solve repeats the iterates of the shorter ones
+            monkeypatch.setattr(oracle, "MAX_ITERATIONS", n)
+            counted_apply, count = counted(apply)
+            try:
+                energy, psi, residual = oracle._ground_vector(counted_apply, diagonal)
+            except NumericalFailureError:
+                continue
+            assert count[0] == n + 1
+            assert abs(energy - reference) <= 1e-12 * abs(reference)
+            assert abs(np.linalg.norm(apply(psi) - energy * psi) - residual) <= 16 * scale
+            residuals.append(residual)
+        assert len(residuals) > 100
+        assert all(b <= a for a, b in zip(residuals, residuals[1:]))
+
     @pytest.mark.parametrize("phase", ["normal", "superradiant-x"])
     def test_restart_every_step_matches_dense_spectrum(self, phase, monkeypatch):
         # a basis of 3 restarts after every matvec from the third on, so each

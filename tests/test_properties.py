@@ -58,6 +58,7 @@ def row_at(omega, omega0, lx, ly):
 
 
 def assert_physical(r):
+    assert r["nu_1"] >= r["nu_2"] >= r["nu_3"] >= 0.0
     assert abs(r["mi_xy_j"] - r["mi_x_j"] - r["mi_y_j"]) <= ADDITIVITY_TOL
     assert abs(r["mi_xj_y"] - r["mi_x_y"] - r["mi_y_j"]) <= ADDITIVITY_TOL
     assert abs(r["mi_yj_x"] - r["mi_x_y"] - r["mi_x_j"]) <= ADDITIVITY_TOL
@@ -72,6 +73,9 @@ def assert_physical(r):
 # a Goldstone-offset point next to (1, 1): lowering its larger coupling moved it
 # onto the critical line lambda_x = 1, and the row was diverged
 @example(1.0, 1.0, 1.0, 1.000000000001)
+# the decoupled point: sigma_3 from det(L_V^T L_T) rounded 1 ulp above sigma_2
+# of the SVD, and nu_2 = 0.19999999999999998 < nu_3 = 0.20000000000000004
+@example(0.2, 1.0, 0.0, 0.0)
 def test_rows_physical_and_mirror_symmetric(omega, omega0, lx, ly):
     row = row_at(omega, omega0, lx, ly)
     if row["diverged"]:

@@ -162,7 +162,7 @@ def test_goldstone_line_gaps_exact(omega, omega0, coupling):
     # On lambda_x = lambda_y > lambda_c the soft mode is exactly zero and the
     # gapped modes need no limit from either side of the line.
     lc = math.sqrt(omega * omega0)
-    nu = model.excitation_gaps(model.ModelParams(omega, omega0, coupling * lc, coupling * lc)).nu
+    nu = model.excitation_gaps(model.ModelParams(omega, omega0, coupling * lc, coupling * lc))
     nu_ref = reference_gaps(omega, omega0, coupling, coupling)
     assert nu[2] == 0.0
     for got, ref in zip(nu[:2], nu_ref[:2]):
