@@ -124,26 +124,18 @@ def sweep_columns(groups: list[str]) -> list[str]:
 
 def evaluate_point(omega: float, omega0: float, lx_rel: float, ly_rel: float,
                    goldstone_epsilon: float, groups: tuple[str, ...]) -> dict:
-    """One output row: run_sweep over the single grid point (lx_rel, ly_rel).
-
-    Couplings are in units of lambda_c.  A ValueError from the inputs is
-    recorded as the row's error, with every quantity NaN.
-    """
-    try:
-        table = run_sweep(omega, omega0, (lx_rel, lx_rel, 1), (ly_rel, ly_rel, 1),
-                          list(groups), goldstone_epsilon)
-    except ValueError as exc:
-        row = {"lambda_x": lx_rel, "lambda_y": ly_rel, "goldstone_offset": False,
-               "diverged": False, "error": f"{type(exc).__name__}: {exc}"}
-        row.update((col, math.nan) for g in groups for col in GROUP_COLUMNS[g])
-        return row
+    """One output row: run_sweep over the single grid point (lx_rel, ly_rel),
+    in units of lambda_c, as Python values, with its empty error cell.  Bad
+    input raises ValueError, as in run_sweep."""
+    table = run_sweep(omega, omega0, (lx_rel, lx_rel, 1), (ly_rel, ly_rel, 1),
+                      list(groups), goldstone_epsilon)
     return {c: column.item() for c, column in table.items()} | {"error": None}
 
 
 def _sweep_block(omega: float, omega0: float, lx_rel: np.ndarray, ly_rel: np.ndarray,
-                 goldstone_epsilon: float, groups: list[str]) -> dict:
-    """Output columns for arrays of grid points; a row is diverged where the
-    point is not gs.stable, which leaves its report cells NaN.
+                 goldstone_epsilon: float) -> dict:
+    """Every output column but error for arrays of grid points; a row is
+    diverged where the point is not gs.stable, which leaves its report cells NaN.
 
     A Goldstone-offset point is evaluated with its smaller coupling (y where x = y)
     times 1 - goldstone_epsilon.  Each canonical pair (max(x, y), min(x, y)) is factored
@@ -151,41 +143,34 @@ def _sweep_block(omega: float, omega0: float, lx_rel: np.ndarray, ly_rel: np.nda
     its rows, x and y swapped where y > x: the columns are bitwise those of one-point sweeps.
     """
     offset = (np.abs(lx_rel - ly_rel) <= goldstone_epsilon) & (np.maximum(lx_rel, ly_rel) > 1.0)
-    cols = {"lambda_x": lx_rel, "lambda_y": ly_rel, "goldstone_offset": offset,
-            "diverged": np.zeros(lx_rel.size, dtype=bool)}
     x = np.where(offset & (lx_rel < ly_rel), lx_rel * (1.0 - goldstone_epsilon), lx_rel)
     y = np.where(offset & (lx_rel >= ly_rel), ly_rel * (1.0 - goldstone_epsilon), ly_rel)
-    if "energy" in groups:
-        with np.errstate(over="ignore"):  # e_gs is -inf where it leaves the floats
-            cols["e_gs"] = model.ground_state_energies(omega0, x, y) / omega
-    report_groups = [g for g in ("mi", "eof", "tripartite") if g in groups]
-    if "gaps" not in groups and not report_groups:
-        return cols
+    with np.errstate(over="ignore"):  # e_gs is -inf where it leaves the floats
+        e_gs = model.ground_state_energies(omega0, x, y) / omega
     # a point and its mirror twin share the factorization; pairs are told apart by their bits
     canonical = np.stack((np.maximum(x, y), np.minimum(x, y)), axis=1)
     _, first, inverse = np.unique(canonical.view(np.uint64), axis=0,
                                   return_index=True, return_inverse=True)
     inverse = inverse.ravel()  # its shape differs across NumPy 2.x releases
     gs = model.stacked_ground_states(omega, omega0, *canonical[first].T)
-    if "gaps" in groups:
-        cols["nu_1"], cols["nu_2"], cols["nu_3"] = gs.nu[inverse].T
-    if not report_groups:
-        return cols
     invariants = np.concatenate((gs.entropies, gs.det_gamma), axis=1)
     swap = np.where((y > x)[:, None], [1, 0, 2, 4, 3, 5], [0, 1, 2, 3, 4, 5])
-    report = gaussian_info.report_columns(*invariants[inverse[:, None], swap].T)
-    cols.update((col, report[col]) for g in report_groups for col in GROUP_COLUMNS[g])
-    cols["diverged"] = ~gs.stable[inverse]
-    return cols
+    nu_1, nu_2, nu_3 = gs.nu[inverse].T
+    return {"lambda_x": lx_rel, "lambda_y": ly_rel, "goldstone_offset": offset,
+            "nu_1": nu_1, "nu_2": nu_2, "nu_3": nu_3, "e_gs": e_gs,
+            **gaussian_info.report_columns(*invariants[inverse[:, None], swap].T),
+            "diverged": ~gs.stable[inverse]}
 
 
 def run_sweep(omega: float, omega0: float, x_range, y_range, groups: list[str],
               goldstone_epsilon: float) -> dict[str, np.ndarray]:
-    """The output columns over the grid, computed BLOCK_POINTS at a time.
+    """The output columns of groups over the grid, computed BLOCK_POINTS at a time.
 
     Points on (or within goldstone_epsilon of) the degenerate line lambda_x =
     lambda_y > lambda_c are flagged and evaluated with their smaller coupling
-    (lambda_y on the line) times 1 - goldstone_epsilon.  A sweep records no
+    (lambda_y on the line) times 1 - goldstone_epsilon.  Every block is
+    factored and computes every column, whatever groups selects, so a row's
+    diverged and its cells do not depend on the selection.  A sweep records no
     errors, so the table has no ``error`` column.
     """
     if not all(map(math.isfinite, (omega, omega0, goldstone_epsilon, *x_range[:2], *y_range[:2]))):
@@ -194,9 +179,10 @@ def run_sweep(omega: float, omega0: float, x_range, y_range, groups: list[str],
         raise ValueError("omega and omega0 must be positive and couplings nonnegative")
     lx, ly = (a.ravel() for a in np.meshgrid(_grid(x_range), _grid(y_range), indexing="ij"))
     blocks = [_sweep_block(omega, omega0, lx[start:start + BLOCK_POINTS],
-                           ly[start:start + BLOCK_POINTS], goldstone_epsilon, groups)
+                           ly[start:start + BLOCK_POINTS], goldstone_epsilon)
               for start in range(0, lx.size, BLOCK_POINTS)]
-    return {c: np.concatenate([b[c] for b in blocks]) for c in blocks[0]}
+    return {c: np.concatenate([b[c] for b in blocks]) for c in sweep_columns(groups)
+            if c in blocks[0]}
 
 
 def run_oracle_compare(omega: float, omega0: float, lx_rel: float, ly_rel: float,

@@ -228,16 +228,17 @@ def stacked_ground_states(omega: float, omega0: float, x, y) -> StackedGroundSta
                      (a - 1.0) * (a + 1.0) * (a * a + 1.0) / (a * a * rho))
     piv_t = np.where(normal, (1.0 - b) * (1.0 + b) / rho, (a - b) * (a + b) / rho)
 
-    def cholesky(boson, coupling, piv):
-        L = np.zeros((x.size, 3, 3))
-        L[:, 0, 0] = L[:, 1, 1] = math.sqrt(rho)
-        L[:, 2, boson] = coupling / math.sqrt(rho)
-        L[:, 2, 2] = np.sqrt(piv)
-        return L
-
-    # An overflowing pivot or rho leaves L_V^T L_T non-finite: such a point is
-    # unstable, with NaN gaps, and the SVD gets the identity in its place.
-    m = cholesky(0, g, piv_v).transpose(0, 2, 1) @ cholesky(1, b, piv_t)
+    # L_V^T L_T from its five nonzero products: L_V is sqrt(rho) at (0, 0) and
+    # (1, 1), g / sqrt(rho) at (2, 0) and sqrt(piv_v) at (2, 2); L_T the same
+    # with b / sqrt(rho) at (2, 1) and sqrt(piv_t).  An overflowing pivot or rho
+    # leaves it non-finite: such a point is unstable, with NaN gaps, and the SVD
+    # gets the identity in its place.
+    root = math.sqrt(rho)
+    g_v, b_t, root_v, root_t = g / root, b / root, np.sqrt(piv_v), np.sqrt(piv_t)
+    m = np.zeros((x.size, 3, 3))
+    m[:, 0, 0] = m[:, 1, 1] = root * root
+    m[:, 0, 1], m[:, 0, 2] = g_v * b_t, g_v * root_t
+    m[:, 2, 1], m[:, 2, 2] = root_v * b_t, root_v * root_t
     finite = np.isfinite(m).all(axis=(1, 2))
     m[~finite] = np.eye(3)
     # Only sigma is read.  svd(m, compute_uv=False) would give sigma_1 and

@@ -24,7 +24,7 @@ from test_sweep_mpmath import reference, reference_gaps
 jsonschema = pytest.importorskip("jsonschema")
 
 import twomode_dicke
-from twomode_dicke import _float_text, cli, gaussian_info, model, oracle
+from twomode_dicke import _float_text, cli, gaussian_info, model, oracle, symplectic
 from twomode_dicke.cli import (
     _csv_cell,
     _csv_cells,
@@ -225,9 +225,9 @@ class TestEvaluatePoint:
                                        list(self.GROUPS), 1e-6))[0]
         assert batched["diverged"]
 
-    def test_bad_params_recorded_as_error(self):
-        row = evaluate_point(-1.0, 1.0, 0.5, 0.5, 1e-6, self.GROUPS)
-        assert row["error"] is not None
+    def test_bad_params_raise_value_error(self):
+        with pytest.raises(ValueError):
+            evaluate_point(-1.0, 1.0, 0.5, 0.5, 1e-6, self.GROUPS)
 
 
 class TestRunSweep:
@@ -250,13 +250,11 @@ class TestRunSweep:
         ref = mpmath_rows(omega, omega0, (0.0, 2.0, 9))
         assert len(rows) == len(ref) == 81
         assert any(r["goldstone_offset"] for r in rows)
-        reported = bool(set(groups) - {"gaps", "energy"})
-        assert any(r["diverged"] for r in rows) == reported
+        assert any(r["diverged"] for r in rows)
         for a, b in zip(rows, ref):
             assert set(a) == set(sweep_columns(groups))
-            for key in ("lambda_x", "lambda_y", "goldstone_offset"):
+            for key in ("lambda_x", "lambda_y", "goldstone_offset", "diverged"):
                 assert a[key] == b[key], (key, a, b)
-            assert a["diverged"] == (b["diverged"] and reported)
             assert_rows_close(a, b)
 
     @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
@@ -404,6 +402,80 @@ class TestRunSweep:
             twin = lookup[(r["lambda_y"], r["lambda_x"])]
             for col in r.keys() - {"tri_x_yj", "tri_j_yx"}:
                 assert r[col] == twin[twins.get(col, col)], (col, r, twin)
+
+
+#: Every --quantities selection the tests below compare with all.
+SELECTIONS = ["energy", "gaps", "gaps,energy", "mi", "eof", "tripartite", "all"]
+#: run_sweep inputs (omega, omega0, x range, y range, goldstone_epsilon) with
+#: diverged rows: critical rows and columns, Goldstone-offset rows (eps = 0.25
+#: offsets every point above 1 within 0.25 of the diagonal), and at
+#: omega / omega0 = 1e-308 the rows (0, 0) below the relative gap floor, (1, 0)
+#: critical and (2, 0), whose pivot_V pivot_T overflows.
+SELECTION_GRIDS = {
+    "critical": (1.0, 1.0, (0.0, 2.0, 3), (0.0, 2.0, 3), EPSILON),
+    "goldstone-offset": (1.0, 1.0, (0.0, 2.0, 9), (0.0, 2.0, 9), 0.25),
+    "floor-critical-overflow": (1e-300, 1e8, (0.0, 2.0, 3), (0.0, 0.0, 1), EPSILON),
+}
+
+
+@pytest.mark.filterwarnings("error")
+class TestQuantitySelection:
+    """--quantities selects the written columns and nothing else: diverged and
+    every column a selection writes are bitwise those of --quantities all."""
+
+    @pytest.mark.parametrize("args", SELECTION_GRIDS.values(), ids=SELECTION_GRIDS)
+    def test_run_sweep_columns_are_those_of_all(self, args):
+        omega, omega0, x_range, y_range, eps = args
+        whole = run_sweep(omega, omega0, x_range, y_range, list(cli.GROUP_ORDER), eps)
+        assert whole["diverged"].any()
+        for text in SELECTIONS:
+            groups = _parse_quantities(text)
+            table = run_sweep(omega, omega0, x_range, y_range, groups, eps)
+            assert list(table) == [c for c in sweep_columns(groups) if c != "error"], text
+            for c, column in table.items():
+                assert column.tobytes() == whole[c].tobytes(), (text, c)
+
+    @pytest.mark.parametrize("command", [
+        "sweep --x 0:2:3 --y 0:2:3",
+        "sweep --x 0:2:9 --y 0:2:9 --goldstone-epsilon 0.25",
+        "sweep --omega 1e-300 --omega0 1e8 --x 0:2:3 --y 0:0:1",
+        "slice --x 0:2:9 --y 1",
+        "slice --x 0:2:9 --y 1 --goldstone-epsilon 0.25",
+    ])
+    def test_written_cells_are_those_of_all(self, command, tmp_path):
+        def written(k):
+            out = tmp_path / f"{k}.csv"
+            assert main([*command.split(), "--quantities", SELECTIONS[k], "--out", str(out)]) == 0
+            with open(out, newline="") as fh:
+                return list(csv.DictReader(fh))
+
+        whole = written(SELECTIONS.index("all"))
+        assert any(row["diverged"] == "true" for row in whole)
+        for k, text in enumerate(SELECTIONS):
+            rows = written(k)
+            assert len(rows) == len(whole), text
+            for row, ref in zip(rows, whole):
+                assert row == {c: ref[c] for c in row}, text
+                # a float cell is empty only on a diverged row
+                floats = row.keys() - {"goldstone_offset", "diverged", "error"}
+                assert row["diverged"] == "true" or "" not in map(row.get, floats), (text, row)
+
+    def test_floor_critical_and_overflow_rows_diverge_under_every_selection(self, capsys):
+        # the reasons: nu_3 / lambda_c = 1e-154 < GAP_FLOOR at (0, 0), a zero
+        # pivot at (1, 0) and an overflowing sigma_3, so NaN gaps, at (2, 0)
+        omega, omega0, x_range, y_range, _ = SELECTION_GRIDS["floor-critical-overflow"]
+        gs = model.stacked_ground_states(omega, omega0, cli._grid(x_range), cli._grid(y_range))
+        lambda_c = math.sqrt(omega / omega0) * omega0
+        assert gs.nu[0, 2] / lambda_c < symplectic.GAP_FLOOR and gs.nu[1, 2] == 0.0
+        assert np.isnan(gs.nu[2]).all() and np.isfinite(gs.nu[:2]).all()
+        for text in SELECTIONS:
+            assert main(["sweep", "--omega", "1e-300", "--omega0", "1e8", "--x", "0:2:3",
+                         "--y", "0:0:1", "--quantities", text]) == 0
+            rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+            assert [(r["lambda_x"], r["diverged"]) for r in rows] == [
+                ("0", "true"), ("1", "true"), ("2", "true")], text
+            if "gaps" in _parse_quantities(text):
+                assert rows[2]["nu_1"] == rows[2]["nu_2"] == rows[2]["nu_3"] == "", text
 
 
 class TestOutput:
