@@ -189,7 +189,7 @@ def run_oracle_compare(omega: float, omega0: float, lx_rel: float, ly_rel: float
                        specs: list[oracle.TruncationSpec]) -> dict[str, np.ndarray]:
     """Finite-size oracle columns, one row per truncation spec; diverged where
     the analytic CM does not exist, a factor of H is not finite or the
-    solve cannot resolve its energy.
+    solve does not converge.
 
     The analytic CM is model.stacked_cms's, which exists where gs.stable
     says so, as in a sweep.  The solve runs at the point scaled by

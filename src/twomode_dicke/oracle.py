@@ -6,11 +6,14 @@ lambda_c depends on rho = sqrt(omega / omega0) and the couplings in units of
 lambda_c alone, so scaling omega and omega0 together changes no solve.
 The Hamiltonian is built directly in the frame of the classical ground state:
 each boson is displaced by its condensate amplitude (an exact operator
-substitution a -> a + sqrt(j) alpha) and the spin operators are rotated by the
-exact 3x3 rotation R of the vector operator J, which keeps every factor of H
-tridiagonal.  The truncated Fock cutoff therefore only has to hold O(1)
-quantum fluctuations, not the extensive condensate, and the measured
-quadrature covariance matrix converges to the analytic ground-state
+substitution a -> a + sqrt(j) alpha) and the spin is rotated onto the
+classical minimum.  There the extensive classical energy and every term
+linear in the fluctuations cancel exactly, on paper, so H / lambda_c is
+solved as a scalar plus a fluctuation operator, e_const + H_fl, whose
+factors are tridiagonal and hold only O(1) terms (see _hamiltonian).  The
+truncated Fock cutoff therefore only has to hold O(1) quantum fluctuations,
+not the extensive condensate, applying H_fl rounds at their scale, and the
+measured quadrature covariance matrix converges to the analytic ground-state
 covariance matrix at rate O(1/j).
 
 Swapping x and y and rotating the spin by pi/2 about z (with a parity on one
@@ -22,16 +25,16 @@ on its Fock index maps (q, p) -> (-p, q) there and makes the term real.  C_qq
 and C_pp are then two real Gram matrices over the position (V) and momentum
 (T) coordinates of model.stacked_ground_states, mapped back by its frame table.
 
-H is never stored.  It is a sum of Kronecker products of small real factors
-(nb x nb boson and ns x ns spin matrices), so it is applied to a state
-reshaped to (nb, nb, ns) one tensor axis at a time.  In the classical frame
-H is close to diagonal in the Fock (x) Dicke basis, so its lowest eigenpair
-is found by Davidson's method preconditioned by diag H, which comes from the
-factors' diagonals; the solve starts from the basis state of smallest
-diagonal, the classical-frame vacuum.  The convergence check re-solves at
-n_max + 2, starting from the n_max ground vector, zero-padded; as only its
-energy is used, it stops once that energy is resolved to about one rounding
-unit, which takes about half the matvecs of a full solve.
+H_fl is never stored.  It is a sum of Kronecker products of small real
+factors (nb x nb boson and ns x ns spin matrices), so it is applied to a
+state reshaped to (nb, nb, ns) one tensor axis at a time.  It is close to
+diagonal in the Fock (x) Dicke basis, so its lowest eigenpair is found by
+Davidson's method preconditioned by diag H_fl, which comes from the factors'
+diagonals; the solve starts from the basis state of smallest diagonal, the
+classical-frame vacuum, where diag H_fl is 0.  The convergence check
+re-solves at n_max + 2, starting from the n_max ground vector, zero-padded;
+as only its energy is used, it stops once that energy is resolved to about
+one rounding unit, which takes about half the matvecs of a full solve.
 
 Hilbert space ordering is boson-x (x) boson-y (x) spin; quadratures are
 reported in the usual (q_x, p_x, q_y, p_y, Q, P) order with Q, P the
@@ -63,17 +66,17 @@ CONVERGENCE_TOL = 1e-8
 #: Largest basis of the Davidson solver.
 DAVIDSON_BASIS = 16
 
-#: Iterations, one matvec each, after which the Davidson solver settles for its
-#: best iterate whose energy is resolved, or gives up (see _ground_vector).
+#: Iterations, one matvec each, after which the Davidson solver gives up.
 MAX_ITERATIONS = 2000
 
 #: The Davidson solver stops once ||H x - theta x|| <= RESIDUAL_TOL eps
-#: max|diag H|.  That residual cannot fall below the rounding of applying H:
-#: over 355 solves run for 500 matvecs (omega / omega0 from 0.01 to 100, all
-#: phases and critical edges, j <= 20, n_max <= 10) the least residual was
-#: <= 16 and the stagnated level <= 53.  The energy error is <= ||r||^2 / gap,
-#: so the n_max + 2 re-solve, whose energy alone is used, may stop before
-#: this: at ||r||^2 <= eps |E| gap (see _ground_vector's ``energy_only``).
+#: max|diag H|, H the fluctuation operator H_fl.  That residual cannot fall
+#: below the rounding of applying H: over 336 solves run for 500 matvecs
+#: (omega / omega0 = 0.01, 1 and 100, all phases and critical edges, j <= 20,
+#: n_max <= 10) the least residual was <= 29.  The energy error is
+#: <= ||r||^2 / gap, so the n_max + 2 re-solve, whose energy alone is used,
+#: may stop before this: at ||r||^2 <= eps |E| gap (see _ground_vector's
+#: ``e_const``).
 RESIDUAL_TOL = 64
 
 _EPS = np.finfo(float).eps
@@ -107,7 +110,7 @@ class FiniteSizeResult:
     cm: CovarianceMatrix
     means: np.ndarray
     #: |E(n_max + 2) - E(n_max)| per spin; None if that re-solve did not run
-    #: or could not resolve its energy.
+    #: or did not converge.
     resolve_de: float | None
     #: ||H psi - E psi|| of the returned ground vector at n_max, the
     #: eigensolver's convergence evidence (in units of lambda_c, not per spin).
@@ -117,9 +120,7 @@ class FiniteSizeResult:
     def converged(self) -> bool:
         """Whether the n_max + 2 re-solve ran and moved the energy by less than
         CONVERGENCE_TOL; False with check_convergence off, over the budget or
-        where the re-solve could not resolve its energy.
-        The bound is absolute, in units of omega, so at omega / omega0 <~ 1e-7
-        rounding alone can fail it, until the solve works with H - j e_gs."""
+        where the re-solve did not converge."""
         return self.resolve_de is not None and self.resolve_de * self.spec.j < CONVERGENCE_TOL
 
 
@@ -136,68 +137,67 @@ def _spin_ops(j: float):
     return 0.5 * (jp + jp.T), 0.5 * (jp - jp.T), np.diag(m)
 
 
-def _rotated_spin_ops(ct: float, j: float):
-    """U^dag J_a U = sum_b R_ab J_b for U = e^{-i theta Jy}, R = R_y(theta), with
-    i U^dag Jy U = Ky in place of U^dag Jy U, so all three operators are real.
-
-    The entries of R are exact: ct = cos(theta) of the classical minimum, and
-    sin(theta) >= 0 for theta in [pi/2, pi].
-    """
-    st = np.sqrt((1.0 - ct) * (1.0 + ct))
-    jx, ky, jz = _spin_ops(j)
-    return ct * jx + st * jz, ky, ct * jz - st * jx
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _hamiltonian(rho: float, a: float, b: float, spec: TruncationSpec):
-    """H / lambda_c at rho = sqrt(omega / omega0) and canonical couplings a >= b
-    in units of lambda_c, in the classical frame of the normal (a <= 1) or
-    superradiant-x minimum.  A boson costs rho n, the spin Jz / rho, and the
-    minimum has alpha = -(a / rho) sqrt(1 - a^-4) and cos(theta) = -a^-2 for a > 1.
+    """H / lambda_c = e_const + H_fl at rho = sqrt(omega / omega0) and canonical
+    couplings a >= b in units of lambda_c, in the classical frame of the normal
+    (a <= 1) or superradiant-x minimum.
 
-    The displacement of mode x is applied as the exact substitution
-    a -> a + sqrt(j) alpha, the spin rotation as the exact 3x3 rotation of J;
-    an irrelevant constant offset from the displacement is kept so the
-    spectrum equals that of the lab-frame Hamiltonian.  The only imaginary
-    term, (a + a^dag) Jy on the uncondensed mode y, is made real by
-    conjugating with D = diag(i^n) on its Fock index: D^dag a D = i a, so the
-    term becomes (a - a^dag)(i Jy).  Nothing else changes, because a^dag a is
-    invariant under D, and mode y carries neither a displacement nor the
-    symmetry-breaking field.
+    A boson costs rho n, the spin Jz / rho.  With a_bar = max(a, 1) the minimum
+    has ct = cos(theta) = -a_bar^-2, st = sin(theta) >= 0 and alpha =
+    -(a / rho) st.  The frame displaces mode x by the exact substitution
+    a -> a + dx, dx = sqrt(j / 2) alpha, and rotates the spin by
+    U = e^{-i theta Jy}: U^dag Jz U = ct Jz - st Jx and
+    U^dag Jx U = ct Jx + st Jz.  With Jz = j - K, K = diag(0 .. 2j) the
+    rotated spin's excitation number, X = a + a^dag and g = 1 / sqrt(2j),
+    this is
 
-    H = B_x (x) 1 (x) 1 + 1 (x) B_y (x) 1 + 1 (x) 1 (x) S
-        + C_x (x) 1 (x) J_x + 1 (x) C_y (x) J_y,
-    every factor real and tridiagonal.  Returns ``(apply, diagonal)``:
-    ``apply(v)`` takes v of shape (dimension,) or (k, dimension), one state
-    per row, and returns H v in the same shape; ``diagonal`` is diag H, the
-    same sum of Kronecker products of the factors' diagonals.
+        H_fl    = rho N_x + rho N_y + (a_bar^2 / rho) K + h X_x
+                  + a g X_x (x) (ct Jx - st K) + b g (a - a^dag)_y (x) Ky
+        e_const = -(j / 2 rho)(a_bar^2 + a_bar^-2) + 2 h dx,
+
+    h the symmetry-breaking field on a condensed mode x.  The coefficient of
+    Jx, a alpha ct - st / rho, and the boson's linear term, rho dx + a g st j,
+    vanish identically at the minimum, so neither is formed, and the extensive
+    classical energy is the scalar e_const: applying H_fl rounds at the scale
+    of the O(1) fluctuations, not at that of j e_gs.  The only imaginary term,
+    (a + a^dag) Jy on the uncondensed mode y, is made real by conjugating with
+    D = diag(i^n) on its Fock index: D^dag a D = i a, so the term becomes
+    (a - a^dag)(i Jy), with Ky = i Jy real.  Nothing else changes, because
+    a^dag a is invariant under D, and mode y carries neither a displacement
+    nor the field.  Every factor is real and tridiagonal.
+
+    Returns ``(apply, diagonal, e_const)``: ``apply(v)`` takes v of shape
+    (dimension,) or (k, dimension), one state per row, and returns H_fl v in
+    the same shape; ``diagonal`` is diag H_fl, the sum of the factors'
+    diagonals in the order ``apply`` sums the terms.
     """
     nb = spec.n_max + 1
     ns = int(round(2.0 * spec.j)) + 1
-    superradiant = a > 1.0
-    ct = -(1.0 / a) ** 2 if superradiant else -1.0
-    alpha = -(a / rho) * math.sqrt(1.0 - (1.0 / a) ** 4) if superradiant else 0.0
+    a_bar = max(a, 1.0)
+    ct = -(1.0 / a_bar) ** 2
+    st = math.sqrt((1.0 - ct) * (1.0 + ct))
+    alpha = -(a / rho) * st
     # pin the Z2-degenerate branch by a weak field on the condensed mode
-    h_x = SYMMETRY_BREAKING_FIELD if superradiant else 0.0
+    h_x = SYMMETRY_BREAKING_FIELD if a > 1.0 else 0.0
     # Condensate amplitude: <a> = sqrt(j/2) * alpha in this normalization.
-    dx = np.sqrt(spec.j / 2.0) * alpha
+    dx = math.sqrt(spec.j / 2.0) * alpha
+    e_const = -(spec.j / (2.0 * rho)) * (a_bar ** 2 + a_bar ** -2) + 2.0 * h_x * dx
 
     down, up = _boson_ops(spec.n_max)
-    ib = np.eye(nb)
     x = down + up
     number = np.diag(np.arange(float(nb)))
-    x_x = x + 2.0 * dx * ib
-    x_y = down - up  # D^dag (a + a^dag) D = i (a - a^dag)
-    jx, jy, jz = _rotated_spin_ops(ct, spec.j)
+    jx, ky, _ = _spin_ops(spec.j)
+    k = np.arange(float(ns))
 
     g = 1.0 / np.sqrt(2.0 * spec.j)
-    b_x = rho * (number + dx * x + dx * dx * ib) + h_x * x_x
-    b_y = rho * number
-    c_x, c_y = a * g * x_x, b * g * x_y
+    b_x, b_y = rho * number + h_x * x, rho * number
+    spin = (a_bar ** 2 / rho) * k
+    c_x, c_y = a * g * x, b * g * (down - up)  # D^dag (a + a^dag) D = i (a - a^dag)
     # C-contiguous transposes: the stacked matmul with a transposed view is
     # about 10% slower
-    spin_t, jx_t, jy_t = (jz / rho).T.copy(), jx.T.copy(), jy.T.copy()
-    if not all(np.isfinite(f).all() for f in (b_x, b_y, c_x, c_y, spin_t)):
+    s_x_t, ky_t = (ct * jx - st * np.diag(k)).T.copy(), ky.T.copy()
+    if not all(np.isfinite(f).all() for f in (b_x, b_y, c_x, c_y, spin, e_const)):
         raise OverflowError("a factor of the Hamiltonian is not finite")
 
     def on_x(op, t):
@@ -207,15 +207,13 @@ def _hamiltonian(rho: float, a: float, b: float, spec: TruncationSpec):
         psi = v.reshape(-1, nb, nb, ns)
         out = on_x(b_x, psi)
         out += b_y @ psi
-        out += psi @ spin_t
-        out += on_x(c_x, psi @ jx_t)
-        out += c_y @ (psi @ jy_t)
+        out += psi * spin
+        out += on_x(c_x, psi @ s_x_t)
+        out += c_y @ (psi @ ky_t)
         return out.reshape(v.shape)
 
-    diagonal = (np.diag(b_x)[:, None, None] + np.diag(b_y)[:, None] + np.diag(spin_t)
-                + np.diag(c_x)[:, None, None] * np.diag(jx)
-                + np.diag(c_y)[:, None] * np.diag(jy))
-    return apply, diagonal.ravel()
+    diagonal = np.diag(b_x)[:, None, None] + np.diag(b_y)[:, None] + spin
+    return apply, diagonal.ravel(), e_const
 
 
 def _orthogonalize(V: np.ndarray, w: np.ndarray) -> float:
@@ -253,7 +251,7 @@ def _fresh_direction(V: np.ndarray) -> np.ndarray:
 
 
 def _ground_vector(apply, diagonal: np.ndarray, v0: np.ndarray | None = None, *,
-                   energy_only: bool = False) -> tuple[float, np.ndarray, float]:
+                   e_const: float | None = None) -> tuple[float, np.ndarray, float]:
     """Lowest eigenvalue, unit eigenvector and residual norm of the real
     symmetric operator ``apply`` whose diagonal is ``diagonal``.
 
@@ -270,24 +268,18 @@ def _ground_vector(apply, diagonal: np.ndarray, v0: np.ndarray | None = None, *,
     ||r|| <= RESIDUAL_TOL eps max|diag H| and returns theta, x and ||r||;
     with V orthonormal, theta is the Rayleigh quotient of x.
 
-    The error of theta is about ||r||^2 / (lambda_1 - theta).  With
-    ``energy_only``, for a caller that uses theta alone, the solve also stops
-    once ||r||^2 <= eps |theta| (theta_1 - theta), theta_1 the second Ritz
-    value, which puts theta near one rounding unit of the eigenvalue.  By
-    interlacing theta_1 >= lambda_1 overestimates the gap, and no cheap lower
-    bound on lambda_1 exists (Temple's and Lehmann's bounds take one as
-    input), so the rule is checked against full solves: over 324 warm
-    re-solves (all phases and near the critical and Goldstone lines,
-    omega / omega0 from 0.1 to 10, j <= 20, n_max <= 10) theta stayed within
-    8.7 eps max|diag H| of a full solve's, the rounding of applying H.
-
-    Where the gap is only 1e-10 to 1e-7 of max|diag H| (omega / omega0 below
-    about 1e-5) ||r|| stalls at a few hundred eps max|diag H|, long after the
-    energy rule holds.  A stall cannot be told early from a slow convergence,
-    which may go over 1700 matvecs without a new least ||r||, so after
-    MAX_ITERATIONS matvecs the solve returns its iterate of least ||r|| if that
-    meets the energy rule; its vector is about ||r|| / gap from the
-    eigenvector.  Otherwise it raises NumericalFailureError.
+    The error of theta is about ||r||^2 / (lambda_1 - theta).  A caller that
+    uses theta alone passes the constant e_const that its operator leaves out
+    of the energy (see _hamiltonian), and the solve also stops once
+    ||r||^2 <= eps |theta + e_const| (theta_1 - theta), theta_1 the second
+    Ritz value, which puts the energy theta + e_const near one rounding unit
+    of its value.  By interlacing theta_1 >= lambda_1 overestimates the gap,
+    and no cheap lower bound on lambda_1 exists (Temple's and Lehmann's
+    bounds take one as input), so the rule is checked against full solves:
+    over 384 warm re-solves (all phases and near the critical and Goldstone
+    lines, omega / omega0 from 0.1 to 10, j <= 20, n_max <= 10) theta stayed
+    within 2.2 eps max|diag H| of a full solve's, the rounding of applying H.
+    After MAX_ITERATIONS matvecs the solve raises NumericalFailureError.
     """
     top = float(np.max(np.abs(diagonal)))
     scale = _EPS * top
@@ -305,23 +297,17 @@ def _ground_vector(apply, diagonal: np.ndarray, v0: np.ndarray | None = None, *,
     AV[0] = apply(V[0])
     G[0, 0] = AV[0] @ V[0]
     k = 1
-
-    def resolved(r_unit, theta):
-        """The energy rule, with every length in units of 1 / unit as ||r|| is."""
-        return theta.size > 1 and (
-            r_unit ** 2 <= _EPS * abs(theta[0] * unit) * ((theta[1] - theta[0]) * unit))
-
-    best = (math.inf, None, None)  # the least ||r|| in units of 1 / unit, its theta and x
     for _ in range(MAX_ITERATIONS):
         theta, Y = np.linalg.eigh(G[:k, :k], UPLO="L")
         x, ax = Y[:, 0] @ V[:k], Y[:, 0] @ AV[:k]
         r = ax - theta[0] * x
         r_unit = float(np.linalg.norm(r * unit))
         residual = r_unit / unit
-        if residual <= RESIDUAL_TOL * scale or (energy_only and resolved(r_unit, theta)):
+        # the energy rule, with every length in units of 1 / unit as ||r|| is
+        resolved = e_const is not None and k > 1 and r_unit ** 2 <= (
+            _EPS * abs((theta[0] + e_const) * unit) * ((theta[1] - theta[0]) * unit))
+        if residual <= RESIDUAL_TOL * scale or resolved:
             return float(theta[0]), x / np.linalg.norm(x), residual
-        if r_unit < best[0]:
-            best = (r_unit, theta, x)
         if k == m:
             V[:2], AV[:2] = Y[:, :2].T @ V, Y[:, :2].T @ AV
             G[:2, :2] = V[:2] @ AV[:2].T
@@ -333,11 +319,8 @@ def _ground_vector(apply, diagonal: np.ndarray, v0: np.ndarray | None = None, *,
         AV[k] = apply(V[k])
         G[k, :k + 1] = AV[:k + 1] @ V[k]
         k += 1
-    r_unit, theta, x = best
-    if not resolved(r_unit, theta):
-        raise NumericalFailureError(
-            f"Davidson eigensolver did not resolve its energy in {MAX_ITERATIONS} iterations")
-    return float(theta[0]), x / np.linalg.norm(x), r_unit / unit
+    raise NumericalFailureError(
+        f"Davidson eigensolver did not converge in {MAX_ITERATIONS} iterations")
 
 
 def _measure_cm(psi: np.ndarray, spec: TruncationSpec, frame: tuple):
@@ -372,13 +355,15 @@ def exact_ground_state(p: ModelParams, spec: TruncationSpec,
                        check_convergence: bool = True) -> FiniteSizeResult:
     """Diagonalize the truncated Hamiltonian and measure the classical-frame CM.
 
-    H / lambda_c is solved at the canonical couplings a >= b of p in units of
-    lambda_c = rho omega0: a point with lambda_y > lambda_x is solved as its
-    mirror image.
+    H / lambda_c = e_const + H_fl is solved at the canonical couplings a >= b
+    of p in units of lambda_c = rho omega0: a point with lambda_y > lambda_x is
+    solved as its mirror image.  e_const is added once to the energy, and
+    resolve_de is the difference of the two fluctuation energies.
     Raises BudgetExceededError when the truncated dimension is too large,
-    OverflowError where a factor of H, at n_max or n_max + 2, is not finite,
-    and NumericalFailureError where the n_max solve cannot resolve its energy
-    (see _ground_vector); where the n_max + 2 re-solve cannot, resolve_de is None.
+    OverflowError where e_const or a factor of H_fl, at n_max or n_max + 2, is
+    not finite, and NumericalFailureError where the n_max solve does not
+    converge (see _ground_vector); where the n_max + 2 re-solve does not,
+    resolve_de is None.
     """
     if spec.dimension > DIMENSION_BUDGET:
         raise BudgetExceededError(
@@ -387,7 +372,8 @@ def exact_ground_state(p: ModelParams, spec: TruncationSpec,
     rho = math.sqrt(p.omega / p.omega0)
     b, a = sorted((p.lambda_x / p.lambda_c, p.lambda_y / p.lambda_c))
     frame = (Phase.SUPERRADIANT_X if a > 1.0 else Phase.NORMAL, p.lambda_y > p.lambda_x)
-    energy, psi, residual = _ground_vector(*_hamiltonian(rho, a, b, spec))
+    apply, diagonal, e_const = _hamiltonian(rho, a, b, spec)
+    theta, psi, residual = _ground_vector(apply, diagonal)
     means, cm = _measure_cm(psi, spec, frame)
 
     bigger = TruncationSpec(j=spec.j, n_max=spec.n_max + 2)
@@ -396,17 +382,17 @@ def exact_ground_state(p: ModelParams, spec: TruncationSpec,
         nb = spec.n_max + 1
         v0 = np.zeros((nb + 2, nb + 2, spec.dimension // (nb * nb)))
         v0[:nb, :nb] = psi.reshape(nb, nb, -1)
+        apply, diagonal, _ = _hamiltonian(rho, a, b, bigger)
         try:
-            energy2, _, _ = _ground_vector(*_hamiltonian(rho, a, b, bigger), v0.ravel(),
-                                           energy_only=True)
+            theta2, _, _ = _ground_vector(apply, diagonal, v0.ravel(), e_const=e_const)
         except NumericalFailureError:
             pass
         else:
-            resolve_de = abs(energy2 - energy) / spec.j / rho
+            resolve_de = abs(theta2 - theta) / spec.j / rho
 
     return FiniteSizeResult(
         spec=spec,
-        energy_per_spin=energy / spec.j / rho,
+        energy_per_spin=(theta + e_const) / spec.j / rho,
         cm=CovarianceMatrix(("x", "y", "j"), cm),
         means=means,
         resolve_de=resolve_de,

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_oracle import counted
 from test_sweep_mpmath import reference, reference_gaps
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -812,9 +813,10 @@ class TestExtremeScales:
           "--j", "1"], True),
         (["--omega", "1e4", "--omega0", "1e304", "--lambda-x", "50", "--lambda-y", "3",
           "--j", "20"], True),
-        # the condensate term of H overflows at j = 300, so no solve runs
+        # H in fluctuation form holds no condensate term dx^2, which overflowed
+        # here at j = 300: the solve runs
         (["--omega", "1e-306", "--omega0", "1", "--lambda-x", "1.5", "--lambda-y", "0.5",
-          "--j", "300"], False),
+          "--j", "300"], True),
     ])
     def test_oracle_compare_writes_its_row(self, argv, solved, capsys):
         code = main(["oracle-compare", *argv, "--n-max", "2"])
@@ -853,18 +855,6 @@ class TestExtremeScales:
         assert main(argv + ["--omega", "1.52587890625e-05", "--omega0", "1.52587890625e-05",
                             "--out", str(scaled)]) == 0
         assert scaled.read_bytes() == ref.read_bytes()
-
-    def test_oracle_overflow_is_a_diverged_row(self, capsys):
-        # j = 20 solves; at j = 300 the condensate term dx^2 of the Hamiltonian
-        # overflows, so no solve runs and the row is diverged without an error
-        assert main(["oracle-compare", "--omega", "1e-306", "--omega0", "1", "--lambda-x", "1.5",
-                     "--lambda-y", "0.5", "--j", "20,300", "--n-max", "1"]) == 0
-        solved, overflow = csv.DictReader(io.StringIO(capsys.readouterr().out))
-        assert solved["j"] == "20" and solved["e0_per_spin"] != "" and solved["error"] == ""
-        assert overflow["j"] == "300" and overflow["diverged"] == "true"
-        assert overflow["error"] == ""
-        for col in ("e0_per_spin", "abs_de", "cm_max_dev", "converged", "resolve_de"):
-            assert overflow[col] == "", col
 
     @pytest.mark.parametrize("k", SCALE_EXPONENTS)
     @pytest.mark.parametrize("ratio", [0.01, 1.0, 37.0])
@@ -916,27 +906,86 @@ class TestExtremeScales:
                      "--j", "20", "--n-max", "6"]) == 0
         (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
         assert row["error"] == "" and row["diverged"] == "false"
-        assert float(row["resolve_de"]) <= 4 * math.ulp(float(row["e0_per_spin"]))
+        # the energies are those of H_fl, not rounded at the scale of j e_gs
+        assert float(row["resolve_de"]) <= math.ulp(float(row["e0_per_spin"])) / 8
 
-    @pytest.mark.parametrize("argv, resolved", [
+    @pytest.mark.parametrize("argv, resolve_de", [
         (["--omega", "1e-7", "--lambda-x", "0.3", "--lambda-y", "0.8", "--j", "3",
-          "--n-max", "5"], True),
+          "--n-max", "5"], 8.078e-5),
         (["--omega", "0.0007542600574062459", "--omega0", "5934.298172806561", "--lambda-x",
           "1.361995205069325", "--lambda-y", "1.3697425556364569", "--j", "3.5",
-          "--n-max", "4"], True),
-        # the n_max + 2 re-solve cannot resolve its energy either
+          "--n-max", "4"], 8.005e-3),
         (["--omega", "0.00011361126854999052", "--omega0", "7776.374221452159", "--lambda-x",
           "16.876315628273293", "--lambda-y", "1.6260508072713546", "--j", "1",
-          "--n-max", "1"], False),
-    ], ids=["normal", "superradiant", "unresolved-re-solve"])
-    def test_oracle_compare_solves_where_the_residual_stalls(self, argv, resolved, capsys):
-        # the gap is 1e-10 to 1e-7 of max|diag H|, so the residual stalls above
-        # RESIDUAL_TOL; the solve settles for its best iterate whose energy is
-        # resolved, where it used to raise and write an error row
+          "--n-max", "1"], 0.2034),
+    ], ids=["normal", "superradiant", "deep-superradiant"])
+    def test_oracle_compare_solves_where_the_residual_stalls(self, argv, resolve_de, capsys):
+        # the gap is 1e-10 to 1e-7 of the extensive energy here, at which the
+        # residual of H with j e_gs inside its factors stalled
         assert main(["oracle-compare", *argv]) == 0
         (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
         assert row["error"] == "" and row["diverged"] == "false" and row["e0_per_spin"] != ""
-        assert (row["resolve_de"] != "") == resolved
+        assert float(row["resolve_de"]) == pytest.approx(resolve_de, rel=1e-3)
+
+    def test_oracle_compare_solves_the_deep_superradiant_corner(self, monkeypatch):
+        # omega / omega0 in [1e-8, 1e-5] and both couplings in [1, 20] lambda_c:
+        # with j e_gs inside the factors of H the Davidson residual stalled at
+        # its rounding, solves ran up to MAX_ITERATIONS matvecs and some rows
+        # were diverged
+        counts = []
+        hamiltonian = oracle._hamiltonian
+
+        def counted_hamiltonian(*args):
+            apply, *rest = hamiltonian(*args)
+            counted_apply, count = counted(apply)
+            counts.append(count)
+            return counted_apply, *rest
+
+        monkeypatch.setattr(oracle, "_hamiltonian", counted_hamiltonian)
+        rng = np.random.default_rng(5)
+        unsolved = []
+        for _ in range(100):
+            ratio = 10.0 ** rng.uniform(-8.0, -5.0)
+            lx, ly = 10.0 ** rng.uniform(0.0, math.log10(20.0), 2)
+            spec = oracle.TruncationSpec(j=rng.integers(1, 12) / 2, n_max=int(rng.integers(1, 7)))
+            table = cli.run_oracle_compare(ratio, 1.0, lx, ly, [spec])
+            if table["diverged"][0] or table["resolve_de"][0] is None:
+                unsolved.append((ratio, lx, ly))
+        assert max(count[0] for count in counts) <= 200
+        assert not unsolved and len(counts) == 200
+
+    def test_oracle_compare_solves_the_found_input(self, capsys):
+        # the n_max solve here raised after MAX_ITERATIONS matvecs, a diverged
+        # row; at 15 lambda_c and n_max = 6 the truncation is real, so
+        # converged is false
+        assert main(["oracle-compare", "--omega", "0.0001437210635475182", "--omega0",
+                     "2253.1386507871866", "--lambda-x", "15.153259928263655", "--lambda-y",
+                     "15.153262908746143", "--j", "1", "--n-max", "6"]) == 0
+        (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        assert row["diverged"] == "false" and row["converged"] == "false"
+        assert float(row["e0_per_spin"]) == pytest.approx(-1799973698.06, rel=1e-11)
+        assert float(row["resolve_de"]) == pytest.approx(0.0176, rel=1e-2)
+
+    @pytest.mark.parametrize("argv, converged", [
+        # resolve_de falls with n_max, from truncation to 5e-12, where one ulp of
+        # e0_per_spin (about -1e8) is 1.5e-8
+        (["--omega", "1e-8", "--lambda-x", "0.5", "--lambda-y", "0.3", "--j", "20",
+          "--n-max", "6"], False),
+        (["--omega", "1e-8", "--lambda-x", "0.5", "--lambda-y", "0.3", "--j", "20",
+          "--n-max", "10"], True),
+        (["--omega", "1e-8", "--lambda-x", "0.5", "--lambda-y", "0.3", "--j", "20",
+          "--n-max", "16"], True),
+        (["--omega", "1e-8", "--lambda-x", "0.5", "--lambda-y", "0.3", "--j", "20",
+          "--n-max", "24"], True),
+        # a truncation error of 7e-7 that rounding at the scale of j e_gs hid
+        (["--omega", "0.0005177649336205972", "--omega0", "7449.118440147279", "--lambda-x",
+          "0.05506733969610643", "--lambda-y", "14.053638090423949", "--j", "3",
+          "--n-max", "4"], False),
+    ], ids=["1e-8-n6", "1e-8-n10", "1e-8-n16", "1e-8-n24", "superradiant-y"])
+    def test_oracle_compare_converged_reads_the_truncation(self, argv, converged, capsys):
+        assert main(["oracle-compare", *argv]) == 0
+        (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        assert row["converged"] == ("true" if converged else "false")
 
     def oracle_rows(self, capsys, *argv):
         assert main(["oracle-compare", *argv, "--lambda-x", "1.5", "--lambda-y", "0.5",
@@ -1302,9 +1351,12 @@ class TestOracleCompare:
             assert row["cm_max_dev"] == pytest.approx(cm_max_dev, rel=1e-12, abs=PINNED_ABS)
             assert (row["converged"], row["diverged"]) == (converged, diverged)
 
-    def test_unresolved_solve_is_a_diverged_row(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("error", [NumericalFailureError, OverflowError])
+    def test_failed_solve_is_a_diverged_row(self, error, monkeypatch, capsys):
+        # no input with finite gaps is known to overflow a factor of H, so the
+        # OverflowError of exact_ground_state is raised here by hand
         def fail(*args, **kwargs):
-            raise NumericalFailureError("no convergence")
+            raise error("failed")
         monkeypatch.setattr(oracle, "exact_ground_state", fail)
         assert main(["oracle-compare", "--lambda-x", "0.5", "--lambda-y", "0.3",
                      "--j", "2", "--n-max", "2"]) == 0

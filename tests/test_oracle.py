@@ -31,6 +31,14 @@ class TestTruncationSpec:
         with pytest.raises(ValueError):
             TruncationSpec(j=math.inf, n_max=4)
 
+    def test_overflowing_hamiltonian_raises(self):
+        # at omega / omega0 = 1e-300 and 1e80 lambda_c the spin's excitation
+        # cost a^2 / rho leaves the floats; no CLI input with finite gaps is
+        # known to reach this
+        p = ModelParams(1e-300, 1.0, 1e-70, 0.0)
+        with pytest.raises(OverflowError):
+            exact_ground_state(p, TruncationSpec(j=1, n_max=1))
+
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceededError):
             exact_ground_state(ModelParams(1.0, 1.0, 0.1, 0.1),
@@ -167,45 +175,32 @@ def fock_block(bigger, n_max):
 
 
 def operator(phase, j, n_max):
-    """``(apply, diagonal)`` of the classical-frame Hamiltonian a solve at a phase point uses."""
+    """``(apply, diagonal, e_const)`` of the classical-frame Hamiltonian a solve
+    at a phase point uses."""
     return oracle._hamiltonian(*canonical(PHASE_POINTS[phase]), TruncationSpec(j=j, n_max=n_max))
 
 
 def dense_operator(phase, j, n_max):
-    apply, diagonal = operator(phase, j, n_max)
+    apply, diagonal, _ = operator(phase, j, n_max)
     return materialize(apply, diagonal.size)
 
 
 class TestMatrixFreeOperator:
-    @pytest.mark.parametrize("j", [0.5, 1, 5, 20])
-    @pytest.mark.parametrize("phase", ["normal", "superradiant-x", "superradiant-y"])
-    def test_rotation_matches_dense_conjugation(self, phase, j):
-        gs = model.classical_ground_state(PHASE_POINTS[phase])
-        jx, jy, jz = dense_spin_ops(j)
-        u = expm(-1j * gs.phi * jz) @ expm(-1j * gs.theta * jy)
-        rx, ry, rz = (u.conj().T @ op @ u for op in (jx, jy, jz))
-        # the y component, coupled to the conjugated mode y, comes as i U^dag Jy U,
-        # which is real; a superradiant-y point is solved in its mirror frame,
-        # where the components are those of the phi = pi/2 frame, x and y swapped
-        # and Jx -> -Jx
-        expected = ((ry, -1j * rx, rz) if gs.phase is model.Phase.SUPERRADIANT_Y
-                    else (rx, 1j * ry, rz))
-        for rotated, ref in zip(oracle._rotated_spin_ops(math.cos(gs.theta), j), expected):
-            assert rotated.dtype == np.float64
-            np.testing.assert_allclose(rotated, ref, rtol=0, atol=1e-12)
-
     @pytest.mark.parametrize("n_max", [1, 3])
     @pytest.mark.parametrize("j", [0.5, 5])
     @pytest.mark.parametrize("phase", sorted(PHASE_POINTS))
     def test_real_hamiltonian_is_conjugated_dense_reference(self, phase, j, n_max):
-        apply, diagonal = operator(phase, j, n_max)
+        apply, diagonal, e_const = operator(phase, j, n_max)
         H = materialize(apply, diagonal.size)
         assert apply(np.ones(diagonal.size)).dtype == np.float64
         # the diagonal sums the factors' diagonals in the order apply sums the terms
         np.testing.assert_array_equal(diagonal, np.diag(H))
+        # no factor holds a constant: H_fl vanishes on the classical-frame vacuum
+        assert diagonal[0] == 0.0 and diagonal.min() == 0.0
         reference = real_dense_reference(PHASE_POINTS[phase], TruncationSpec(j=j, n_max=n_max))
         np.testing.assert_allclose(reference.imag, 0.0, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(H, reference.real, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(H + e_const * np.eye(diagonal.size), reference.real,
+                                   rtol=0, atol=1e-12)
         assert np.array_equal(H, H.T)
 
     @pytest.mark.parametrize("n_max", [1, 3])
@@ -218,7 +213,7 @@ class TestMatrixFreeOperator:
         assert sliced.shape == small.shape and np.array_equal(sliced, small)
 
     def test_applies_to_one_vector_and_to_rows(self):
-        apply, diagonal = operator("superradiant-x", 2.5, 3)
+        apply, diagonal, _ = operator("superradiant-x", 2.5, 3)
         v = np.arange(3.0 * diagonal.size).reshape(3, diagonal.size)
         rows = apply(v)
         assert rows.shape == v.shape and apply(v[1]).shape == diagonal.shape
@@ -227,7 +222,7 @@ class TestMatrixFreeOperator:
     @pytest.mark.parametrize("j", [5, 20])
     @pytest.mark.parametrize("phase", ["normal", "superradiant-x"])
     def test_hamiltonian_stays_sparse(self, phase, j):
-        apply, diagonal = operator(phase, j, 10)
+        apply, diagonal, _ = operator(phase, j, 10)
         dimension = diagonal.size
         nonzeros = 0
         for start in range(0, dimension, 256):
@@ -243,15 +238,15 @@ class TestMatrixFreeOperator:
         base = ModelParams(omega=omega, omega0=omega0)
         p = base.with_couplings(*(base.lambda_c * np.array(SOLVER_POINTS[point])))
         spec = TruncationSpec(j=j, n_max=n_max)
-        apply, diagonal = oracle._hamiltonian(*canonical(p), spec)
+        apply, diagonal, e_const = oracle._hamiltonian(*canonical(p), spec)
         # a superradiant-y point is checked against the phi = pi/2 frame it is not solved in
         dense = (dense_classical_frame_hamiltonian(p, spec) if point == "superradiant-y"
-                 else materialize(apply, diagonal.size))
+                 else materialize(apply, diagonal.size) + e_const * np.eye(diagonal.size))
         reference = np.linalg.eigvalsh(dense)[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            energy, psi, _ = oracle._ground_vector(apply, diagonal)
-        assert abs(energy - reference) <= 1e-12 * abs(reference)
+            theta, psi, _ = oracle._ground_vector(apply, diagonal)
+        assert abs(theta + e_const - reference) <= 1e-12 * abs(reference)
         assert abs(np.linalg.norm(psi) - 1.0) <= 1e-14
 
 
@@ -273,7 +268,7 @@ class TestDavidson:
     def test_scaled_operator(self, exponent):
         # the squares of the residual's entries leave the floats at 2**600 times
         # H (and their sum underflows at 2**-600), unless the norm is scaled
-        apply, diagonal = operator("superradiant-x", 5, 10)
+        apply, diagonal, _ = operator("superradiant-x", 5, 10)
         reference, _, _ = oracle._ground_vector(apply, diagonal)
         factor = 2.0 ** exponent
         with warnings.catch_warnings():
@@ -283,44 +278,23 @@ class TestDavidson:
 
     def test_gives_up_after_max_iterations(self, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_ITERATIONS", 1)
-        with pytest.raises(NumericalFailureError):
-            oracle._ground_vector(*operator("superradiant-x", 5, 10))
-
-    def test_settles_for_its_least_resolved_residual(self, monkeypatch):
-        # a residual bound it cannot meet, as where the gap is 1e-10 of
-        # max|diag H|: the solve runs all MAX_ITERATIONS matvecs and returns its
-        # iterate of least residual, whose energy is resolved
-        monkeypatch.setattr(oracle, "RESIDUAL_TOL", 0.0)
-        apply, diagonal = operator("superradiant-x", 5, 4)
-        reference = np.linalg.eigvalsh(materialize(apply, diagonal.size))[0]
-        scale = np.finfo(float).eps * np.max(np.abs(diagonal))
-        residuals = []
-        for n in range(1, 151):  # each solve repeats the iterates of the shorter ones
-            monkeypatch.setattr(oracle, "MAX_ITERATIONS", n)
-            counted_apply, count = counted(apply)
-            try:
-                energy, psi, residual = oracle._ground_vector(counted_apply, diagonal)
-            except NumericalFailureError:
-                continue
-            assert count[0] == n + 1
-            assert abs(energy - reference) <= 1e-12 * abs(reference)
-            assert abs(np.linalg.norm(apply(psi) - energy * psi) - residual) <= 16 * scale
-            residuals.append(residual)
-        assert len(residuals) > 100
-        assert all(b <= a for a, b in zip(residuals, residuals[1:]))
+        apply, diagonal, e_const = operator("superradiant-x", 5, 10)
+        for e in (None, e_const):
+            with pytest.raises(NumericalFailureError):
+                oracle._ground_vector(apply, diagonal, e_const=e)
 
     @pytest.mark.parametrize("phase", ["normal", "superradiant-x"])
     def test_restart_every_step_matches_dense_spectrum(self, phase, monkeypatch):
         # a basis of 3 restarts after every matvec from the third on, so each
         # step rebuilds the 2x2 block of the projection
         monkeypatch.setattr(oracle, "DAVIDSON_BASIS", 3)
-        apply, diagonal = operator(phase, 5, 4)
-        reference = np.linalg.eigvalsh(materialize(apply, diagonal.size))[0]
+        apply, diagonal, e_const = operator(phase, 5, 4)
+        reference = np.linalg.eigvalsh(materialize(apply, diagonal.size))[0] + e_const
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             energy, psi, residual = oracle._ground_vector(apply, diagonal)
         scale = np.finfo(float).eps * np.max(np.abs(diagonal))
-        assert abs(energy - reference) <= 1e-12 * abs(reference)
+        assert abs(energy + e_const - reference) <= 1e-12 * abs(reference)
         assert residual <= oracle.RESIDUAL_TOL * scale
         assert abs(np.linalg.norm(apply(psi) - energy * psi) - residual) <= 16 * scale
 
@@ -328,13 +302,13 @@ class TestDavidson:
     def test_result_reports_the_residual(self, phase):
         p, spec = PHASE_POINTS[phase], TruncationSpec(j=5, n_max=8)
         res = exact_ground_state(p, spec)
-        apply, diagonal = operator(phase, spec.j, spec.n_max)
+        apply, diagonal, e_const = operator(phase, spec.j, spec.n_max)
         scale = np.finfo(float).eps * np.max(np.abs(diagonal))
         assert np.isfinite(res.residual) and res.residual <= oracle.RESIDUAL_TOL * scale
 
         # it is the residual of the returned ground vector, up to rounding
         _, psi, _ = oracle._ground_vector(apply, diagonal)
-        energy = res.energy_per_spin * spec.j
+        energy = res.energy_per_spin * spec.j - e_const
         assert abs(np.linalg.norm(apply(psi) - energy * psi) - res.residual) <= 16 * scale
 
 
@@ -362,19 +336,20 @@ class TestWarmResolve:
         solves = []
         ground_vector = oracle._ground_vector
 
-        def recording_ground_vector(apply, diagonal, v0=None, *, energy_only=False):
-            out = ground_vector(apply, diagonal, v0, energy_only=energy_only)
-            solves.append((apply, diagonal, v0, energy_only, out))
+        def recording_ground_vector(apply, diagonal, v0=None, *, e_const=None):
+            out = ground_vector(apply, diagonal, v0, e_const=e_const)
+            solves.append((apply, diagonal, v0, e_const, out))
             return out
 
         monkeypatch.setattr(oracle, "_ground_vector", recording_ground_vector)
         res = exact_ground_state(PHASE_POINTS[phase], TruncationSpec(j=j, n_max=8))
-        ((_, _, v_first, first_energy_only, (e_first, psi, _)),
-         (apply_big, diagonal, v0, warm_energy_only, (e_warm, _, _))) = solves
+        ((_, _, v_first, first_e_const, (e_first, psi, _)),
+         (apply_big, diagonal, v0, e_const, (e_warm, _, _))) = solves
 
         # the re-solve starts from the first ground vector, zero-padded, and
-        # only it stops once its energy is resolved
-        assert v_first is None and not first_energy_only and warm_energy_only
+        # only it stops once its energy, relative to the constant of H, is resolved
+        assert v_first is None and first_e_const is None
+        assert e_const == operator(phase, j, 10)[2]
         block = fock_block(TruncationSpec(j=j, n_max=10), 8)
         np.testing.assert_array_equal(v0[block], psi)
         assert not np.delete(v0, block).any()
@@ -382,36 +357,55 @@ class TestWarmResolve:
 
         matvecs = []
 
-        def counted_solve(start, energy_only=False):
+        def counted_solve(start, e_const=None):
             apply, count = counted(apply_big)
-            energy, _, _ = ground_vector(apply, diagonal, start, energy_only=energy_only)
+            energy, _, _ = ground_vector(apply, diagonal, start, e_const=e_const)
             matvecs.append(count[0])
             return energy
 
         cold = counted_solve(None)
         full = counted_solve(v0)
-        assert counted_solve(v0, energy_only=True) == e_warm
+        assert counted_solve(v0, e_const) == e_warm
         assert abs(e_warm - full) <= energy_only_bound(diagonal)
-        assert abs(e_warm - cold) <= 1e-12 * abs(cold)
+        assert abs(e_warm - cold) <= 1e-12 * abs(cold + e_const)
         assert matvecs[1] < matvecs[0]
 
     @pytest.mark.parametrize("j", [5, 10, 20])
     def test_energy_only_resolve_halves_the_matvecs(self, j):
         # the oracle workload's point (1.5, 0.5) and cutoff n_max = 10
-        _, psi, _ = oracle._ground_vector(*operator("superradiant-x", j, 10))
+        _, psi, _ = oracle._ground_vector(*operator("superradiant-x", j, 10)[:2])
         bigger = TruncationSpec(j=j, n_max=12)
         v0 = np.zeros(bigger.dimension)
         v0[fock_block(bigger, 10)] = psi
-        apply, diagonal = operator("superradiant-x", j, 12)
+        apply, diagonal, e_const = operator("superradiant-x", j, 12)
         energies, matvecs = [], []
-        for energy_only in (False, True):
+        for e in (None, e_const):
             counted_apply, count = counted(apply)
-            energy, _, _ = oracle._ground_vector(counted_apply, diagonal, v0,
-                                                 energy_only=energy_only)
+            energy, _, _ = oracle._ground_vector(counted_apply, diagonal, v0, e_const=e)
             energies.append(energy)
             matvecs.append(count[0])
         assert abs(energies[1] - energies[0]) <= energy_only_bound(diagonal)
         assert 2 * matvecs[1] <= matvecs[0]
+
+
+class TestFluctuationEnergy:
+    @pytest.mark.parametrize("point", [(0.5, 0.3), (1.5, 0.5), (0.3, 0.8)])
+    def test_tends_to_the_zero_point_energy_like_one_over_j(self, point):
+        # H_fl is normal-ordered in the classical frame: its ground energy tends
+        # to the zero-point energy of the three fluctuation oscillators, minus
+        # rho / 2 per boson and kappa / 2 for the spin, kappa = a_bar^2 / rho
+        p = ModelParams(1.0, 1.0, *point)
+        rho, a, b = canonical(p)
+        sigma = model.stacked_ground_states(1.0, 1.0, np.array([point[0]]),
+                                            np.array([point[1]])).nu[0]
+        limit = 0.5 * sigma.sum() - rho - 0.5 * max(a, 1.0) ** 2 / rho
+        excess = []
+        for j in (5, 20, 80):
+            apply, diagonal, _ = oracle._hamiltonian(rho, a, b, TruncationSpec(j=j, n_max=12))
+            theta, _, _ = oracle._ground_vector(apply, diagonal)
+            excess.append(theta - limit)
+        ratios = [excess[0] / excess[1], excess[1] / excess[2]]
+        assert all(3.0 <= r <= 5.0 for r in ratios), (excess, ratios)
 
 
 class TestDecoupledPoint:
@@ -487,19 +481,20 @@ class TestNormalPhaseConvergence:
         # the documented computation: the n_max + 2 re-solve starts from the
         # n_max ground vector, zero-padded, and stops once its energy is resolved
         small, big = (oracle._hamiltonian(*canonical(p), s) for s in (spec, bigger))
-        energy, psi, _ = oracle._ground_vector(*small)
+        e_const = small[2]
+        energy, psi, _ = oracle._ground_vector(*small[:2])
         v0 = np.zeros(bigger.dimension)
         v0[fock_block(bigger, 4)] = psi
-        energy2, _, _ = oracle._ground_vector(*big, v0, energy_only=True)
-        assert res.energy_per_spin == energy / 5
+        energy2, _, _ = oracle._ground_vector(*big[:2], v0, e_const=e_const)
+        assert res.energy_per_spin == (energy + e_const) / 5
         assert res.resolve_de == abs(energy2 - energy) / 5
         assert res.converged == (res.resolve_de * 5 < oracle.CONVERGENCE_TOL)
-        full, _, _ = oracle._ground_vector(*big, v0)
+        full, _, _ = oracle._ground_vector(*big[:2], v0)
         assert abs(energy2 - full) <= energy_only_bound(big[1])
 
-        for e, (apply, diagonal) in ((energy, small), (energy2, big)):
-            reference = np.linalg.eigvalsh(materialize(apply, diagonal.size))[0]
-            assert abs(e - reference) <= 1e-12 * abs(reference)
+        for e, (apply, diagonal, _) in ((energy, small), (energy2, big)):
+            reference = np.linalg.eigvalsh(materialize(apply, diagonal.size))[0] + e_const
+            assert abs(e + e_const - reference) <= 1e-12 * abs(reference)
 
     def test_resolve_de_none_over_budget(self, monkeypatch):
         spec = TruncationSpec(j=2, n_max=2)
