@@ -387,8 +387,44 @@ class TestWarmResolve:
         assert abs(energies[1] - energies[0]) <= energy_only_bound(diagonal)
         assert 2 * matvecs[1] <= matvecs[0]
 
+    @pytest.mark.parametrize("phase", ["normal", "superradiant-x"])
+    def test_energy_rule_is_relative_to_the_total_energy(self, phase):
+        # theta is O(1) and e_const extensive: the rule reads eps |theta + e_const|,
+        # so the re-solve stops sooner than with |theta| alone (e_const = 0),
+        # and its energy is as close to a full solve's
+        _, psi, _ = oracle._ground_vector(*operator(phase, 20, 10)[:2])
+        bigger = TruncationSpec(j=20, n_max=12)
+        v0 = np.zeros(bigger.dimension)
+        v0[fock_block(bigger, 10)] = psi
+        apply, diagonal, e_const = operator(phase, 20, 12)
+        assert abs(e_const) > 10.0
+        full, _, _ = oracle._ground_vector(apply, diagonal, v0)
+        matvecs = []
+        for e in (0.0, e_const):
+            counted_apply, count = counted(apply)
+            energy, _, _ = oracle._ground_vector(counted_apply, diagonal, v0, e_const=e)
+            assert abs(energy - full) <= energy_only_bound(diagonal)
+            matvecs.append(count[0])
+        assert matvecs[1] < matvecs[0]
+
 
 class TestFluctuationEnergy:
+    @pytest.mark.parametrize("omega, omega0", FREQUENCIES)
+    @pytest.mark.parametrize("phase", sorted(PHASE_POINTS))
+    def test_constant_is_the_classical_energy(self, phase, omega, omega0, monkeypatch):
+        # without the pinning field e_const is j e_gs, the extensive classical
+        # energy, in the units of energy_per_spin
+        monkeypatch.setattr(oracle, "SYMMETRY_BREAKING_FIELD", 0.0)
+        base = ModelParams(omega=omega, omega0=omega0)
+        point = PHASE_POINTS[phase]
+        p = base.with_couplings(point.lambda_x / point.lambda_c * base.lambda_c,
+                                point.lambda_y / point.lambda_c * base.lambda_c)
+        rho, a, b = canonical(p)
+        expected = model.ground_state_energy(p) / p.omega
+        for j in (0.5, 20):
+            _, _, e_const = oracle._hamiltonian(rho, a, b, TruncationSpec(j=j, n_max=1))
+            assert e_const / j / rho == pytest.approx(expected, rel=4 * np.finfo(float).eps)
+
     @pytest.mark.parametrize("point", [(0.5, 0.3), (1.5, 0.5), (0.3, 0.8)])
     def test_tends_to_the_zero_point_energy_like_one_over_j(self, point):
         # H_fl is normal-ordered in the classical frame: its ground energy tends
