@@ -18,10 +18,8 @@ from .errors import (
     NotThreeModeError,
     NumericalFailureError,
     TwoModeDickeError,
-    UnknownModeError,
 )
 from .gaussian_info import (
-    CovarianceMatrix,
     correlation_report,
     renyi2_entropy,
 )
@@ -39,7 +37,6 @@ from .model import (
 from .oracle import FiniteSizeResult, TruncationSpec, exact_ground_state
 from .symplectic import (
     StandardFormCM,
-    WilliamsonDecomposition,
     standard_form,
     symplectic_eigenvalues,
     symplectic_form,
@@ -51,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceededError",
     "ClassicalGroundState",
-    "CovarianceMatrix",
     "FiniteSizeResult",
     "GoldstoneLineError",
     "ModelParams",
@@ -66,8 +62,6 @@ __all__ = [
     "StandardFormCM",
     "TruncationSpec",
     "TwoModeDickeError",
-    "UnknownModeError",
-    "WilliamsonDecomposition",
     "classical_ground_state",
     "correlation_report",
     "exact_ground_state",

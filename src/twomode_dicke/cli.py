@@ -227,7 +227,7 @@ def run_oracle_compare(omega: float, omega0: float, lx_rel: float, ly_rel: float
         row["converged"] = res.converged
         row["resolve_de"] = res.resolve_de
         if analytic_cm is not None:
-            row["cm_max_dev"] = float(np.max(np.abs(res.cm.mat - analytic_cm)))
+            row["cm_max_dev"] = float(np.max(np.abs(res.cm - analytic_cm)))
     return {c: np.array([row[c] for row in rows], dtype=object) for c in _ORACLE_COLUMNS}
 
 

@@ -25,10 +25,6 @@ class NotThreeModeError(TwoModeDickeError):
     """Operation requires a three-mode (6x6) covariance matrix."""
 
 
-class UnknownModeError(TwoModeDickeError):
-    """A requested mode label is not present in the covariance matrix."""
-
-
 class NonPhysicalError(TwoModeDickeError):
     """Covariance matrix violates the uncertainty relation beyond rounding."""
 

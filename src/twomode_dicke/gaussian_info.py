@@ -4,75 +4,30 @@ All entropies are Renyi-2 in nats: S = 0.5 * ln det(2C), for parties "x", "y"
 (optical modes) and "j" (collective spin).  Purity makes every measure a
 function of S_x, S_y, S_j and g_m = det gamma, gamma the 2x2 cross block of 2C
 between the modes other than m (eof_from_invariants): report_columns evaluates
-them all, on floats or on grid arrays, and correlation_report on one labeled
-CovarianceMatrix.
+them all, on floats or on grid arrays, and correlation_report on one (6, 6)
+covariance matrix over (q_x, p_x, q_y, p_y, Q, P).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import symplectic
-from .errors import NonPhysicalError, NotPureError, UnknownModeError
+from .errors import NonPhysicalError, NotPureError, NotThreeModeError
 
 #: Tolerance on det(2C) = 1 for pure-state checks.
 PURITY_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class CovarianceMatrix:
-    """Real symmetric quadrature covariance matrix with labeled modes."""
+def renyi2_entropy(c) -> float:
+    """Renyi-2 entropy 0.5 * ln det(2C) of a covariance matrix C, in nats.
 
-    modes: tuple
-    mat: np.ndarray
-
-    def __post_init__(self):
-        mat = symplectic._require_symmetric(self.mat)
-        if mat.shape[0] != 2 * len(self.modes):
-            raise ValueError(
-                f"{len(self.modes)} modes require a {2 * len(self.modes)}x... matrix, "
-                f"got {mat.shape}"
-            )
-        object.__setattr__(self, "modes", tuple(self.modes))
-        object.__setattr__(self, "mat", mat)
-
-    def _rows(self, keep):
-        keep = set(keep)
-        unknown = keep - set(self.modes)
-        if unknown:
-            raise UnknownModeError(f"unknown mode labels {sorted(unknown)}")
-        rows = []
-        labels = []
-        for i, m in enumerate(self.modes):
-            if m in keep:
-                rows.extend((2 * i, 2 * i + 1))
-                labels.append(m)
-        return np.array(rows), tuple(labels)
-
-    def reduce(self, keep) -> "CovarianceMatrix":
-        """Principal submatrix on the kept modes (order of self.modes preserved)."""
-        if not keep:
-            raise UnknownModeError("keep must be a nonempty subset of modes")
-        rows, labels = self._rows(keep)
-        return CovarianceMatrix(labels, self.mat[np.ix_(rows, rows)])
-
-    def symplectic_spectrum(self) -> np.ndarray:
-        """Symplectic eigenvalues of 2C (>= 1 for physical states)."""
-        return symplectic.symplectic_eigenvalues(2.0 * self.mat)
-
-    def det2(self) -> float:
-        return float(np.linalg.det(2.0 * self.mat))
-
-    def is_pure(self) -> bool:
-        return abs(self.det2() - 1.0) <= PURITY_TOL
-
-
-def renyi2_entropy(C: CovarianceMatrix) -> float:
-    """Renyi-2 entropy 0.5 * ln det(2C), in nats."""
-    det2 = C.det2()
+    Raises NonSymmetricError where C is not symmetric and NonPhysicalError
+    where det(2C) < 1 beyond PURITY_TOL.
+    """
+    det2 = float(np.linalg.det(2.0 * symplectic._require_symmetric(c)))
     if det2 < 1.0 - PURITY_TOL:
         raise NonPhysicalError(f"det(2C) = {det2:.6e} < 1; state is unphysical")
     return max(0.5 * math.log(det2), 0.0)
@@ -115,23 +70,29 @@ def eof_from_invariants(s_i, s_j, s_k, g_i, g_j, g_k):
     return e if e.ndim else float(e)
 
 
-def correlation_report(C: CovarianceMatrix) -> dict[str, float]:
-    """All correlation measures of a pure state over modes x, y, j: the dict
-    report_columns builds, floats keyed by the sweep's column names, so it is a
-    sweep row's report cells.  Raises UnknownModeError, NotPureError or
-    NonPhysicalError where the state has no report.
+def correlation_report(c) -> dict[str, float]:
+    """All correlation measures of a pure state, from its (6, 6) covariance
+    matrix over (q_x, p_x, q_y, p_y, Q, P): the dict report_columns builds,
+    floats keyed by the sweep's column names, so it is a sweep row's report
+    cells.  S_m and g_m come from the 2x2 blocks of 2C and their determinants.
+    Raises NotThreeModeError unless c is 6x6, NonSymmetricError, and
+    NotPureError or NonPhysicalError where the state has no report.
 
     Entropies and mutual informations are in nats.  tri_x_yj is the genuine
     tripartite entanglement E(x;y:j) = S(j) - E(x:j) - E(y:j) and tri_j_yx
     is E(j;y:x) = S(x) - E(x:j) - E(x:y).
     """
-    if set(C.modes) != {"x", "y", "j"}:
-        raise UnknownModeError(f"expected modes x, y, j; got {C.modes}")
-    if not C.is_pure():
-        raise NotPureError(f"det(2C) = {C.det2():.6e} is not 1 within {PURITY_TOL:.0e}")
+    c = np.asarray(c, dtype=float)
+    if c.shape != (6, 6):
+        raise NotThreeModeError(f"expected a 6x6 matrix over modes x, y, j, got {c.shape}")
+    c = symplectic._require_symmetric(c)
+    det2 = float(np.linalg.det(2.0 * c))
+    if not abs(det2 - 1.0) <= PURITY_TOL:
+        raise NotPureError(f"det(2C) = {det2:.6e} is not 1 within {PURITY_TOL:.0e}")
 
-    s_x, s_y, s_j = (renyi2_entropy(C.reduce((m,))) for m in ("x", "y", "j"))
-    g = (np.linalg.det(2.0 * C.reduce(pair).mat[:2, 2:]) for pair in ("yj", "xj", "xy"))
+    s_x, s_y, s_j = (renyi2_entropy(c[i:i + 2, i:i + 2]) for i in (0, 2, 4))
+    # g_x, g_y, g_j: the cross blocks of the pairs (y, j), (x, j) and (x, y).
+    g = (np.linalg.det(2.0 * c[i:i + 2, k:k + 2]) for i, k in ((2, 4), (0, 4), (0, 2)))
     return report_columns(s_x, s_y, s_j, *map(float, g))
 
 

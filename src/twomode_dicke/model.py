@@ -18,7 +18,6 @@ import numpy as np
 
 from . import symplectic
 from .errors import GoldstoneLineError, NearSingularError
-from .gaussian_info import CovarianceMatrix
 
 
 class Phase(Enum):
@@ -144,8 +143,9 @@ def excitation_gaps(p: ModelParams) -> tuple[float, float, float]:
     return tuple(gs.nu[0].tolist())
 
 
-def ground_state_cm(p: ModelParams) -> CovarianceMatrix:
-    """Ground-state covariance matrix over modes (x, y, j): stacked_cms at one point.
+def ground_state_cm(p: ModelParams) -> np.ndarray:
+    """Ground-state covariance matrix, (6, 6) over (q_x, p_x, q_y, p_y, Q, P):
+    stacked_cms at one point.
 
     Raises NearSingularError where the point is not StackedGroundStates.stable,
     e.g. at a critical coupling or on the degenerate line.
@@ -154,7 +154,7 @@ def ground_state_cm(p: ModelParams) -> CovarianceMatrix:
     if not gs.stable[0]:
         raise NearSingularError(
             f"no pure Gaussian ground state at lambda / lambda_c = ({x[0]!r}, {y[0]!r})")
-    return CovarianceMatrix(("x", "y", "j"), stacked_cms(x, y, gs)[0])
+    return stacked_cms(x, y, gs)[0]
 
 
 def _one_point(p: ModelParams):

@@ -49,7 +49,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, NumericalFailureError
-from .gaussian_info import CovarianceMatrix
 from .model import _STACKED_FRAMES, ModelParams, Phase, from_stacked_frame
 
 #: Largest Hilbert-space dimension the oracle will diagonalize.
@@ -107,7 +106,8 @@ class FiniteSizeResult:
 
     spec: TruncationSpec
     energy_per_spin: float
-    cm: CovarianceMatrix
+    #: (6, 6) covariance matrix over (q_x, p_x, q_y, p_y, Q, P).
+    cm: np.ndarray
     means: np.ndarray
     #: |E(n_max + 2) - E(n_max)| per spin; None if that re-solve did not run
     #: or did not converge.
@@ -393,7 +393,7 @@ def exact_ground_state(p: ModelParams, spec: TruncationSpec,
     return FiniteSizeResult(
         spec=spec,
         energy_per_spin=(theta + e_const) / spec.j / rho,
-        cm=CovarianceMatrix(("x", "y", "j"), cm),
+        cm=cm,
         means=means,
         resolve_de=resolve_de,
         residual=residual,

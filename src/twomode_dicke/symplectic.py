@@ -68,20 +68,10 @@ def symplectic_eigenvalues(K) -> np.ndarray:
     return np.ascontiguousarray(nu[::2])
 
 
-@dataclass(frozen=True)
-class WilliamsonDecomposition:
-    """Factorization K = M V M^T with M symplectic, V = diag(nu_i, nu_i, ...)."""
-
-    M: np.ndarray
-    nu: np.ndarray
-
-    @property
-    def V(self) -> np.ndarray:
-        return np.diag(np.repeat(self.nu, 2))
-
-
-def williamson(K) -> WilliamsonDecomposition:
-    """Williamson decomposition of a symmetric positive-definite matrix.
+def williamson(K) -> tuple[np.ndarray, np.ndarray]:
+    """Williamson decomposition K = M diag(nu_1, nu_1, ..., nu_n, nu_n) M^T of a
+    symmetric positive-definite matrix, with M symplectic: returns (M, nu), nu
+    descending.
 
     The construction diagonalizes the antisymmetric matrix
     A = K^{-1/2} Omega K^{-1/2} through the Hermitian matrix iA, whose
@@ -89,6 +79,11 @@ def williamson(K) -> WilliamsonDecomposition:
     orthonormal real pair sqrt(2) (Re v, -Im v), on which A acts as the block
     [[0, mu], [-mu, 0]]; degenerate mu need no pairing heuristics, since eigh
     returns an orthonormal basis of each eigenspace.
+
+    nu = 1 / mu inherits eigh's absolute error eps ||A|| in the smallest mu,
+    so nu_1 carries a relative error of about eps cond K: 1.4e-10 at
+    omega0 / omega = 100 and (lambda_x, lambda_y) = (86, 2) lambda_c, where
+    cond K = 7.4e5.  symplectic_eigenvalues is the full-accuracy spectrum.
     """
     K = _require_symmetric(K)
     n = K.shape[0] // 2
@@ -116,7 +111,7 @@ def williamson(K) -> WilliamsonDecomposition:
     # N^T K N = V with N symplectic; M = N^{-T} = Omega^T N Omega.
     N = inv_sqrt @ O * np.repeat(np.sqrt(nu), 2)[None, :]
     M = omega.T @ N @ omega
-    return WilliamsonDecomposition(M=M, nu=nu)
+    return M, nu
 
 
 # ---------------------------------------------------------------------------

@@ -195,9 +195,10 @@ def test_criterion_8_purity_and_physicality():
                 C = model.ground_state_cm(_params(lx, ly))
             except TwoModeDickeError:
                 continue  # exactly-critical: CM undefined by design
-            worst_purity = max(worst_purity, abs(C.det2() - 1.0))
-            for keep in (("x",), ("y",), ("j",), ("x", "y"), ("x", "j"), ("y", "j")):
-                worst_nu = min(worst_nu, C.reduce(keep).symplectic_spectrum()[-1])
+            worst_purity = max(worst_purity, abs(np.linalg.det(2.0 * C) - 1.0))
+            for keep in ([0, 1], [2, 3], [4, 5], [0, 1, 2, 3], [0, 1, 4, 5], [2, 3, 4, 5]):
+                worst_nu = min(worst_nu,
+                               symplectic_eigenvalues(2.0 * C[np.ix_(keep, keep)])[-1])
     ok = worst_purity < 1e-7 and worst_nu >= 1.0 - 1e-9
     assert _verdict(8, ok,
                     f"max |det(2C) - 1| = {worst_purity:.1e} (< 1e-7); min reduced "
@@ -212,15 +213,15 @@ def test_criterion_9_symplectic_identities():
         A = rng.normal(size=(6, 6))
         K = A @ A.T + 0.3 * np.eye(6)
         scale = np.max(np.abs(K))
-        dec = williamson(K)
+        M, nu = williamson(K)
         worst_sympl = max(worst_sympl,
-                          np.max(np.abs(dec.M @ omega @ dec.M.T - omega)))
+                          np.max(np.abs(M @ omega @ M.T - omega)))
         worst_recon = max(worst_recon,
-                          np.max(np.abs(dec.M @ dec.V @ dec.M.T - K)) / scale)
+                          np.max(np.abs(M @ np.diag(np.repeat(nu, 2)) @ M.T - K)) / scale)
         G = rng.normal(size=(6, 6)) * 0.3
         S = expm(omega @ (G + G.T))  # random symplectic
         worst_inv = max(worst_inv, np.max(np.abs(
-            symplectic_eigenvalues(S @ K @ S.T) - dec.nu)) / max(dec.nu[0], 1.0))
+            symplectic_eigenvalues(S @ K @ S.T) - nu)) / max(nu[0], 1.0))
     ok = worst_sympl < 1e-8 and worst_recon < 1e-8 and worst_inv < 1e-8
     assert _verdict(9, ok,
                     f"1000 random PD matrices: max |M Omega M^T - Omega| = "
@@ -232,13 +233,13 @@ def test_criterion_9_symplectic_identities():
 def test_criterion_10_oracle_convergence():
     start = time.perf_counter()
     p = _params(0.5, 0.3)
-    analytic = model.ground_state_cm(p).mat
+    analytic = model.ground_state_cm(p)
     e_dev, cm_dev = [], []
     for j in (5, 10, 20):
         res = oracle.exact_ground_state(
             p, oracle.TruncationSpec(j=j, n_max=10), check_convergence=False)
         e_dev.append(abs(res.energy_per_spin + 1.0))
-        cm_dev.append(float(np.max(np.abs(res.cm.mat - analytic))))
+        cm_dev.append(float(np.max(np.abs(res.cm - analytic))))
     elapsed = time.perf_counter() - start
     ok = (e_dev[0] > e_dev[1] > e_dev[2] and cm_dev[2] < cm_dev[0]
           and elapsed < 120.0)

@@ -58,7 +58,7 @@ def local_entropies(omega, omega0, lx_rel, ly_rel):
     base = model.ModelParams(omega=omega, omega0=omega0)
     lc = base.lambda_c
     C = model.ground_state_cm(base.with_couplings(lx_rel * lc, ly_rel * lc))
-    return {m: renyi2_entropy(C.reduce((m,))) for m in ("x", "y", "j")}
+    return {m: renyi2_entropy(C[i:i + 2, i:i + 2]) for m, i in (("x", 0), ("y", 2), ("j", 4))}
 
 
 #: (omega, omega0, lambda_x / lambda_c, lambda_y / lambda_c) where the former

@@ -13,15 +13,19 @@ import pytest
 
 from twomode_dicke import model
 from twomode_dicke.cli import GROUP_COLUMNS, run_sweep
-from twomode_dicke.errors import NonPhysicalError, UnknownModeError
+from twomode_dicke.errors import (
+    NonPhysicalError,
+    NonSymmetricError,
+    NotPureError,
+    NotThreeModeError,
+)
 from twomode_dicke.gaussian_info import (
-    CovarianceMatrix,
     correlation_report,
     eof_from_invariants,
     renyi2_entropy,
 )
 
-VACUUM = CovarianceMatrix(("x", "y", "j"), 0.5 * np.eye(6))
+VACUUM = 0.5 * np.eye(6)
 REPORT_GROUPS = ["mi", "eof", "tripartite"]
 EPSILON = 1e-6
 
@@ -30,46 +34,13 @@ def gs_cm(lx, ly, omega=1.0, omega0=1.0):
     return model.ground_state_cm(model.ModelParams(omega, omega0, lx, ly))
 
 
-class TestCovarianceMatrix:
-    def test_reduce_vacuum(self):
-        red = VACUUM.reduce(("x",))
-        assert red.modes == ("x",)
-        np.testing.assert_allclose(red.mat, 0.5 * np.eye(2))
-
-    def test_reduce_composition(self):
-        C = gs_cm(1.2, 0.6)
-        one_step = C.reduce(("x",))
-        two_step = C.reduce(("x", "y")).reduce(("x",))
-        np.testing.assert_array_equal(one_step.mat, two_step.mat)
-
-    def test_reduce_index_bookkeeping(self):
-        C = gs_cm(1.2, 0.6)
-        np.testing.assert_array_equal(C.reduce(("j",)).mat, C.mat[4:, 4:])
-
-    def test_reduce_unknown_mode(self):
-        with pytest.raises(UnknownModeError):
-            VACUUM.reduce(("z",))
-        with pytest.raises(UnknownModeError):
-            VACUUM.reduce(())
-
-    def test_physicality_and_purity(self):
-        C = gs_cm(1.2, 0.6)
-        assert C.symplectic_spectrum()[-1] >= 1.0 - 1e-9
-        assert C.is_pure()
-        assert abs(C.det2() - 1.0) < 1e-7
-
-    def test_rejects_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            CovarianceMatrix(("x", "y"), 0.5 * np.eye(6))
-
-
 class TestRenyi2Entropy:
     def test_vacuum(self):
-        assert renyi2_entropy(VACUUM.reduce(("x",))) == 0.0
+        assert renyi2_entropy(VACUUM[:2, :2]) == 0.0
 
     def test_thermal(self):
         nbar = 0.5
-        C = CovarianceMatrix(("x",), (nbar + 0.5) * np.eye(2))
+        C = (nbar + 0.5) * np.eye(2)
         assert abs(renyi2_entropy(C) - math.log(2.0)) < 1e-12
 
     def test_global_ground_state_is_pure(self):
@@ -78,7 +49,13 @@ class TestRenyi2Entropy:
 
     def test_rejects_unphysical(self):
         with pytest.raises(NonPhysicalError):
-            renyi2_entropy(CovarianceMatrix(("x",), 0.25 * np.eye(2)))
+            renyi2_entropy(0.25 * np.eye(2))
+
+    def test_rejects_asymmetric(self):
+        C = 0.5 * np.eye(2)
+        C[0, 1] = 0.1
+        with pytest.raises(NonSymmetricError):
+            renyi2_entropy(C)
 
 
 def sweep_row(lx, ly):
@@ -238,7 +215,17 @@ class TestCorrelationReport:
         for name, value in r.items():
             assert value >= -1e-9, name
 
-    def test_rejects_wrong_modes(self):
-        C = CovarianceMatrix(("x", "y", "z"), 0.5 * np.eye(6))
-        with pytest.raises(UnknownModeError):
+    @pytest.mark.parametrize("shape", [(4, 4), (6, 4)], ids=["4x4", "6x4"])
+    def test_rejects_other_than_three_modes(self, shape):
+        with pytest.raises(NotThreeModeError):
+            correlation_report(0.5 * np.eye(*shape))
+
+    def test_rejects_asymmetric(self):
+        C = gs_cm(1.5, 0.5).copy()
+        C[0, 4] += 0.1
+        with pytest.raises(NonSymmetricError):
             correlation_report(C)
+
+    def test_rejects_mixed(self):
+        with pytest.raises(NotPureError):
+            correlation_report(VACUUM + 0.5 * np.eye(6))  # thermal, nbar = 0.5

@@ -12,6 +12,7 @@ from twomode_dicke.errors import BudgetExceededError, NumericalFailureError
 from twomode_dicke.gaussian_info import renyi2_entropy
 from twomode_dicke.model import ModelParams
 from twomode_dicke.oracle import TruncationSpec, exact_ground_state
+from twomode_dicke.symplectic import symplectic_eigenvalues
 
 
 class TestTruncationSpec:
@@ -444,12 +445,25 @@ class TestFluctuationEnergy:
         assert all(3.0 <= r <= 5.0 for r in ratios), (excess, ratios)
 
 
+class TestExactSymmetry:
+    @pytest.mark.parametrize("omega, omega0", FREQUENCIES)
+    @pytest.mark.parametrize("point", ["normal", "superradiant-x", "superradiant-y",
+                                       "near-goldstone"])
+    def test_cms_are_exactly_symmetric(self, point, omega, omega0):
+        # the CMs are plain arrays, so their producers must make them symmetric
+        base = ModelParams(omega, omega0)
+        p = base.with_couplings(*(base.lambda_c * np.array(SOLVER_POINTS[point])))
+        res = exact_ground_state(p, TruncationSpec(j=5, n_max=6), check_convergence=False)
+        for cm in (model.ground_state_cm(p), res.cm):
+            assert cm.shape == (6, 6) and np.array_equal(cm, cm.T)
+
+
 class TestDecoupledPoint:
     def test_exact_ground_state_at_zero_coupling(self):
         res = exact_ground_state(ModelParams(1.0, 1.0, 0.0, 0.0),
                                  TruncationSpec(j=4, n_max=3))
         assert abs(res.energy_per_spin + 1.0) < 1e-12
-        np.testing.assert_allclose(res.cm.mat[:4, :4], 0.5 * np.eye(4), atol=1e-10)
+        np.testing.assert_allclose(res.cm[:4, :4], 0.5 * np.eye(4), atol=1e-10)
         np.testing.assert_allclose(res.means, 0.0, atol=1e-10)
         assert res.converged
 
@@ -466,23 +480,23 @@ class TestNormalPhaseConvergence:
 
     def test_cm_deviation_shrinks_when_j_doubles(self):
         p = ModelParams(1.0, 1.0, 0.25, 0.15)  # deep normal phase
-        analytic = model.ground_state_cm(p).mat
+        analytic = model.ground_state_cm(p)
         devs = [
             np.max(np.abs(
                 exact_ground_state(p, TruncationSpec(j=j, n_max=8),
-                                   check_convergence=False).cm.mat - analytic))
+                                   check_convergence=False).cm - analytic))
             for j in (5, 10)
         ]
         assert devs[1] < devs[0]
 
     def test_entropy_approaches_analytic(self):
         p = ModelParams(1.0, 1.0, 0.5, 0.3)
-        target = renyi2_entropy(model.ground_state_cm(p).reduce(("x",)))
+        target = renyi2_entropy(model.ground_state_cm(p)[:2, :2])
         errs = []
         for j in (5, 15):
             res = exact_ground_state(p, TruncationSpec(j=j, n_max=8),
                                      check_convergence=False)
-            errs.append(abs(renyi2_entropy(res.cm.reduce(("x",))) - target))
+            errs.append(abs(renyi2_entropy(res.cm[:2, :2]) - target))
         assert errs[1] < errs[0]
         assert errs[1] < 0.01
 
@@ -490,7 +504,7 @@ class TestNormalPhaseConvergence:
         p = ModelParams(1.0, 1.0, 0.5, 0.3)
         res = exact_ground_state(p, TruncationSpec(j=10, n_max=8),
                                  check_convergence=False)
-        nu = res.cm.symplectic_spectrum()
+        nu = symplectic_eigenvalues(2.0 * res.cm)
         assert nu[-1] >= 1.0 - 0.05
 
     def test_energy_monotone_in_cutoff(self):
@@ -550,22 +564,22 @@ class TestNormalPhaseConvergence:
         assert ry.energy_per_spin == rx.energy_per_spin and ry.residual == rx.residual
         assert ry.resolve_de == rx.resolve_de and ry.converged == rx.converged
         np.testing.assert_array_equal(
-            ry.cm.mat, mirrored(rx.cm.mat, NORMAL_MIRROR, NORMAL_MIRROR_SIGN))
+            ry.cm, mirrored(rx.cm, NORMAL_MIRROR, NORMAL_MIRROR_SIGN))
         np.testing.assert_array_equal(ry.means, NORMAL_MIRROR_SIGN * rx.means[NORMAL_MIRROR])
         np.testing.assert_array_equal(
-            model.ground_state_cm(py).mat,
-            mirrored(model.ground_state_cm(px).mat, NORMAL_MIRROR, NORMAL_MIRROR_SIGN))
+            model.ground_state_cm(py),
+            mirrored(model.ground_state_cm(px), NORMAL_MIRROR, NORMAL_MIRROR_SIGN))
 
 
 class TestSuperradiantPhase:
     def test_cm_matches_analytic_at_one_over_j(self):
         p = ModelParams(1.0, 1.0, 1.5, 0.5)
-        analytic = model.ground_state_cm(p).mat
+        analytic = model.ground_state_cm(p)
         devs = []
         for j in (5, 10, 20):
             res = exact_ground_state(p, TruncationSpec(j=j, n_max=8),
                                      check_convergence=False)
-            devs.append(np.max(np.abs(res.cm.mat - analytic)))
+            devs.append(np.max(np.abs(res.cm - analytic)))
         assert devs[2] < devs[1] < devs[0]
         assert devs[2] < 0.01
         # deviation consistent with O(1/j): ratio j=5 to j=20 near 4
@@ -589,8 +603,8 @@ class TestSuperradiantPhase:
         res1 = exact_ground_state(p, spec, check_convergence=False)
         monkeypatch.setattr(oracle, "SYMMETRY_BREAKING_FIELD", 2e-4)
         res2 = exact_ground_state(p, spec, check_convergence=False)
-        scale = np.max(np.abs(res1.cm.mat))
-        assert np.max(np.abs(res1.cm.mat - res2.cm.mat)) < 1e-3 * scale
+        scale = np.max(np.abs(res1.cm))
+        assert np.max(np.abs(res1.cm - res2.cm)) < 1e-3 * scale
 
     @pytest.mark.parametrize("omega, omega0", FREQUENCIES)
     def test_superradiant_y_mirror(self, omega, omega0):
@@ -601,12 +615,12 @@ class TestSuperradiantPhase:
         rx, ry = exact_ground_state(px, spec), exact_ground_state(py, spec)
         assert ry.energy_per_spin == rx.energy_per_spin and ry.residual == rx.residual
         assert ry.resolve_de == rx.resolve_de and ry.converged == rx.converged
-        np.testing.assert_array_equal(ry.cm.mat, mirrored(rx.cm.mat, MIRROR, MIRROR_SIGN))
+        np.testing.assert_array_equal(ry.cm, mirrored(rx.cm, MIRROR, MIRROR_SIGN))
         np.testing.assert_array_equal(ry.means, MIRROR_SIGN * rx.means[MIRROR])
         # the analytic CMs obey the same map: both come from one factorization
         np.testing.assert_array_equal(
-            model.ground_state_cm(py).mat,
-            mirrored(model.ground_state_cm(px).mat, MIRROR, MIRROR_SIGN))
+            model.ground_state_cm(py),
+            mirrored(model.ground_state_cm(px), MIRROR, MIRROR_SIGN))
 
     @pytest.mark.parametrize("n_max", [1, 3])
     @pytest.mark.parametrize("j", [0.5, 2.5, 5])
@@ -631,10 +645,10 @@ class TestConvergenceOffResonance:
         devs = {}
         for point in [(0.5, 0.3), (1.5, 0.5), (0.5, 1.5)]:
             p = base.with_couplings(*(base.lambda_c * np.array(point)))
-            analytic = model.ground_state_cm(p).mat
+            analytic = model.ground_state_cm(p)
             devs[point] = np.array([
                 np.max(np.abs(exact_ground_state(p, TruncationSpec(j=j, n_max=10),
-                                                 check_convergence=False).cm.mat - analytic))
+                                                 check_convergence=False).cm - analytic))
                 for j in (5, 10, 20)
             ])
             assert devs[point][2] < devs[point][1] < devs[point][0]

@@ -93,25 +93,25 @@ class TestSymplecticEigenvalues:
 
 class TestWilliamson:
     def test_identity(self):
-        dec = williamson(np.eye(6))
-        np.testing.assert_allclose(dec.nu, [1, 1, 1], atol=1e-12)
-        np.testing.assert_allclose(dec.M @ dec.V @ dec.M.T, np.eye(6), atol=1e-12)
+        M, nu = williamson(np.eye(6))
+        np.testing.assert_allclose(nu, [1, 1, 1], atol=1e-12)
+        np.testing.assert_allclose(M @ np.diag(np.repeat(nu, 2)) @ M.T, np.eye(6), atol=1e-12)
 
     def test_single_mode_squeezer(self):
         K = np.diag([4.0, 1.0])
-        dec = williamson(K)
-        np.testing.assert_allclose(dec.nu, [2.0], atol=1e-12)
-        np.testing.assert_allclose(dec.M @ dec.V @ dec.M.T, K, atol=1e-10)
+        M, nu = williamson(K)
+        np.testing.assert_allclose(nu, [2.0], atol=1e-12)
+        np.testing.assert_allclose(M @ np.diag(np.repeat(nu, 2)) @ M.T, K, atol=1e-10)
         omega = symplectic_form(1)
-        np.testing.assert_allclose(dec.M @ omega @ dec.M.T, omega, atol=1e-10)
+        np.testing.assert_allclose(M @ omega @ M.T, omega, atol=1e-10)
 
     def test_superradiant_fluctuation_matrix(self):
         K = model.fluctuation_matrix(model.ModelParams(1.0, 1.0, 1.5, 0.5))
-        dec = williamson(K)
-        np.testing.assert_allclose(dec.nu, symplectic_eigenvalues(K), atol=1e-9)
+        M, nu = williamson(K)
+        np.testing.assert_allclose(nu, symplectic_eigenvalues(K), atol=1e-9)
         omega = symplectic_form(3)
-        np.testing.assert_allclose(dec.M @ omega @ dec.M.T, omega, atol=1e-9)
-        np.testing.assert_allclose(dec.M @ dec.V @ dec.M.T, K, atol=1e-9)
+        np.testing.assert_allclose(M @ omega @ M.T, omega, atol=1e-9)
+        np.testing.assert_allclose(M @ np.diag(np.repeat(nu, 2)) @ M.T, K, atol=1e-9)
 
     def test_random_positive_definite(self):
         rng = np.random.default_rng(5)
@@ -119,11 +119,11 @@ class TestWilliamson:
         for _ in range(50):
             A = rng.normal(size=(6, 6))
             K = A @ A.T + 0.5 * np.eye(6)
-            dec = williamson(K)
+            M, nu = williamson(K)
             scale = np.max(np.abs(K))
-            assert np.max(np.abs(dec.M @ omega @ dec.M.T - omega)) < 1e-9 * max(scale, 1)
-            assert np.max(np.abs(dec.M @ dec.V @ dec.M.T - K)) < 1e-9 * scale
-            assert np.all(np.diff(dec.nu) <= 1e-12)
+            assert np.max(np.abs(M @ omega @ M.T - omega)) < 1e-9 * max(scale, 1)
+            assert np.max(np.abs(M @ np.diag(np.repeat(nu, 2)) @ M.T - K)) < 1e-9 * scale
+            assert np.all(np.diff(nu) <= 1e-12)
 
     def test_near_singular_raises(self):
         # exactly critical coupling: soft mode below the gap floor
@@ -146,7 +146,7 @@ class TestStandardForm:
 
     def test_idempotence(self):
         C = model.ground_state_cm(model.ModelParams(1.0, 1.0, 1.5, 0.5))
-        sf = standard_form(C.mat)
+        sf = standard_form(C)
         sf2 = standard_form(sf.matrix() / 2.0)
         np.testing.assert_array_equal(sf.a, sf2.a)
         np.testing.assert_array_equal(sf.c_plus, sf2.c_plus)
@@ -154,14 +154,14 @@ class TestStandardForm:
 
     def test_local_invariants_match_reductions(self):
         C = model.ground_state_cm(model.ModelParams(1.0, 1.0, 1.2, 0.6))
-        sf = standard_form(C.mat)
+        sf = standard_form(C)
         for i in range(3):
-            blk = 2.0 * C.mat[2 * i:2 * i + 2, 2 * i:2 * i + 2]
+            blk = 2.0 * C[2 * i:2 * i + 2, 2 * i:2 * i + 2]
             assert abs(sf.a[i] - np.sqrt(np.linalg.det(blk))) < 1e-9
 
     def test_frozen_values(self):
         C = model.ground_state_cm(model.ModelParams(1.0, 1.0, 1.2, 0.6))
-        sf = standard_form(C.mat)
+        sf = standard_form(C)
         np.testing.assert_allclose(sf.a, [1.08909564, 1.03578619, 1.12487297], atol=1e-7)
         # Closed-form convention: c+ = (r_1 + r_2) / (4 sqrt(a_i a_j)), so
         # |c+| >= |c-| and c+ >= 0; a local pi/2 rotation would swap them.
@@ -172,7 +172,7 @@ class TestStandardForm:
 
     def test_pure_state_determinant(self):
         C = model.ground_state_cm(model.ModelParams(1.0, 1.0, 1.2, 0.6))
-        sf = standard_form(C.mat)
+        sf = standard_form(C)
         assert abs(np.linalg.det(sf.matrix()) - 1.0) < 1e-7
 
     def test_pair_invariants_match_input(self):
@@ -181,7 +181,7 @@ class TestStandardForm:
         # reproduce those of the input, not only the a_i.
         rng = np.random.default_rng(17)
         for lx, ly in ((1.2, 0.6), (1.5, 0.5), (0.5, 1.5), (0.8, 0.3), (2.5, 1.7)):
-            C = model.ground_state_cm(model.ModelParams(1.0, 1.0, lx, ly)).mat
+            C = model.ground_state_cm(model.ModelParams(1.0, 1.0, lx, ly))
             L = random_local_symplectic(rng)
             B = 2.0 * L @ C @ L.T
             M = standard_form(B / 2.0).matrix()
@@ -194,7 +194,7 @@ class TestStandardForm:
     def test_decoupled_mode(self):
         # lambda_x = 0 leaves mode x in vacuum, unconstrained by the others
         C = model.ground_state_cm(model.ModelParams(1.0, 1.0, 0.0, 0.5))
-        sf = standard_form(C.mat)
+        sf = standard_form(C)
         assert abs(sf.a[0] - 1.0) < 1e-12
         np.testing.assert_allclose(sf.c_plus[1:], 0.0, atol=1e-12)
         np.testing.assert_allclose(sf.c_minus[1:], 0.0, atol=1e-12)
@@ -203,10 +203,10 @@ class TestStandardForm:
     def test_invariance_under_local_symplectics(self):
         rng = np.random.default_rng(13)
         C = model.ground_state_cm(model.ModelParams(1.0, 1.0, 1.5, 0.5))
-        ref = standard_form(C.mat)
+        ref = standard_form(C)
         for _ in range(30):
             L = random_local_symplectic(rng)
-            sf = standard_form(L @ C.mat @ L.T)
+            sf = standard_form(L @ C @ L.T)
             np.testing.assert_allclose(sf.a, ref.a, atol=1e-8)
 
     def test_rejects_wrong_dimension(self):
