@@ -10,7 +10,9 @@ or JSON null.  A sweep computes its grid as stacked arrays, block by block,
 factoring each mirror pair of points (x, y), (y, x) once, into a table of
 columns (column name -> values over the grid) that ``write_output`` formats
 block by block: the distinct float values of a block together, each once, by
-``_float_text.g17``, which gives the bytes of ``"%.17g"`` itself.
+``_float_text.g17``, which gives the bytes of ``"%.17g"`` itself.  Both
+commands' tables hold float, bool and (the oracle's ``converged``) None-or-bool
+columns, and no ``error`` column: that header-only column is written empty.
 ``evaluate_point`` is the one-point sweep, and ``_csv_cell`` / ``_json_cell``
 the per-cell reference of the writer.  JSON output echoes the configuration
 and the package and NumPy versions.  The argument parser is built once per
@@ -22,9 +24,7 @@ process, on the first ``main`` call.  It owns input checking: each option's
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -125,11 +125,11 @@ def sweep_columns(groups: list[str]) -> list[str]:
 def evaluate_point(omega: float, omega0: float, lx_rel: float, ly_rel: float,
                    goldstone_epsilon: float, groups: tuple[str, ...]) -> dict:
     """One output row: run_sweep over the single grid point (lx_rel, ly_rel),
-    in units of lambda_c, as Python values, with its empty error cell.  Bad
-    input raises ValueError, as in run_sweep."""
+    in units of lambda_c, as Python values.  Bad input raises ValueError, as
+    in run_sweep."""
     table = run_sweep(omega, omega0, (lx_rel, lx_rel, 1), (ly_rel, ly_rel, 1),
                       list(groups), goldstone_epsilon)
-    return {c: column.item() for c, column in table.items()} | {"error": None}
+    return {c: column.item() for c, column in table.items()}
 
 
 def _sweep_block(omega: float, omega0: float, lx_rel: np.ndarray, ly_rel: np.ndarray,
@@ -197,7 +197,9 @@ def run_oracle_compare(omega: float, omega0: float, lx_rel: float, ly_rel: float
     on the degenerate line lambda_x = lambda_y > lambda_c (no classical
     frame), where the factorization overflows (NaN gaps) or a factor of H is
     not finite (OverflowError).  Such a row, and one whose solve raises
-    NumericalFailureError, has empty solve cells; no row records an error.
+    NumericalFailureError, has empty solve cells: NaN floats and a None
+    converged, the one column of Python objects.  diverged is a bool column
+    and every other column a float one; the table has no ``error`` column.
     """
     e_analytic = float(model.ground_state_energies(omega0, lx_rel, ly_rel)) / omega
     x, y = np.array([lx_rel]), np.array([ly_rel])
@@ -210,8 +212,7 @@ def run_oracle_compare(omega: float, omega0: float, lx_rel: float, ly_rel: float
             "lambda_x": lx_rel, "lambda_y": ly_rel, "j": spec.j,
             "e0_per_spin": math.nan, "e_gs_analytic": e_analytic,
             "abs_de": math.nan, "cm_max_dev": math.nan,
-            "converged": None, "resolve_de": None, "diverged": analytic_cm is None,
-            "error": None,
+            "converged": None, "resolve_de": math.nan, "diverged": analytic_cm is None,
         }
         rows.append(row)
         if lx_rel == ly_rel > 1.0 or np.isnan(gs.nu).any():
@@ -225,33 +226,30 @@ def run_oracle_compare(omega: float, omega0: float, lx_rel: float, ly_rel: float
         row["e0_per_spin"] = res.energy_per_spin
         row["abs_de"] = abs(res.energy_per_spin - e_analytic)
         row["converged"] = res.converged
-        row["resolve_de"] = res.resolve_de
+        if res.resolve_de is not None:
+            row["resolve_de"] = res.resolve_de
         if analytic_cm is not None:
             row["cm_max_dev"] = float(np.max(np.abs(res.cm - analytic_cm)))
-    return {c: np.array([row[c] for row in rows], dtype=object) for c in _ORACLE_COLUMNS}
+    dtypes = {"converged": object, "diverged": bool}
+    return {c: np.array([row[c] for row in rows], dtype=dtypes.get(c, float))
+            for c in _ORACLE_COLUMNS if c != "error"}
 
 
 def _csv_cell(value) -> str:
+    """The CSV field of a None, bool or float cell (NaN empty); any other raises TypeError."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return "" if math.isnan(value) else format(value, ".17g")
-    return str(value)
+    raise TypeError(f"a cell is None, a bool or a float, got {type(value).__name__}")
 
 
 def _json_cell(value):
     if isinstance(value, float) and not math.isfinite(value):
         return None if math.isnan(value) else _csv_cell(value)
     return value
-
-
-def _csv_field(text: str) -> str:
-    """text as csv.writer writes it in a row of several fields (quoted if need be)."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[:-2]
 
 
 def _float_cells(columns: list[np.ndarray]) -> list[list[str]]:
@@ -261,7 +259,7 @@ def _float_cells(columns: list[np.ndarray]) -> list[list[str]]:
     distinct, is formatted once to 17 significant digits (NaN as the empty
     field) by _float_text.g17, which formats all of them as arrays and hands
     the cells it cannot certify to "%.17g" itself; the strings are then
-    scattered back to their cells.  Float cells never need CSV quoting.
+    scattered back to their cells.
     """
     if not columns:
         return []
@@ -273,27 +271,25 @@ def _float_cells(columns: list[np.ndarray]) -> list[list[str]]:
 
 def _csv_cells(column) -> list[str]:
     """The CSV fields of _csv_cell(v) for v in a 1-D array that is not float
-    (float columns go to _float_cells), a column at a time.
-
-    A bool array maps to true/false, which needs no CSV quoting.  Any other
-    column (the oracle's None, bool and error cells) goes through _csv_cell
-    and _csv_field per cell.
+    (float columns go to _float_cells), a column at a time: a bool array maps
+    to true/false, and an object column (the oracle's converged, None or
+    bool) goes through _csv_cell per cell.
     """
     if column.dtype.kind == "b":
         return list(map(("false", "true").__getitem__, column.tolist()))
-    return [_csv_field(_csv_cell(v)) for v in column.tolist()]
+    return list(map(_csv_cell, column.tolist()))
 
 
 def write_output(table: dict, columns: list[str], fmt: str, out,
                  config_echo: dict) -> None:
     """Write a table of columns (name -> 1-D array, one value per row) as CSV or JSON.
 
-    A column the table lacks is empty in every row.  CSV is formatted and
-    written BLOCK_POINTS rows at a time, with the bytes csv.writer gives for
-    the rows of _csv_cell(value); the float columns of a block are formatted
-    together by _float_cells, so a value repeated within them is formatted
-    once, and the distinct values all at once.  JSON writes config_echo as
-    its "config" object.
+    A column the table lacks (error) is empty in every row.  CSV is formatted
+    and written BLOCK_POINTS rows at a time, with the bytes csv.writer gives
+    for the rows of _csv_cell(value), none of which needs quoting; the float
+    columns of a block are formatted together by _float_cells, so a value
+    repeated within them is formatted once, and the distinct values all at
+    once.  JSON writes config_echo as its "config" object.
     """
     n_rows = len(next(iter(table.values())))
     if fmt == "csv":
@@ -416,9 +412,9 @@ _ECHOED = dict.fromkeys(
 
 
 def main(argv=None) -> int:
-    """Run one command and return its exit code: 0, or 3 if a row records an
-    error.  Bad input raises SystemExit(2) from the parser, with its message
-    on stderr and nothing on stdout."""
+    """Run one command and return its exit code, 0.  Bad input raises
+    SystemExit(2) from the parser, with its message on stderr and nothing on
+    stdout."""
     args = _parse_args(list(sys.argv[1:] if argv is None else argv))
     if args.command == "oracle-compare":
         specs = [oracle.TruncationSpec(j=j, n_max=args.n_max) for j in args.j]
@@ -436,9 +432,6 @@ def main(argv=None) -> int:
             write_output(table, columns, args.format, fh, config_echo)
     else:
         write_output(table, columns, args.format, sys.stdout, config_echo)
-
-    if any(table.get("error", ())):
-        return 3
     return 0
 
 

@@ -6,7 +6,7 @@ class TwoModeDickeError(Exception):
 
 
 class NonSymmetricError(TwoModeDickeError):
-    """Input matrix violates the symmetry tolerance."""
+    """Input matrix violates the symmetry tolerance or has a non-finite entry."""
 
 
 class NonPositiveDefiniteError(TwoModeDickeError):

@@ -24,11 +24,11 @@ PURITY_TOL = 1e-7
 def renyi2_entropy(c) -> float:
     """Renyi-2 entropy 0.5 * ln det(2C) of a covariance matrix C, in nats.
 
-    Raises NonSymmetricError where C is not symmetric and NonPhysicalError
-    where det(2C) < 1 beyond PURITY_TOL.
+    Raises NonSymmetricError where C is not symmetric or not finite and
+    NonPhysicalError unless det(2C) >= 1 - PURITY_TOL.
     """
     det2 = float(np.linalg.det(2.0 * symplectic._require_symmetric(c)))
-    if det2 < 1.0 - PURITY_TOL:
+    if not det2 >= 1.0 - PURITY_TOL:
         raise NonPhysicalError(f"det(2C) = {det2:.6e} < 1; state is unphysical")
     return max(0.5 * math.log(det2), 0.0)
 

@@ -44,6 +44,8 @@ def _require_symmetric(K):
     K = np.asarray(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] % 2 != 0:
         raise NonSymmetricError(f"expected even-dimensional square matrix, got {K.shape}")
+    if not np.isfinite(K).all():
+        raise NonSymmetricError("matrix has a NaN or infinite entry")
     scale = max(np.max(np.abs(K)), 1.0)
     if np.max(np.abs(K - K.T)) > SYMMETRY_RTOL * scale:
         raise NonSymmetricError("matrix is not symmetric within tolerance")

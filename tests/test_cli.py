@@ -59,9 +59,8 @@ NEAR_CRITICAL = 1e-6
 EPSILON = 1e-6
 
 def table_rows(table):
-    """The rows of a sweep table, as evaluate_point gives them (a sweep records no error)."""
-    return [dict(zip(table, values), error=None)
-            for values in zip(*(column.tolist() for column in table.values()))]
+    """The rows of a sweep table, as evaluate_point gives them."""
+    return [dict(zip(table, values)) for values in zip(*(column.tolist() for column in table.values()))]
 
 
 def reference_output(table, columns, fmt, config_echo) -> str:
@@ -193,7 +192,8 @@ class TestEvaluatePoint:
 
     def test_origin(self):
         row = evaluate_point(1.0, 1.0, 0.0, 0.0, 1e-6, self.GROUPS)
-        assert row["error"] is None and not row["diverged"]
+        assert list(row) == [c for c in sweep_columns(list(self.GROUPS)) if c != "error"]
+        assert not row["diverged"]
         assert row["nu_1"] == row["nu_2"] == row["nu_3"] == 1.0
         assert row["e_gs"] == -1.0
         assert abs(row["mi_xy_j"]) < 1e-12 and row["eof_x_y"] == 0.0
@@ -201,14 +201,12 @@ class TestEvaluatePoint:
     def test_goldstone_offset_flagged(self):
         row = evaluate_point(1.0, 1.0, 1.5, 1.5, 1e-6, self.GROUPS)
         assert row["goldstone_offset"]
-        assert row["error"] is None
         assert not row["diverged"]
         assert row["mi_x_j"] > 0.0
 
     def test_exactly_critical_is_diverged_not_error(self):
         row = evaluate_point(1.0, 1.0, 1.0, 0.3, 1e-6, self.GROUPS)
         assert row["diverged"]
-        assert row["error"] is None
         assert math.isnan(row["mi_x_j"])
         # gaps and energy still finite
         assert row["nu_1"] > 0.0 and row["e_gs"] == -1.0
@@ -219,7 +217,7 @@ class TestEvaluatePoint:
         # Rounding left the fluctuation matrix of these critical points
         # positive definite, and S_x came out 7.74 and 6.13 nats from noise.
         row = evaluate_point(omega, omega0, lx, ly, 1e-6, self.GROUPS)
-        assert row["diverged"] and row["error"] is None
+        assert row["diverged"]
         assert math.isnan(row["s_x"])
         batched = table_rows(run_sweep(omega, omega0, (lx, lx, 1), (ly, ly, 1),
                                        list(self.GROUPS), 1e-6))[0]
@@ -252,7 +250,7 @@ class TestRunSweep:
         assert any(r["goldstone_offset"] for r in rows)
         assert any(r["diverged"] for r in rows)
         for a, b in zip(rows, ref):
-            assert set(a) == set(sweep_columns(groups))
+            assert set(a) == set(sweep_columns(groups)) - {"error"}
             for key in ("lambda_x", "lambda_y", "goldstone_offset", "diverged"):
                 assert a[key] == b[key], (key, a, b)
             assert_rows_close(a, b)
@@ -557,8 +555,7 @@ class TestOutput:
 EDGE_FLOATS = [math.nan, 1e6, -1e6, math.nextafter(1e6, math.inf),
                -math.nextafter(1e6, math.inf), math.inf, -math.inf, -0.0, 0.0,
                1.0 / 3.0, 5e-324, 1.0, 1e22]
-EDGE_OTHER = [None, True, False, 0.5, math.nan, 2e6, "ValueError: bad j, got 'x'",
-              'quoted "word"', "two\nlines"]
+EDGE_OTHER = [None, True, False, 0.5, math.nan, 2e6]
 
 
 class TestColumnWriter:
@@ -613,13 +610,16 @@ class TestColumnWriter:
     def test_bool_column(self):
         assert _csv_cells(np.array([True, False, True])) == ["true", "false", "true"]
 
-    def test_other_column_is_quoted_as_csv_writer_does(self):
-        cells = _csv_cells(np.array(EDGE_OTHER, dtype=object))
-        assert cells[:6] == ["", "true", "false", "0.5", "", "2000000"]
-        assert cells[6] == '"ValueError: bad j, got \'x\'"'
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow([_csv_cell(v) for v in EDGE_OTHER])
-        assert ",".join(cells) + "\n" == buf.getvalue()
+    def test_string_cell_raises_type_error(self):
+        # a cell is None, a bool or a float, none of which needs CSV quoting
+        assert _csv_cells(np.array(EDGE_OTHER, dtype=object)) == [
+            "", "true", "false", "0.5", "", "2000000"]
+        for cell in ("ValueError: bad j, got 'x'", 'quoted "word"', 2):
+            column = np.array([None, cell], dtype=object)
+            with pytest.raises(TypeError):
+                _csv_cells(column)
+            with pytest.raises(TypeError):
+                cli.write_output({"o": column}, ["o"], "csv", io.StringIO(), {})
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("block_points", [2048, 4])
@@ -629,7 +629,7 @@ class TestColumnWriter:
         table = {
             "f": np.array(EDGE_FLOATS),
             "b": np.arange(n) % 3 == 0,
-            "o": np.array((EDGE_OTHER * 2)[:n], dtype=object),
+            "o": np.array((EDGE_OTHER * 3)[:n], dtype=object),
         }
         columns = ["b", "f", "missing", "o"]
         out = io.StringIO()
@@ -652,12 +652,12 @@ class TestBlockWriter:
             "b": np.array([0.0, -0.0, beyond, -beyond, third, math.inf, -math.inf, 0.0]),
             "c": np.full(8, third),
             "flag": np.arange(8) % 2 == 0,
-            "note": np.array([None, "x", None, "y, z", None, None, "w", None], dtype=object),
+            "converged": np.array([None, True, None, False, None, None, True, None], dtype=object),
             "d": np.array([-0.0, -0.0, math.nan, math.nan, 2.5, 2.5, -2.5, 2.5]),
             # a coordinate column shares huge values with "b"
             "lambda_x": np.array([beyond, 1e300, third, math.inf, -beyond, -0.0, math.nan, 0.0]),
         }
-        columns = ["c", "a", "flag", "missing", "b", "note", "d", "lambda_x"]
+        columns = ["c", "a", "flag", "missing", "b", "converged", "d", "lambda_x"]
         out = io.StringIO()
         cli.write_output(table, columns, "csv", out, {"command": "test"})
         expected = reference_output(table, columns, "csv", {"command": "test"})
@@ -948,7 +948,7 @@ class TestExtremeScales:
             lx, ly = 10.0 ** rng.uniform(0.0, math.log10(20.0), 2)
             spec = oracle.TruncationSpec(j=rng.integers(1, 12) / 2, n_max=int(rng.integers(1, 7)))
             table = cli.run_oracle_compare(ratio, 1.0, lx, ly, [spec])
-            if table["diverged"][0] or table["resolve_de"][0] is None:
+            if table["diverged"][0] or math.isnan(table["resolve_de"][0]):
                 unsolved.append((ratio, lx, ly))
         assert max(count[0] for count in counts) <= 200
         assert not unsolved and len(counts) == 200
@@ -1232,14 +1232,6 @@ class TestErrors:
         assert captured.out == ""
         assert "error: " in captured.err and named in captured.err, captured.err
 
-    def test_row_errors_exit_3(self, monkeypatch, capsys):
-        def fake_sweep(*args, **kwargs):
-            return {"lambda_x": np.zeros(1), "lambda_y": np.zeros(1),
-                    "goldstone_offset": np.zeros(1, dtype=bool),
-                    "diverged": np.zeros(1, dtype=bool), "error": np.array(["Boom"], dtype=object)}
-        monkeypatch.setattr(cli, "run_sweep", fake_sweep)
-        assert main(["sweep", "--x", "0:1:2", "--y", "0:1:2", "--threads", "1"]) == 3
-
 
 #: oracle-compare --j 2,5 --n-max 6 rows (e0_per_spin, abs_de, cm_max_dev,
 #: converged, diverged) at (omega, omega0, lambda_x, lambda_y), as computed
@@ -1325,6 +1317,37 @@ class TestOracleCompare:
             res = oracle.exact_ground_state(p, spec)
             assert (row["resolve_de"], row["e0_per_spin"]) == (res.resolve_de,
                                                                res.energy_per_spin)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("point", [
+        (1.0, 1.0, 1.5, 0.5),
+        # the analytic CM does not exist, the finite-size solve runs
+        (1.0, 1.0, 1.0, 0.0),
+        (0.3, 4.0, 1.0, 0.0),
+        # no classical frame: no solve, so empty solve cells and converged
+        (1.0, 1.0, 1.5, 1.5),
+    ], ids=["solved", "critical", "critical-inexact-lambda_c", "goldstone-line"])
+    def test_output_matches_reference(self, point, fmt, tmp_path):
+        # every float cell goes through _float_cells, and converged, None or
+        # bool, through _csv_cell: the bytes of csv.writer / json over the
+        # table's cells, the error column empty
+        omega, omega0, lx, ly = point
+        specs = [oracle.TruncationSpec(j=j, n_max=4) for j in (2.0, 4.0)]
+        table = cli.run_oracle_compare(omega, omega0, lx, ly, specs)
+        assert list(table) == cli._ORACLE_COLUMNS[:-1] and "error" not in table
+        kinds = {c: column.dtype.kind for c, column in table.items()}
+        assert kinds == dict.fromkeys(table, "f") | {"converged": "O", "diverged": "b"}
+        solved = ly != lx
+        assert table["diverged"].all() == (max(lx, ly) == 1.0 or not solved)
+        assert np.isfinite(table["e0_per_spin"]).all() == solved
+        assert all((v is None) != solved for v in table["converged"].tolist())
+        out = tmp_path / f"oracle.{fmt}"
+        assert main(["oracle-compare", "--omega", repr(omega), "--omega0", repr(omega0),
+                     "--lambda-x", repr(lx), "--lambda-y", repr(ly), "--j", "2,4",
+                     "--n-max", "4", "--format", fmt, "--out", str(out)]) == 0
+        text = out.read_text()
+        config = json.loads(text)["config"] if fmt == "json" else None
+        assert_same_text(text, reference_output(table, cli._ORACLE_COLUMNS, fmt, config))
 
     def test_resolve_de_empty_without_resolve(self, monkeypatch, capsys):
         monkeypatch.setattr(oracle, "DIMENSION_BUDGET", oracle.TruncationSpec(j=2, n_max=2).dimension)

@@ -7,6 +7,7 @@ states; the frozen values on correlation_report, its one-point form.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from twomode_dicke.gaussian_info import (
     eof_from_invariants,
     renyi2_entropy,
 )
+from twomode_dicke.symplectic import standard_form, symplectic_eigenvalues, williamson
 
 VACUUM = 0.5 * np.eye(6)
 REPORT_GROUPS = ["mi", "eof", "tripartite"]
@@ -229,3 +231,30 @@ class TestCorrelationReport:
     def test_rejects_mixed(self):
         with pytest.raises(NotPureError):
             correlation_report(VACUUM + 0.5 * np.eye(6))  # thermal, nbar = 0.5
+
+
+#: Each function that takes a matrix from outside, and a valid input of it.
+MATRIX_INPUTS = {
+    "renyi2_entropy": (renyi2_entropy, VACUUM[:2, :2]),
+    "correlation_report": (correlation_report, VACUUM),
+    "williamson": (williamson, np.eye(6)),
+    "symplectic_eigenvalues": (symplectic_eigenvalues, np.eye(6)),
+    "standard_form": (standard_form, VACUUM),
+}
+
+
+@pytest.mark.parametrize("entries", [[(0, 0)], [(0, 1), (1, 0)]], ids=["diagonal", "off-diagonal"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", MATRIX_INPUTS)
+def test_non_finite_entry_raises_before_any_warning(name, bad, entries):
+    # the check comes before any LAPACK call, so it raises rather than
+    # warning "invalid value encountered in det" and returning NaN
+    function, valid = MATRIX_INPUTS[name]
+    matrix = valid.copy()
+    for entry in entries:
+        matrix[entry] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        function(valid)
+        with pytest.raises(NonSymmetricError, match="NaN or infinite"):
+            function(matrix)
